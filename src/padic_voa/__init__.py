@@ -12,9 +12,8 @@ from .axioms import (
     jacobi_defect,
     locality_profile,
 )
-from .fock import HeisenbergState, Partition, grade_basis, partition_count, partitions_of
+from .fock import GradedState, HeisenbergState, Partition, grade_basis, partition_count, partitions_of
 from .kummer import (
-    KummerFamily,
     kummer_check,
     kummer_index,
     limit_character_check,
@@ -43,13 +42,10 @@ from .qchar import (
     qseries_padic_distance,
 )
 from .scalars import (
-    DEFAULT_PRECISION,
-    PadicScalar,
     bernoulli,
     c_coefficient,
     gen_binomial,
     is_prime,
-    padic_reduce,
     stirling2,
     valuation,
 )

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from math import inf
 from typing import Any, Iterable, Sequence
 
-from .fock import HeisenbergState, grade_basis, _accumulate_terms
-from .modes import mode_action
+from .fock import GradedState, _accumulate_terms, partitions_of
+from .modes import _modes_of, _residue_sum, mode_action, residue_product_mode
 from .scalars import gen_binomial
 
 __all__ = [
@@ -52,14 +52,27 @@ class DefectReport:
         return {"parameters": dict(self.parameters), "norm_exponent": exponent}
 
 
-def _signed_binomial(t: int, i: int) -> int:
-    return (-1 if i % 2 else 1) * gen_binomial(t, i)
+def _jacobi_sides(u: GradedState, v: GradedState, w: GradedState, r: int, s: int, t: int) -> GradedState:
+    """Left minus right side of the Jacobi identity at (r, s, t)."""
+    u._check(v)
+    u._check(w)
+    acc: dict = {}
+    if u and v:
+        wu, wv = u.max_weight(), v.max_weight()
+        for i in range(max(0, wu + wv - t)):
+            coeff = gen_binomial(r, i)
+            if not coeff:
+                break  # C(r, i) = 0 for 0 <= r < i, and so for every larger i
+            _accumulate_terms(acc, mode_action(mode_action(u, t + i, v), r + s - i, w)._terms.items(), coeff)
+        for key, c in w._terms.items():
+            _residue_sum(acc, -c, _modes_of(u), wu, _modes_of(v), wv, r, s, t, key)
+    return w._with(acc)
 
 
 def jacobi_defect(
-    u: HeisenbergState,
-    v: HeisenbergState,
-    w: HeisenbergState,
+    u: GradedState,
+    v: GradedState,
+    w: GradedState,
     r: int,
     s: int,
     t: int,
@@ -67,133 +80,77 @@ def jacobi_defect(
 ) -> DefectReport:
     """Left minus right side of the Jacobi identity
 
-        sum_i C(r, i) (u(t+i)v)(r+s-i) w
-            = sum_i (-1)^i C(t, i) { u(r+t-i) v(s+i) w
-                                     - (-1)^t v(s+t-i) u(r+i) w },
+        sum_i C(r, i) (u(t+i)v)(r+s-i) w = R_t(u, v; r, s) w,
 
-    with every i-sum truncated at its proven grading bound.  Exactly zero on
-    finitely supported states.
+    with R_t the residue sum of `modes` and every i-sum truncated at its
+    proven grading bound.  Exactly zero on finitely supported states of
+    either algebra.
     """
-    params = {"r": r, "s": s, "t": t}
-    if u.is_zero or v.is_zero or w.is_zero:
-        return DefectReport.from_defect(HeisenbergState.zero(), prime, params)
-    wu, wv, ww = u.max_weight(), v.max_weight(), w.max_weight()
-
-    acc: dict = {}
-    for i in range(max(0, wu + wv - t)):
-        product = mode_action(u, t + i, v)
-        if product:
-            _accumulate_terms(acc, mode_action(product, r + s - i, w), gen_binomial(r, i))
-
-    t_sign = -1 if t % 2 else 1
-    first_bound = wv + ww - s
-    second_bound = wu + ww - r
-    for i in range(max(0, first_bound, second_bound)):
-        coeff = _signed_binomial(t, i)
-        if coeff == 0:
-            continue
-        if i < first_bound:
-            inner = mode_action(v, s + i, w)
-            if inner:
-                _accumulate_terms(acc, mode_action(u, r + t - i, inner), -coeff)
-        if i < second_bound:
-            inner = mode_action(u, r + i, w)
-            if inner:
-                _accumulate_terms(acc, mode_action(v, s + t - i, inner), coeff * t_sign)
-
-    return DefectReport.from_defect(HeisenbergState._raw(acc), prime, params)
+    return DefectReport.from_defect(_jacobi_sides(u, v, w, r, s, t), prime, {"r": r, "s": s, "t": t})
 
 
 def commutator_defect(
-    u: HeisenbergState,
-    v: HeisenbergState,
-    w: HeisenbergState,
+    u: GradedState,
+    v: GradedState,
+    w: GradedState,
     r: int,
     s: int,
     prime: int = 2,
 ) -> DefectReport:
     """Defect of the commutator formula
-    [u(r), v(s)] w = sum_i C(r, i) (u(i)v)(r+s-i) w."""
-    params = {"r": r, "s": s}
-    if u.is_zero or v.is_zero or w.is_zero:
-        return DefectReport.from_defect(HeisenbergState.zero(), prime, params)
-    acc: dict = {}
-    _accumulate_terms(acc, mode_action(u, r, mode_action(v, s, w)), 1)
-    _accumulate_terms(acc, mode_action(v, s, mode_action(u, r, w)), -1)
-    for i in range(max(0, u.max_weight() + v.max_weight())):
-        product = mode_action(u, i, v)
-        if product:
-            _accumulate_terms(acc, mode_action(product, r + s - i, w), -gen_binomial(r, i))
-    return DefectReport.from_defect(HeisenbergState._raw(acc), prime, params)
+    [u(r), v(s)] w = sum_i C(r, i) (u(i)v)(r+s-i) w: the Jacobi identity at
+    t = 0, right minus left side."""
+    return DefectReport.from_defect(-_jacobi_sides(u, v, w, r, s, 0), prime, {"r": r, "s": s})
 
 
 def associator_defect(
-    u: HeisenbergState,
-    v: HeisenbergState,
-    w: HeisenbergState,
+    u: GradedState,
+    v: GradedState,
+    w: GradedState,
     s: int,
     t: int,
     prime: int = 2,
 ) -> DefectReport:
-    """Defect of the associator formula
-    (u(t)v)(s) w = sum_i (-1)^i C(t, i) { u(t-i) v(s+i) w
-                                          - (-1)^t v(s+t-i) u(i) w }."""
-    params = {"s": s, "t": t}
-    if u.is_zero or v.is_zero or w.is_zero:
-        return DefectReport.from_defect(HeisenbergState.zero(), prime, params)
-    wu, wv, ww = u.max_weight(), v.max_weight(), w.max_weight()
-    acc: dict = {}
-    product = mode_action(u, t, v)
-    if product:
-        _accumulate_terms(acc, mode_action(product, s, w), 1)
-
-    t_sign = -1 if t % 2 else 1
-    first_bound = wv + ww - s
-    second_bound = wu + ww
-    for i in range(max(0, first_bound, second_bound)):
-        coeff = _signed_binomial(t, i)
-        if coeff == 0:
-            continue
-        if i < first_bound:
-            inner = mode_action(v, s + i, w)
-            if inner:
-                _accumulate_terms(acc, mode_action(u, t - i, inner), -coeff)
-        if i < second_bound:
-            inner = mode_action(u, i, w)
-            if inner:
-                _accumulate_terms(acc, mode_action(v, s + t - i, inner), coeff * t_sign)
-
-    return DefectReport.from_defect(HeisenbergState._raw(acc), prime, params)
+    """Defect of the associator formula (u(t)v)(s) w = R_t(u, v; 0, s) w:
+    the composed modes minus the residue product."""
+    defect = mode_action(mode_action(u, t, v), s, w) - residue_product_mode(u, v, t, s, w)
+    return DefectReport.from_defect(defect, prime, {"s": s, "t": t})
 
 
 def locality_profile(
-    u: HeisenbergState,
-    v: HeisenbergState,
-    w: HeisenbergState,
+    u: GradedState,
+    v: GradedState,
+    w: GradedState,
     t_max: int,
     prime: int = 2,
 ) -> list[tuple[int, int | float]]:
-    """Sup-norm exponents of the coefficients of (x-y)^t [Y(u,x), Y(v,y)] w
-    for t = 0 .. t_max.
+    """Probe of locality: sup-norm exponents of the coefficients of
+    (x-y)^t [Y(u,x), Y(v,y)] w for t = 0 .. t_max, over a chosen window of
+    mode labels.
 
-    Coefficients are indexed by mode labels: the (r, s) coefficient
-    (of x^(-r-1) y^(-s-1)) is
-
-        sum_{i=0}^{t} (-1)^i C(t, i) [u(r+t-i), v(s+i)] w.
-
-    The (r, s) window is derived from grading: every coefficient lands in
-    grade wt(u)+wt(v)+wt(w) - r - s - t - 2, so pairs with r + s above that
-    bound vanish and individual labels are clamped to |r|, |s| <= W + 2 with
-    W the total weight.  On algebraic states the profile is exactly zero for
-    all t >= wt(u) + wt(v).
+    Expanding (x-y)^t by the binomial theorem, the (r, s) coefficient (of
+    x^(-r-1) y^(-s-1)) is a signed binomial combination of the brackets
+    [u(r+t-i), v(s+i)] w, i = 0 .. t; for t >= 0 it is the right side
+    R_t(u, v; r, s) w of the Jacobi identity.  Every coefficient lands in
+    grade W - r - s - t - 2, with W = wt(u) + wt(v) + wt(w), so pairs with
+    r + s > W - t - 2 vanish by grading and are skipped.  The clamp
+    |r|, |s| <= W + 2 is a chosen window, not a consequence of grading: for
+    u = v = h, w = |0> and t = 0 the coefficient [h(r), h(-r)]|0> = r|0> is
+    nonzero for every r.  A profile that vanishes for t >= wt(u) + wt(v) is
+    therefore evidence, not proof.  The exact criterion is the OPE
+    characterisation of locality: (x-y)^t [Y(u,x), Y(v,y)] = 0 exactly when
+    u(j)v = 0 for all j >= t.
     """
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
-    profile: list[tuple[int, int | float]] = []
+    u._check(v)
+    u._check(w)
     if u.is_zero or v.is_zero or w.is_zero:
         return [(t, -inf) for t in range(t_max + 1)]
-    total_weight = u.max_weight() + v.max_weight() + w.max_weight()
+    wu, wv = u.max_weight(), v.max_weight()
+    total_weight = wu + wv + w.max_weight()
     span = total_weight + 2
+    profile: list[tuple[int, int | float]] = []
     for t in range(t_max + 1):
         best: int | float = -inf
         for r in range(-span, span + 1):
@@ -201,26 +158,23 @@ def locality_profile(
                 if r + s > total_weight - t - 2:
                     continue
                 acc: dict = {}
-                for i in range(t + 1):
-                    c = _signed_binomial(t, i)
-                    a, b = r + t - i, s + i
-                    _accumulate_terms(acc, mode_action(u, a, mode_action(v, b, w)), c)
-                    _accumulate_terms(acc, mode_action(v, b, mode_action(u, a, w)), -c)
-                best = max(best, HeisenbergState._raw(acc).sup_norm_exponent(prime))
+                for key, c in w._terms.items():
+                    _residue_sum(acc, c, _modes_of(u), wu, _modes_of(v), wv, r, s, t, key)
+                best = max(best, w._with(acc).sup_norm_exponent(prime))
         profile.append((t, best))
     return profile
 
 
 def isometry_probe(
-    a: HeisenbergState,
+    a: GradedState,
     p: int,
     grade_bound: int,
     index_window: Iterable[int] | Sequence[int],
 ) -> tuple[int | float, int | float]:
     """Probe of |Y(a, z)| = |a|: returns (lhs, rhs) where
 
-        lhs = sup over n in the window and basis monomials b of grade
-              <= grade_bound of log_p |a(n) b|   (basis monomials have norm 1),
+        lhs = sup over n in the window and basis vectors b of grade
+              <= grade_bound of log_p |a(n) b|   (basis vectors have norm 1),
         rhs = log_p |a|.
 
     lhs <= rhs always holds; equality holds whenever the window contains
@@ -231,7 +185,7 @@ def isometry_probe(
     lhs: int | float = -inf
     for n in index_window:
         for grade in range(grade_bound + 1):
-            for parts in grade_basis(grade):
-                image = mode_action(a, n, HeisenbergState.monomial(parts))
+            for key in partitions_of(grade, a.WEIGHT):
+                image = mode_action(a, n, a._with({key: 1}))
                 lhs = max(lhs, image.sup_norm_exponent(p))
     return lhs, a.sup_norm_exponent(p)

@@ -39,16 +39,15 @@ from .axioms import (
     locality_profile,
 )
 from .fock import HeisenbergState, grade_basis
-from .kummer import kummer_check, kummer_index, limit_character_check, u_state
+from .kummer import kummer_check, kummer_index, u_state
 from .qchar import (
     character,
     eisenstein_G,
     eisenstein_G2_star,
-    eta_series,
     normalized_character,
     qseries_padic_distance,
 )
-from .scalars import valuation
+from .scalars import is_prime, valuation
 from .virasoro import VirasoroState, L_action, vir_bracket_defect, vir_grade_basis
 
 __all__ = [
@@ -359,7 +358,7 @@ def _cmd_character(args) -> int:
         "series": series.to_json(),
         "state": render_heisenberg(state),
     }
-    if args.prime:
+    if args.prime is not None:
         exponents = [
             None if c == 0 else -valuation(c, args.prime) for c in series.coeffs
         ]
@@ -373,7 +372,7 @@ def _cmd_character(args) -> int:
 
 def _cmd_eisenstein(args) -> int:
     if args.star:
-        if not args.prime:
+        if args.prime is None:
             print("error: --star requires --prime", file=sys.stderr)
             return 2
         series = eisenstein_G2_star(args.prime, args.qmax)
@@ -471,7 +470,7 @@ def _cmd_axioms(args) -> int:
         grade = args.grade
     if args.window is not None:
         window = args.window
-    prime = args.prime if args.prime else (3 if args.suite == "isometry" else 2)
+    prime = args.prime if args.prime is not None else (3 if args.suite == "isometry" else 2)
     config = SweepConfig(grade=grade, window=window, prime=prime)
 
     checks = 0
@@ -596,6 +595,27 @@ def _cmd_virasoro(args) -> int:
     return 0 if not violations else 1
 
 
+def _prime(text: str) -> int:
+    """argparse type: a prime number."""
+    value = int(text)
+    if not is_prime(value):
+        raise argparse.ArgumentTypeError(f"{text} is not a prime")
+    return value
+
+
+def _at_least(low: int):
+    """argparse type: an integer >= low, so that no sweep range is empty."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{text} is below {low}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="padic-voa",
@@ -605,33 +625,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_char = sub.add_parser("character", help="graded trace Z(v, q) of a state")
     p_char.add_argument("--state", required=True, help="state expression, e.g. 'h(-1)^2 vac'")
-    p_char.add_argument("--qmax", type=int, default=20)
+    p_char.add_argument("--qmax", type=_at_least(0), default=20)
     p_char.add_argument("--eta", action="store_true", help="emit eta * Z instead of Z")
-    p_char.add_argument("--prime", type=int, default=None)
+    p_char.add_argument("--prime", type=_prime, default=None)
     p_char.add_argument("--out", default=None)
     p_char.set_defaults(func=_cmd_character)
 
     p_eis = sub.add_parser("eisenstein", help="Eisenstein series G_k or G_2*")
     p_eis.add_argument("--k", type=int, default=None)
     p_eis.add_argument("--star", action="store_true", help="p-stabilized weight-2 series")
-    p_eis.add_argument("--prime", type=int, default=None)
-    p_eis.add_argument("--qmax", type=int, default=20)
+    p_eis.add_argument("--prime", type=_prime, default=None)
+    p_eis.add_argument("--qmax", type=_at_least(0), default=20)
     p_eis.add_argument("--out", default=None)
     p_eis.set_defaults(func=_cmd_eisenstein)
 
     p_kum = sub.add_parser("kummer", help="Kummer congruence report")
-    p_kum.add_argument("--prime", type=int, required=True)
-    p_kum.add_argument("--amax", type=int, default=2)
-    p_kum.add_argument("--qmax", type=int, default=10)
+    p_kum.add_argument("--prime", type=_prime, required=True)
+    p_kum.add_argument("--amax", type=_at_least(0), default=2)
+    p_kum.add_argument("--qmax", type=_at_least(0), default=10)
     p_kum.add_argument("--out", default=None)
     p_kum.set_defaults(func=_cmd_kummer)
 
     p_ax = sub.add_parser("axioms", help="axiom defect sweeps")
     p_ax.add_argument("--suite", required=True, choices=sorted(_SUITE_DEFAULTS))
-    p_ax.add_argument("--grade", type=int, default=None)
-    p_ax.add_argument("--window", type=int, default=None)
-    p_ax.add_argument("--prime", type=int, default=None)
-    p_ax.add_argument("--count", type=int, default=50, help="isometry probe count")
+    p_ax.add_argument("--grade", type=_at_least(0), default=None)
+    p_ax.add_argument("--window", type=_at_least(0), default=None)
+    p_ax.add_argument("--prime", type=_prime, default=None)
+    p_ax.add_argument("--count", type=_at_least(1), default=50, help="isometry probe count")
     p_ax.add_argument("--seed", type=int, default=20240229)
     p_ax.add_argument("--full", action="store_true", help="emit every row, not only violations")
     p_ax.add_argument("--out", default=None)
@@ -639,9 +659,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_vir = sub.add_parser("virasoro", help="Virasoro bracket defect table")
     p_vir.add_argument("--cprime", default="1", help="quasicentral charge (rational)")
-    p_vir.add_argument("--grade", type=int, default=6)
-    p_vir.add_argument("--window", type=int, default=4)
-    p_vir.add_argument("--prime", type=int, default=2)
+    p_vir.add_argument("--grade", type=_at_least(0), default=6)
+    p_vir.add_argument("--window", type=_at_least(0), default=4)
+    p_vir.add_argument("--prime", type=_prime, default=2)
     p_vir.add_argument("--full", action="store_true")
     p_vir.add_argument("--out", default=None)
     p_vir.set_defaults(func=_cmd_virasoro)

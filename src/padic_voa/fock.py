@@ -1,15 +1,21 @@
-"""The rank-1 bosonic Fock space: a polynomial ring in the creation variables
-h(-1), h(-2), ..., graded by total degree with deg h(-n) = n.
+"""Sparse graded states, and the rank-1 bosonic Fock space: a polynomial ring
+in the creation variables h(-1), h(-2), ..., graded by total degree with
+deg h(-n) = n.
 
-Basis monomials are indexed by integer partitions written as weakly
-decreasing tuples of positive parts; the empty partition is the vacuum.  A
-state is a finite rational linear combination of monomials.  The family of
-norms |.|_r with r = p^e restricted to the value group of Q_p is carried on
-the exponent scale: sup over terms of (-v_p(coefficient) + e * weight).
+A graded state is a finite rational linear combination of basis vectors
+g(-k1)...g(-kr)|0> of one vertex algebra strongly generated by a single
+field g, indexed by partitions written as weakly decreasing tuples of parts
+>= wt g; the empty partition is the vacuum.  `GradedState` owns everything
+that does not depend on the generator; a subclass fixes the generator's
+label, its weight (which is also the minimum part) and the action of its
+modes on a basis key.  The family of norms |.|_r with r = p^e restricted to
+the value group of Q_p is carried on the exponent scale: sup over terms of
+(-v_p(coefficient) + e * weight).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import inf
@@ -18,6 +24,7 @@ from typing import Iterable, Iterator, Mapping
 from .scalars import valuation
 
 __all__ = [
+    "GradedState",
     "HeisenbergState",
     "Partition",
     "grade_basis",
@@ -56,81 +63,65 @@ def partition_count(n: int) -> int:
     return len(partitions_of(n))
 
 
-def _normalize_terms(terms: Mapping[Partition, Coefficient] | Iterable[tuple[Partition, Coefficient]]) -> dict[Partition, Fraction]:
-    items = terms.items() if hasattr(terms, "items") else terms
-    out: dict[Partition, Fraction] = {}
-    for parts, coeff in items:
-        if not isinstance(coeff, Fraction):
-            coeff = Fraction(coeff)
-        if coeff:
-            out[tuple(parts)] = coeff
-    return out
-
-
-def _accumulate_terms(
-    acc: dict[Partition, Fraction], state: "HeisenbergState", scalar: Fraction | int
-) -> None:
-    """acc += scalar * state, dropping entries that cancel to zero."""
-    for parts, coeff in state._terms.items():
-        total = acc.get(parts, 0) + scalar * coeff
+def _accumulate_terms(acc: dict, pairs: Iterable[tuple[Partition, Coefficient]], scalar: Coefficient = 1) -> None:
+    """acc += scalar * (sum of the (key, coefficient) pairs), dropping keys
+    whose coefficient cancels to zero."""
+    for key, coeff in pairs:
+        total = acc.get(key, 0) + scalar * coeff
         if total:
-            acc[parts] = total
+            acc[key] = total
         else:
-            acc.pop(parts, None)
+            acc.pop(key, None)
 
 
-class HeisenbergState:
-    """A finite rational linear combination of Fock monomials.
+class GradedState:
+    """A finite rational linear combination of basis keys of one algebra.
 
     Instances are treated as immutable values: all arithmetic returns fresh
-    states.  An optional `grade_cutoff` marks a truncation of an element of
-    the sup-norm completion; when set, every stored partition has weight at
-    most the cutoff.
+    states of the same algebra, and combining states of different algebras
+    (Heisenberg with Virasoro, or two Virasoro charges) raises ValueError.
+    Subclasses set `LABEL` (the generator's name in `render`), `WEIGHT`
+    (the generator's weight and the minimum part), `VACUUM` (the vacuum's
+    name in `render`) and `algebra` (a hashable tag naming the algebra), and
+    implement `_generator_mode`.
     """
 
-    __slots__ = ("_terms", "grade_cutoff")
+    __slots__ = ("_terms",)
 
-    def __init__(
-        self,
-        terms: Mapping[Partition, Coefficient] | Iterable[tuple[Partition, Coefficient]] = (),
-        *,
-        grade_cutoff: int | None = None,
-    ) -> None:
-        self._terms = _normalize_terms(terms)
-        if grade_cutoff is not None:
-            bad = [p for p in self._terms if sum(p) > grade_cutoff]
-            if bad:
-                raise ValueError(f"terms above grade cutoff {grade_cutoff}: {bad}")
-        self.grade_cutoff = grade_cutoff
+    LABEL: str
+    WEIGHT: int
+    VACUUM: str
+    algebra: str
 
-    @classmethod
-    def _raw(cls, terms: dict[Partition, Fraction]) -> "HeisenbergState":
-        """Trusted constructor for canonical internal term dicts (sorted
-        tuple keys, nonzero Fraction values); skips normalization."""
-        state = object.__new__(cls)
+    def __init__(self, terms: Mapping[Partition, Coefficient] | Iterable[tuple[Partition, Coefficient]] = ()) -> None:
+        items = terms.items() if isinstance(terms, Mapping) else terms
+        out: dict[Partition, Fraction] = {}
+        for key, coeff in items:
+            key = tuple(key)
+            if any(part < self.WEIGHT for part in key) or list(key) != sorted(key, reverse=True):
+                raise ValueError(f"not a basis key of {type(self).__name__}: {key}")
+            coeff = Fraction(coeff)
+            if coeff:
+                out[key] = coeff
+        self._terms = out
+
+    def _with(self, terms: dict[Partition, Coefficient]) -> "GradedState":
+        """Trusted constructor: a state of this algebra with canonical terms
+        (weakly decreasing keys, nonzero coefficients); skips the checks."""
+        state = object.__new__(type(self))
         state._terms = terms
-        state.grade_cutoff = None
         return state
 
-    @classmethod
-    def zero(cls) -> "HeisenbergState":
-        return cls()
+    def _generator_mode(self, m: int, key: Partition) -> dict[Partition, Coefficient]:
+        """Terms of the generator's mode g(m) applied to one basis key."""
+        raise NotImplementedError
 
-    @classmethod
-    def vacuum(cls, coeff: Coefficient = 1) -> "HeisenbergState":
-        return cls({(): Fraction(coeff)})
-
-    @classmethod
-    def monomial(cls, parts: Iterable[int], coeff: Coefficient = 1) -> "HeisenbergState":
-        """The monomial with the given creation parts (any order), e.g.
-        monomial([2, 1]) is h(-2)h(-1)|0>."""
-        key = tuple(sorted(parts, reverse=True))
-        if any(p < 1 for p in key):
-            raise ValueError("parts must be positive integers")
-        return cls({key: Fraction(coeff)})
+    def _check(self, other: "GradedState") -> None:
+        if self.algebra != other.algebra:
+            raise ValueError(f"states of different algebras: {self.algebra} and {other.algebra}")
 
     def items(self) -> list[tuple[Partition, Fraction]]:
-        """Terms in a deterministic (weight, partition) order."""
+        """Terms in a deterministic (weight, key) order."""
         return sorted(self._terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
 
     def coefficient(self, parts: Iterable[int]) -> Fraction:
@@ -147,53 +138,44 @@ class HeisenbergState:
         return len(self._terms)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, HeisenbergState):
+        if not isinstance(other, GradedState):
             return NotImplemented
-        return self._terms == other._terms
+        return self.algebra == other.algebra and self._terms == other._terms
 
-    def __add__(self, other: "HeisenbergState") -> "HeisenbergState":
-        if not isinstance(other, HeisenbergState):
+    def __add__(self, other: "GradedState") -> "GradedState":
+        if not isinstance(other, GradedState):
             return NotImplemented
+        self._check(other)
         merged = dict(self._terms)
-        for parts, coeff in other._terms.items():
-            acc = merged.get(parts, 0) + coeff
-            if acc:
-                merged[parts] = acc
-            else:
-                merged.pop(parts, None)
-        return HeisenbergState._raw(merged)
+        _accumulate_terms(merged, other._terms.items())
+        return self._with(merged)
 
-    def __sub__(self, other: "HeisenbergState") -> "HeisenbergState":
-        if not isinstance(other, HeisenbergState):
+    def __sub__(self, other: "GradedState") -> "GradedState":
+        if not isinstance(other, GradedState):
             return NotImplemented
+        self._check(other)
         merged = dict(self._terms)
-        for parts, coeff in other._terms.items():
-            acc = merged.get(parts, 0) - coeff
-            if acc:
-                merged[parts] = acc
-            else:
-                merged.pop(parts, None)
-        return HeisenbergState._raw(merged)
+        _accumulate_terms(merged, other._terms.items(), -1)
+        return self._with(merged)
 
-    def __neg__(self) -> "HeisenbergState":
-        return HeisenbergState._raw({p: -c for p, c in self._terms.items()})
+    def __neg__(self) -> "GradedState":
+        return self._with({key: -c for key, c in self._terms.items()})
 
-    def scale(self, scalar: Coefficient) -> "HeisenbergState":
-        if not isinstance(scalar, Fraction):
-            scalar = Fraction(scalar)
+    def scale(self, scalar: Coefficient) -> "GradedState":
+        scalar = Fraction(scalar)
         if not scalar:
-            return HeisenbergState()
-        return HeisenbergState._raw({p: scalar * c for p, c in self._terms.items()})
+            return self._with({})
+        return self._with({key: scalar * c for key, c in self._terms.items()})
 
-    def __rmul__(self, scalar: Coefficient) -> "HeisenbergState":
+    def __rmul__(self, scalar: Coefficient) -> "GradedState":
         return self.scale(scalar)
 
-    def __mul__(self, scalar: Coefficient) -> "HeisenbergState":
+    def __mul__(self, scalar: Coefficient) -> "GradedState":
         return self.scale(scalar)
 
     def weight(self) -> int:
         """L(0)-weight of a homogeneous nonzero state."""
-        weights = {sum(p) for p in self._terms}
+        weights = {sum(key) for key in self._terms}
         if not weights:
             raise ValueError("zero state has no weight")
         if len(weights) > 1:
@@ -201,23 +183,22 @@ class HeisenbergState:
         return weights.pop()
 
     def max_weight(self) -> int:
-        """Largest monomial weight present; 0 for the zero state."""
-        return max((sum(p) for p in self._terms), default=0)
+        """Largest basis weight present; 0 for the zero state."""
+        return max((sum(key) for key in self._terms), default=0)
 
     def is_homogeneous(self) -> bool:
-        return len({sum(p) for p in self._terms}) <= 1
+        return len({sum(key) for key in self._terms}) <= 1
 
-    def homogeneous_components(self) -> dict[int, "HeisenbergState"]:
+    def homogeneous_components(self) -> dict[int, "GradedState"]:
         buckets: dict[int, dict[Partition, Fraction]] = {}
-        for parts, coeff in self._terms.items():
-            buckets.setdefault(sum(parts), {})[parts] = coeff
-        return {w: HeisenbergState(t) for w, t in sorted(buckets.items())}
+        for key, coeff in self._terms.items():
+            buckets.setdefault(sum(key), {})[key] = coeff
+        return {w: self._with(t) for w, t in sorted(buckets.items())}
 
-    def truncated(self, cutoff: int) -> "HeisenbergState":
-        """Drop all terms of weight above the cutoff and mark the result as a
-        truncation of a completion element."""
-        kept = {p: c for p, c in self._terms.items() if sum(p) <= cutoff}
-        return HeisenbergState(kept, grade_cutoff=cutoff)
+    def is_integral(self) -> bool:
+        """True when every coefficient is an integer (the Z_p-lattice side of
+        the integral-form statement)."""
+        return all(c.denominator == 1 for c in self._terms.values())
 
     def sup_norm_exponent(self, p: int) -> int | float:
         """log_p of the sup-norm |.|_1: max over terms of -v_p(coefficient);
@@ -229,24 +210,20 @@ class HeisenbergState:
         (-v_p(coefficient) + e * weight)."""
         if not self._terms:
             return -inf
-        return max(-valuation(c, p) + e * sum(parts) for parts, c in self._terms.items())
+        return max(-valuation(c, p) + e * sum(key) for key, c in self._terms.items())
 
-    def render(self, vacuum: str = "|0>") -> str:
+    def render(self, vacuum: str | None = None) -> str:
         """Canonical text form, e.g. '1/2 h(-2)^2 h(-1) |0> - 1/12 |0>'."""
         if not self._terms:
             return "0"
         chunks: list[str] = []
-        for parts, coeff in self.items():
+        for key, coeff in self.items():
             factors = []
-            seen: dict[int, int] = {}
-            for part in parts:
-                seen[part] = seen.get(part, 0) + 1
-            for part in sorted(seen, reverse=True):
-                exp = seen[part]
-                factors.append(f"h(-{part})" + (f"^{exp}" if exp > 1 else ""))
-            factors.append(vacuum)
+            for part, exp in sorted(Counter(key).items(), reverse=True):
+                factors.append(f"{self.LABEL}(-{part})" + (f"^{exp}" if exp > 1 else ""))
+            factors.append(self.VACUUM if vacuum is None else vacuum)
             magnitude = abs(coeff)
-            body = (f"{magnitude} " if magnitude != 1 or not parts else "") + " ".join(factors)
+            body = (f"{magnitude} " if magnitude != 1 or not key else "") + " ".join(factors)
             if not chunks:
                 chunks.append(body if coeff > 0 else f"-{body}")
             else:
@@ -254,4 +231,42 @@ class HeisenbergState:
         return " ".join(chunks)
 
     def __repr__(self) -> str:
-        return f"HeisenbergState({self.render()})"
+        return f"{type(self).__name__}({self.render()})"
+
+
+class HeisenbergState(GradedState):
+    """A finite rational linear combination of Fock monomials h(-k1)...|0>."""
+
+    __slots__ = ()
+
+    LABEL = "h"
+    WEIGHT = 1
+    VACUUM = "|0>"
+    algebra = "h"
+
+    def _generator_mode(self, m: int, key: Partition) -> dict[Partition, int]:
+        """h(m) on a Fock monomial: multiplication by h(m) for m < 0, the
+        derivation m * d/dh(-m) for m > 0, and zero for m = 0 (the rank-1
+        algebra has no index-0 generator)."""
+        if m < 0:
+            return {tuple(sorted(key + (-m,), reverse=True)): 1}
+        mult = key.count(m)
+        if not mult:
+            return {}
+        reduced = list(key)
+        reduced.remove(m)
+        return {tuple(reduced): m * mult}
+
+    @classmethod
+    def zero(cls) -> "HeisenbergState":
+        return cls()
+
+    @classmethod
+    def vacuum(cls, coeff: Coefficient = 1) -> "HeisenbergState":
+        return cls({(): coeff})
+
+    @classmethod
+    def monomial(cls, parts: Iterable[int], coeff: Coefficient = 1) -> "HeisenbergState":
+        """The monomial with the given creation parts (any order), e.g.
+        monomial([2, 1]) is h(-2)h(-1)|0>."""
+        return cls({tuple(sorted(parts, reverse=True)): coeff})

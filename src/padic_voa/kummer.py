@@ -15,7 +15,6 @@ reporting boundary (norm exponents), after the (1 - p^r) rescaling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .axioms import DefectReport
@@ -24,7 +23,6 @@ from .qchar import QSeries, eisenstein_G2_star, normalized_character, qseries_pa
 from .scalars import bernoulli, c_coefficient, is_prime
 
 __all__ = [
-    "KummerFamily",
     "kummer_check",
     "kummer_index",
     "limit_character_check",
@@ -107,21 +105,6 @@ def kummer_index(p: int, a: int) -> int:
     if a < 0:
         raise ValueError("depth must be >= 0")
     return 1 + p**a * (p - 1)
-
-
-@dataclass(frozen=True)
-class KummerFamily:
-    """The states u_{1 + p^a (p-1)} for a = 0 .. depth."""
-
-    prime: int
-    depth: int
-    states: tuple[HeisenbergState, ...]
-
-    @classmethod
-    def build(cls, p: int, depth: int) -> "KummerFamily":
-        _require_odd_prime(p)
-        states = tuple(u_state(kummer_index(p, a), p) for a in range(depth + 1))
-        return cls(p, depth, states)
 
 
 def kummer_check(p: int, a: int, b: int) -> DefectReport:

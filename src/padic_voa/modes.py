@@ -1,27 +1,31 @@
-"""Mode actions on the Fock space: the generator modes h(m), the generic
-recursive engine computing v(n)b for arbitrary states, Virasoro modes at
-central charge 1, zero modes, residue products, and the translation operator.
+"""Mode actions on graded states: the generator modes, the cached recursive
+engine computing v(n)b for arbitrary states of the Heisenberg or the
+Virasoro vertex algebra, Virasoro modes at central charge 1 inside the
+Heisenberg algebra, zero modes, residue products, and the translation
+operator.
 
-The engine expands Y(v, z) = sum_n v(n) z^(-n-1) by peeling the largest
-creation part off each monomial of v and applying the associator formula
+Everything rests on one residue sum, the right side of the Jacobi identity
+(Kac, *Vertex Algebras for Beginners*, the associativity/Borcherds form):
 
-    (h(-k)u)(n)b = sum_{i>=0} C(k+i-1, i) * h(-k-i) (u(n+i) b)
-                 - (-1)^k sum_{i>=0} C(k+i-1, i) * u(n-k-i) (h(i) b),
+    R_t(a, b; r, s) w = sum_{i>=0} (-1)^i C(t, i)
+                        { a(r+t-i) b(s+i) w - (-1)^t b(s+t-i) a(r+i) w },
 
-where C(k+i-1, i) = (-1)^i C(-k, i).  Both sums terminate: u(j)b vanishes
-once j >= wt(u) + wt(b) because the grading is nonnegative, and h(i)b
-vanishes for i > wt(b).  Every infinite sum is truncated by these proven
-grading bounds, never by thresholds, so all results are exact.
+written once, in `_residue_sum`.  At r = 0 it is the mode (a(t)b)(s) w of a
+residue product.  The engine
+expands Y(v, z) = sum_n v(n) z^(-n-1) by peeling the top part k off each
+basis vector, v = g(t)u with g the generator and t = wt g - 1 - k, and
+evaluating this sum with a = g and b = u.  Both i-sums terminate: b(j)w
+vanishes once j >= wt(b) + wt(w) because the grading is nonnegative, and
+likewise for a.  Every infinite sum is truncated by these proven grading
+bounds, never by thresholds, so all results are exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 from typing import Callable
 
-from .fock import HeisenbergState, Partition, _accumulate_terms
-from .scalars import gen_binomial
+from .fock import GradedState, HeisenbergState, Partition, _accumulate_terms
 
 __all__ = [
     "clear_mode_cache",
@@ -33,175 +37,166 @@ __all__ = [
     "zero_mode",
 ]
 
-_Terms = dict[Partition, Fraction]
-_accumulate = _accumulate_terms
+_Terms = dict[Partition, Fraction | int]
+_KeyMode = Callable[[int, Partition], _Terms]
 
 
-def h_mode(m: int, b: HeisenbergState) -> HeisenbergState:
-    """Action of the generator mode h(m): multiplication by h(m) for m < 0,
-    the derivation m * d/dh(-m) for m > 0, and zero for m = 0 (the rank-1
-    algebra has no index-0 generator)."""
-    if m == 0 or b.is_zero:
-        return HeisenbergState.zero()
-    terms: _Terms = {}
-    if m < 0:
-        part = -m
-        for parts, coeff in b._terms.items():
-            key = tuple(sorted(parts + (part,), reverse=True))
-            total = terms.get(key, 0) + coeff
-            if total:
-                terms[key] = total
-            else:
-                del terms[key]
-    else:
-        for parts, coeff in b._terms.items():
-            mult = parts.count(m)
-            if mult == 0:
-                continue
-            reduced = list(parts)
-            reduced.remove(m)
-            key = tuple(reduced)
-            total = terms.get(key, 0) + coeff * m * mult
-            if total:
-                terms[key] = total
-            else:
-                del terms[key]
-    return HeisenbergState._raw(terms)
+def _residue_sum(
+    acc: _Terms, scalar, a: _KeyMode, wa: int, b: _KeyMode, wb: int, r: int, s: int, t: int, key: Partition
+) -> None:
+    """acc += scalar * R_t(a, b; r, s) key, i.e. scalar times
+
+        sum_{i>=0} (-1)^i C(t, i) { a(r+t-i) b(s+i) key - (-1)^t b(s+t-i) a(r+i) key }.
+
+    a and b map (mode index, basis key) to terms, for states of largest
+    weight wa and wb; b(s+i) key vanishes once s + i >= wb + wt key, and
+    a(r+i) key once r + i >= wa + wt key."""
+    wk = sum(key)
+    first_bound = wb + wk - s
+    second_bound = wa + wk - r
+    t_sign = -1 if t % 2 else 1
+    signed_binomial = 1  # (-1)^i C(t, i)
+    for i in range(max(0, first_bound, second_bound)):
+        if i:
+            signed_binomial = -signed_binomial * (t - i + 1) // i
+            if not signed_binomial:
+                break  # C(t, i) = 0 for 0 <= t < i, and so for every larger i
+        coeff = scalar * signed_binomial
+        if i < first_bound:
+            for inner, c in b(s + i, key).items():
+                _accumulate_terms(acc, a(r + t - i, inner).items(), coeff * c)
+        if i < second_bound:
+            coeff *= -t_sign
+            for inner, c in a(r + i, key).items():
+                _accumulate_terms(acc, b(s + t - i, inner).items(), coeff * c)
 
 
-_MODE_CACHE: dict[tuple[Partition, int, Partition], HeisenbergState] = {}
+def h_mode(m: int, b: GradedState) -> GradedState:
+    """Action of the generator mode h(m) on a Heisenberg state: multiplication
+    by h(m) for m < 0, the derivation m * d/dh(-m) for m > 0, and zero for
+    m = 0.  On a Virasoro state this is the mode w(m) = L(m-1) of the
+    conformal vector."""
+    acc: _Terms = {}
+    for key, coeff in b._terms.items():
+        _accumulate_terms(acc, b._generator_mode(m, key).items(), coeff)
+    return b._with(acc)
+
+
+_MODE_CACHE: dict[tuple[str, Partition, int, Partition], _Terms] = {}
 
 
 def clear_mode_cache() -> None:
     _MODE_CACHE.clear()
 
 
-def _monomial_mode(pv: Partition, n: int, pb: Partition) -> HeisenbergState:
-    """v(n) applied to a basis monomial, for v a basis monomial.
+def _monomial_mode(proto: GradedState, pv: Partition, n: int, pb: Partition) -> _Terms:
+    """v(n) applied to a basis key pb, for v the basis vector pv of the
+    algebra of `proto`.
 
-    Cached on the triple (pv, n, pb); cached states are shared and must not
-    be mutated by callers.
-    """
-    key = (pv, n, pb)
-    cached = _MODE_CACHE.get(key)
+    Cached on (algebra, pv, n, pb); cached terms are shared and must not be
+    mutated by callers."""
+    cache_key = (proto.algebra, pv, n, pb)
+    cached = _MODE_CACHE.get(cache_key)
     if cached is not None:
         return cached
 
+    wg = proto.WEIGHT
     if not pv:
-        result = HeisenbergState.monomial(pb) if n == -1 else HeisenbergState.zero()
-    elif pv == (1,):
-        result = h_mode(n, HeisenbergState.monomial(pb))
+        result = {pb: 1} if n == -1 else {}
+    elif pv == (wg,):
+        result = proto._generator_mode(n, pb)
     else:
-        k = pv[0]
         u = pv[1:]
-        wu = sum(u)
-        wb = sum(pb)
-        acc: _Terms = {}
-        for i in range(max(0, wu + wb - n)):
-            inner = _monomial_mode(u, n + i, pb)
-            if inner:
-                _accumulate(acc, h_mode(-k - i, inner), comb(k + i - 1, i))
-        outer_sign = -1 if k % 2 else 1
-        for i in sorted(set(pb)):
-            lowered = h_mode(i, HeisenbergState.monomial(pb))
-            for pr, cr in lowered.items():
-                inner = _monomial_mode(u, n - k - i, pr)
-                if inner:
-                    _accumulate(acc, inner, -outer_sign * comb(k + i - 1, i) * cr)
-        result = HeisenbergState._raw(acc)
+        result = {}
+        _residue_sum(
+            result, 1,
+            proto._generator_mode, wg,
+            lambda j, key: _monomial_mode(proto, u, j, key), sum(u),
+            0, n, wg - 1 - pv[0], pb,
+        )
 
-    _MODE_CACHE[key] = result
+    _MODE_CACHE[cache_key] = result
     return result
 
 
-def mode_action(v: HeisenbergState, n: int, b: HeisenbergState) -> HeisenbergState:
+def _key_mode(v: GradedState, n: int, key: Partition) -> _Terms:
+    """v(n) applied to one basis key; shared with the cache when v is a
+    basis vector, so callers must not mutate it."""
+    terms = v._terms
+    if len(terms) == 1:
+        ((pv, cv),) = terms.items()
+        if cv == 1:
+            return _monomial_mode(v, pv, n, key)
+    acc: _Terms = {}
+    for pv, cv in terms.items():
+        _accumulate_terms(acc, _monomial_mode(v, pv, n, key).items(), cv)
+    return acc
+
+
+def mode_action(v: GradedState, n: int, b: GradedState) -> GradedState:
     """The mode v(n) of Y(v, z) applied to b, extended bilinearly from the
-    monomial case.  For homogeneous inputs the result is homogeneous of
-    weight wt(v) + wt(b) - n - 1, and vanishes once n >= wt(v) + wt(b)."""
-    if v.is_zero or b.is_zero:
-        return HeisenbergState.zero()
+    basis case.  For homogeneous inputs the result is homogeneous of weight
+    wt(v) + wt(b) - n - 1, and vanishes once n >= wt(v) + wt(b)."""
+    v._check(b)
     acc: _Terms = {}
     for pv, cv in v._terms.items():
         for pb, cb in b._terms.items():
-            term = _monomial_mode(pv, n, pb)
-            if term:
-                _accumulate(acc, term, cv * cb)
-    return HeisenbergState._raw(acc)
+            _accumulate_terms(acc, _monomial_mode(v, pv, n, pb).items(), cv * cb)
+    return b._with(acc)
 
 
 def virasoro_mode(n: int, b: HeisenbergState) -> HeisenbergState:
     """The Virasoro mode L(n) inside the Heisenberg algebra (central charge 1):
     L(n) = 1/2 sum_j h(j) h(n-j) for n != 0, and L(0) acts on a homogeneous
     state as multiplication by its weight."""
-    if b.is_zero:
-        return HeisenbergState.zero()
+    acc: _Terms = {}
     if n == 0:
-        acc: _Terms = {}
         for w, component in b.homogeneous_components().items():
-            if w:
-                _accumulate(acc, component, w)
-        return HeisenbergState._raw(acc)
+            _accumulate_terms(acc, component._terms.items(), w)
+        return b._with(acc)
     parts_seen = {part for parts in b._terms for part in parts}
     candidates = set(range(min(0, n) + 1, max(0, n)))
     candidates |= parts_seen | {n - q for q in parts_seen}
     candidates.discard(0)
     candidates.discard(n)
-    acc = {}
     for j in sorted(candidates):
-        term = h_mode(j, h_mode(n - j, b))
-        if term:
-            _accumulate(acc, term, Fraction(1, 2))
-    return HeisenbergState._raw(acc)
+        _accumulate_terms(acc, h_mode(j, h_mode(n - j, b))._terms.items(), Fraction(1, 2))
+    return b._with(acc)
 
 
-def zero_mode(v: HeisenbergState) -> Callable[[HeisenbergState], HeisenbergState]:
+def zero_mode(v: GradedState) -> Callable[[GradedState], GradedState]:
     """The grade-preserving zero mode o(v): for homogeneous v of weight k this
     is v(k-1), extended linearly over homogeneous components otherwise."""
     components = v.homogeneous_components()
 
-    def apply(b: HeisenbergState) -> HeisenbergState:
+    def apply(b: GradedState) -> GradedState:
         acc: _Terms = {}
         for w, component in components.items():
-            _accumulate(acc, mode_action(component, w - 1, b), 1)
-        return HeisenbergState._raw(acc)
+            _accumulate_terms(acc, mode_action(component, w - 1, b)._terms.items())
+        return b._with(acc)
 
     return apply
 
 
-def residue_product_mode(
-    a: HeisenbergState, b: HeisenbergState, t: int, n: int, w: HeisenbergState
-) -> HeisenbergState:
+def _modes_of(v: GradedState) -> _KeyMode:
+    return lambda n, key: _key_mode(v, n, key)
+
+
+def residue_product_mode(a: GradedState, b: GradedState, t: int, n: int, w: GradedState) -> GradedState:
     """n-th mode of the t-th residue product of the fields of a and b,
-    applied to w:
-
-        (a(z)_t b(z))(n) w = sum_{i>=0} (-1)^i C(t, i)
-            { a(t-i)(b(n+i)w) - (-1)^t b(t+n-i)(a(i)w) },
-
-    with both sums truncated by the grading bounds.  Agrees exactly with
+    applied to w: (a(z)_t b(z))(n) w = R_t(a, b; 0, n) w, the residue sum
+    with both i-sums truncated by the grading bounds.  Agrees exactly with
     mode_action(a(t)b, n, w)."""
-    if a.is_zero or b.is_zero or w.is_zero:
-        return HeisenbergState.zero()
-    ww = w.max_weight()
-    first_bound = b.max_weight() + ww - n
-    second_bound = a.max_weight() + ww
-    t_sign = -1 if t % 2 else 1
+    a._check(b)
+    a._check(w)
     acc: _Terms = {}
-    for i in range(max(0, first_bound, second_bound)):
-        coeff = (-1 if i % 2 else 1) * gen_binomial(t, i)
-        if coeff == 0:
-            continue
-        if i < first_bound:
-            inner = mode_action(b, n + i, w)
-            if inner:
-                _accumulate(acc, mode_action(a, t - i, inner), coeff)
-        if i < second_bound:
-            inner = mode_action(a, i, w)
-            if inner:
-                _accumulate(acc, mode_action(b, t + n - i, inner), -coeff * t_sign)
-    return HeisenbergState._raw(acc)
+    if a and b:
+        for key, c in w._terms.items():
+            _residue_sum(acc, c, _modes_of(a), a.max_weight(), _modes_of(b), b.max_weight(), 0, n, t, key)
+    return w._with(acc)
 
 
-def translation(a: HeisenbergState) -> HeisenbergState:
+def translation(a: GradedState) -> GradedState:
     """The canonical derivation T(a) = a(-2)|0>, satisfying
     T(a)(n) = -n a(n-1)."""
-    return mode_action(a, -2, HeisenbergState.vacuum())
+    return mode_action(a, -2, a._with({(): Fraction(1)}))

@@ -1,32 +1,26 @@
-"""Exact scalar arithmetic: rationals, capped-precision p-adic numbers, and
-the combinatorial number sequences (Bernoulli, Stirling, generalized binomial)
+"""Exact scalar arithmetic: p-adic valuations of rationals, and the
+combinatorial number sequences (Bernoulli, Stirling, generalized binomial)
 that the state and q-series layers consume.
 
 All state and series construction elsewhere in the package happens over exact
-`fractions.Fraction` values; `PadicScalar` enters only at reporting boundaries
-(norms and congruence checks), which keeps precision bookkeeping out of the
-recursive mode engine.
+`fractions.Fraction` values; p-adic information enters only at reporting
+boundaries, as norm exponents -v_p(q) from `valuation`, which keeps
+precision bookkeeping out of the recursive mode engine.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, inf
+from math import comb, factorial
 
 __all__ = [
-    "DEFAULT_PRECISION",
-    "PadicScalar",
     "bernoulli",
     "c_coefficient",
     "gen_binomial",
     "is_prime",
-    "padic_reduce",
     "stirling2",
     "valuation",
 ]
-
-DEFAULT_PRECISION = 16
 
 
 def is_prime(n: int) -> bool:
@@ -49,8 +43,11 @@ def valuation(q: Fraction | int, p: int) -> int:
     """p-adic valuation v_p(q) of a nonzero rational.
 
     Raises ValueError on q = 0 (the valuation of zero is +infinity and is
-    handled by callers, never by a sentinel integer).
+    handled by callers, never by a sentinel integer) and when p is not a
+    prime.
     """
+    if not is_prime(p):
+        raise ValueError(f"prime required, got {p}")
     if q == 0:
         raise ValueError("valuation of zero is infinite")
     num = q.numerator if isinstance(q, Fraction) else q
@@ -63,137 +60,6 @@ def valuation(q: Fraction | int, p: int) -> int:
         den //= p
         v -= 1
     return v
-
-
-@dataclass(frozen=True)
-class PadicScalar:
-    """A p-adic number at capped relative precision.
-
-    Represents x = p^valuation * unit with unit known modulo p^precision,
-    i.e. x is known modulo p^(valuation + precision).  The norm is
-    |x| = p^(-valuation).  Zero is the distinguished element with
-    valuation = +inf and unit = 0.
-    """
-
-    prime: int
-    valuation: int | float
-    unit: int
-    precision: int
-
-    def __post_init__(self) -> None:
-        if not is_prime(self.prime):
-            raise ValueError(f"prime required, got {self.prime}")
-        if self.precision < 1:
-            raise ValueError("precision must be >= 1")
-        if self.valuation == inf:
-            if self.unit != 0:
-                raise ValueError("zero element must have unit 0")
-        else:
-            modulus = self.prime**self.precision
-            if not (1 <= self.unit < modulus) or self.unit % self.prime == 0:
-                raise ValueError("unit must lie in [1, p^N) and be coprime to p")
-
-    @classmethod
-    def zero(cls, p: int, precision: int = DEFAULT_PRECISION) -> "PadicScalar":
-        return cls(p, inf, 0, precision)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.valuation == inf
-
-    @property
-    def norm_exponent(self) -> int | float:
-        """log_p of the norm: -valuation, -inf for zero."""
-        return -self.valuation
-
-    def lift(self) -> Fraction:
-        """The canonical rational representative p^v * unit."""
-        if self.is_zero:
-            return Fraction(0)
-        v = int(self.valuation)
-        if v >= 0:
-            return Fraction(self.unit * self.prime**v)
-        return Fraction(self.unit, self.prime**-v)
-
-    def _check_compatible(self, other: "PadicScalar") -> None:
-        if self.prime != other.prime or self.precision != other.precision:
-            raise ValueError("operands must share prime and precision")
-
-    def __neg__(self) -> "PadicScalar":
-        if self.is_zero:
-            return self
-        modulus = self.prime**self.precision
-        return PadicScalar(self.prime, self.valuation, modulus - self.unit, self.precision)
-
-    def __add__(self, other: "PadicScalar") -> "PadicScalar":
-        self._check_compatible(other)
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        v = min(int(self.valuation), int(other.valuation))
-        modulus = self.prime**self.precision
-        total = self.unit * self.prime ** (int(self.valuation) - v) + other.unit * self.prime ** (
-            int(other.valuation) - v
-        )
-        if total % modulus == 0:
-            # All digits known at this precision cancelled.
-            return PadicScalar.zero(self.prime, self.precision)
-        shift = 0
-        while total % self.prime == 0:
-            total //= self.prime
-            shift += 1
-        return PadicScalar(self.prime, v + shift, total % modulus, self.precision)
-
-    def __sub__(self, other: "PadicScalar") -> "PadicScalar":
-        return self + (-other)
-
-    def __mul__(self, other: "PadicScalar") -> "PadicScalar":
-        self._check_compatible(other)
-        if self.is_zero or other.is_zero:
-            return PadicScalar.zero(self.prime, self.precision)
-        modulus = self.prime**self.precision
-        return PadicScalar(
-            self.prime,
-            int(self.valuation) + int(other.valuation),
-            (self.unit * other.unit) % modulus,
-            self.precision,
-        )
-
-    def __repr__(self) -> str:
-        if self.is_zero:
-            return f"PadicScalar(0; p={self.prime}, N={self.precision})"
-        return (
-            f"PadicScalar({self.prime}^{self.valuation} * {self.unit}"
-            f" mod {self.prime}^{self.valuation + self.precision})"
-        )
-
-
-def padic_reduce(q: Fraction | int, p: int, precision: int = DEFAULT_PRECISION) -> PadicScalar:
-    """Capped-precision image of a rational in Q_p.
-
-    The valuation is v_p(numerator) - v_p(denominator) and the unit part is
-    the residue of the prime-to-p part modulo p^precision.  Integers x with
-    0 <= x < p^precision round-trip exactly through `lift`.
-    """
-    if not is_prime(p):
-        raise ValueError(f"prime required, got {p}")
-    if precision < 1:
-        raise ValueError("precision must be >= 1")
-    q = Fraction(q)
-    if q == 0:
-        return PadicScalar.zero(p, precision)
-    num, den = q.numerator, q.denominator
-    v = 0
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    modulus = p**precision
-    unit = (num * pow(den, -1, modulus)) % modulus
-    return PadicScalar(p, v, unit, precision)
 
 
 _BERNOULLI: list[Fraction] = [Fraction(1)]

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .axioms import DefectReport
-from .fock import partitions_of
-from .scalars import gen_binomial, valuation
+from .fock import GradedState, _accumulate_terms, partitions_of
+from .modes import mode_action
+from .scalars import gen_binomial
 
 __all__ = [
     "VirasoroState",
@@ -42,148 +43,55 @@ def vir_grade_basis(n: int) -> tuple[Word, ...]:
     return partitions_of(n, min_part=2)
 
 
-def _normalize(terms) -> dict[Word, Fraction]:
-    items = terms.items() if isinstance(terms, Mapping) else terms
-    out: dict[Word, Fraction] = {}
-    for word, coeff in items:
-        coeff = Fraction(coeff)
-        if coeff:
-            out[tuple(word)] = coeff
-    return out
-
-
-class VirasoroState:
+class VirasoroState(GradedState):
     """Finite rational combination of PBW words at a fixed quasicentral
     charge.  Words are weakly decreasing tuples of integers >= 2; the empty
-    word is the vacuum v0."""
+    word is the vacuum v0.  The generator is the conformal vector
+    w = L(-2)v0, of weight 2, whose modes are w(m) = L(m-1)."""
 
-    __slots__ = ("_terms", "charge")
+    __slots__ = ("charge", "algebra")
+
+    LABEL = "L"
+    WEIGHT = 2
+    VACUUM = "v0"
 
     def __init__(self, terms=(), charge: Coefficient = 0) -> None:
-        self._terms = _normalize(terms)
         self.charge = Fraction(charge)
-        for word in self._terms:
-            if any(part < 2 for part in word) or list(word) != sorted(word, reverse=True):
-                raise ValueError(f"not a PBW word: {word}")
+        self.algebra = f"L c'={self.charge}"
+        super().__init__(terms)
+
+    def _with(self, terms: dict[Word, Coefficient]) -> "VirasoroState":
+        state = super()._with(terms)
+        state.charge = self.charge
+        state.algebra = self.algebra
+        return state
+
+    def _generator_mode(self, m: int, key: Word) -> dict[Word, Coefficient]:
+        return _apply(m - 1, key, self.charge)
 
     @classmethod
     def vacuum(cls, charge: Coefficient, coeff: Coefficient = 1) -> "VirasoroState":
-        return cls({(): Fraction(coeff)}, charge)
+        return cls({(): coeff}, charge)
 
     @classmethod
     def word(cls, parts: Iterable[int], charge: Coefficient, coeff: Coefficient = 1) -> "VirasoroState":
-        return cls({tuple(sorted(parts, reverse=True)): Fraction(coeff)}, charge)
+        return cls({tuple(sorted(parts, reverse=True)): coeff}, charge)
 
     @classmethod
     def zero(cls, charge: Coefficient) -> "VirasoroState":
         return cls({}, charge)
 
-    def items(self) -> list[tuple[Word, Fraction]]:
-        return sorted(self._terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-
-    def coefficient(self, word: Iterable[int]) -> Fraction:
-        return self._terms.get(tuple(sorted(word, reverse=True)), Fraction(0))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def _check(self, other: "VirasoroState") -> None:
-        if self.charge != other.charge:
-            raise ValueError("states live at different quasicentral charges")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, VirasoroState):
-            return NotImplemented
-        return self.charge == other.charge and self._terms == other._terms
-
-    def __add__(self, other: "VirasoroState") -> "VirasoroState":
-        self._check(other)
-        merged = dict(self._terms)
-        for word, coeff in other._terms.items():
-            total = merged.get(word, Fraction(0)) + coeff
-            if total:
-                merged[word] = total
-            else:
-                merged.pop(word, None)
-        return VirasoroState(merged, self.charge)
-
-    def __sub__(self, other: "VirasoroState") -> "VirasoroState":
-        return self + (-other)
-
-    def __neg__(self) -> "VirasoroState":
-        return VirasoroState({w: -c for w, c in self._terms.items()}, self.charge)
-
-    def scale(self, scalar: Coefficient) -> "VirasoroState":
-        scalar = Fraction(scalar)
-        if not scalar:
-            return VirasoroState({}, self.charge)
-        return VirasoroState({w: scalar * c for w, c in self._terms.items()}, self.charge)
-
-    def __rmul__(self, scalar: Coefficient) -> "VirasoroState":
-        return self.scale(scalar)
-
-    def weight(self) -> int:
-        weights = {sum(w) for w in self._terms}
-        if not weights:
-            raise ValueError("zero state has no weight")
-        if len(weights) > 1:
-            raise ValueError(f"state is inhomogeneous, weights {sorted(weights)}")
-        return weights.pop()
-
-    def max_weight(self) -> int:
-        return max((sum(w) for w in self._terms), default=0)
-
-    def is_integral(self) -> bool:
-        """True when every coefficient is an integer (the Z_p-lattice side of
-        the integral-form statement, testable for integer charge)."""
-        return all(c.denominator == 1 for c in self._terms.values())
-
-    def sup_norm_exponent(self, p: int) -> int | float:
-        if not self._terms:
-            return float("-inf")
-        return max(-valuation(c, p) for c in self._terms.values())
-
-    def render(self) -> str:
-        if not self._terms:
-            return "0"
-        chunks: list[str] = []
-        for word, coeff in self.items():
-            factors = []
-            run: dict[int, int] = {}
-            for part in word:
-                run[part] = run.get(part, 0) + 1
-            for part in sorted(run, reverse=True):
-                exp = run[part]
-                factors.append(f"L(-{part})" + (f"^{exp}" if exp > 1 else ""))
-            factors.append("v0")
-            magnitude = abs(coeff)
-            body = (f"{magnitude} " if magnitude != 1 or not word else "") + " ".join(factors)
-            if not chunks:
-                chunks.append(body if coeff > 0 else f"-{body}")
-            else:
-                chunks.append(("+ " if coeff > 0 else "- ") + body)
-        return " ".join(chunks)
-
     def __repr__(self) -> str:
         return f"VirasoroState({self.render()}; c'={self.charge})"
 
 
-def _prepend(k: int, terms: dict[Word, Fraction], charge: Fraction) -> dict[Word, Fraction]:
+def _prepend(k: int, terms: dict[Word, Coefficient]) -> dict[Word, Coefficient]:
     """Left-multiply by the creation operator L(-k), k >= 2, restoring PBW
     order.  Commuting L(-k) past a larger creation part k' produces the
     deeper creation L(-k-k'); no central term can arise (k + k' > 0)."""
-    out: dict[Word, Fraction] = {}
+    out: dict[Word, Coefficient] = {}
     for word, coeff in terms.items():
-        for new_word, factor in _prepend_word(k, word):
-            total = out.get(new_word, Fraction(0)) + coeff * factor
-            if total:
-                out[new_word] = total
-            else:
-                out.pop(new_word, None)
+        _accumulate_terms(out, _prepend_word(k, word), coeff)
     return out
 
 
@@ -201,50 +109,33 @@ def _prepend_word(k: int, word: Word) -> list[tuple[Word, int]]:
     return out
 
 
-def _apply(n: int, word: Word, charge: Fraction) -> dict[Word, Fraction]:
+def _apply(n: int, word: Word, charge: Fraction) -> dict[Word, Coefficient]:
     """L(n) applied to a PBW basis word, in PBW normal form.
 
     v0 is annihilated by L(n) for n >= 0; a bare L(-1)v0 lies in the quotient
     ideal and is dropped.  Terminates because every recursive call shortens
     the word (creations are delegated to `_prepend`)."""
     if n <= -2:
-        return _prepend(-n, {word: Fraction(1)}, charge)
+        return _prepend(-n, {word: 1})
     if not word:
         return {}
     head, rest = word[0], word[1:]
     # L(n) L(-head) = L(-head) L(n) + (n + head) L(n - head)
     #                 + delta_{n, head} C(n+1, 3) c'
-    out = _prepend(head, _apply(n, rest, charge), charge)
-    lowered = _apply(n - head, rest, charge)
-    for w, c in lowered.items():
-        total = out.get(w, Fraction(0)) + (n + head) * c
-        if total:
-            out[w] = total
-        else:
-            out.pop(w, None)
+    out = _prepend(head, _apply(n, rest, charge))
+    _accumulate_terms(out, _apply(n - head, rest, charge).items(), n + head)
     if n == head:
-        central = comb(n + 1, 3) * charge
-        if central:
-            total = out.get(rest, Fraction(0)) + central
-            if total:
-                out[rest] = total
-            else:
-                out.pop(rest, None)
+        _accumulate_terms(out, [(rest, comb(n + 1, 3) * charge)])
     return out
 
 
 def L_action(n: int, state: VirasoroState) -> VirasoroState:
     """The Virasoro mode L(n) on the quotient module, rewritten to the PBW
     basis.  L(0) acts on a basis word as its grade; L(n) shifts grade by -n."""
-    acc: dict[Word, Fraction] = {}
-    for word, coeff in state.items():
-        for new_word, c in _apply(n, word, state.charge).items():
-            total = acc.get(new_word, Fraction(0)) + coeff * c
-            if total:
-                acc[new_word] = total
-            else:
-                acc.pop(new_word, None)
-    return VirasoroState(acc, state.charge)
+    acc: dict[Word, Coefficient] = {}
+    for word, coeff in state._terms.items():
+        _accumulate_terms(acc, _apply(n, word, state.charge).items(), coeff)
+    return state._with(acc)
 
 
 def vir_bracket_defect(m: int, n: int, state: VirasoroState, prime: int = 2) -> DefectReport:
@@ -262,73 +153,9 @@ def vir_bracket_defect(m: int, n: int, state: VirasoroState, prime: int = 2) -> 
 
 
 def vir_mode_action(v: VirasoroState, n: int, b: VirasoroState) -> VirasoroState:
-    """Generic mode v(n)b for the Virasoro vertex algebra, by the associator
-    recursion with generator field Y(w, z) = sum_n L(n) z^(-n-2) attached to
-    the conformal vector w = L(-2)v0 (so w(j) = L(j-1)).
-
-    A word L(-k)u is peeled as w(-k+1)u and
-
-        (w(t)u)(n)b = sum_i (-1)^i C(t, i) { w(t-i)(u(n+i)b)
-                                             - (-1)^t u(n+t-i)(w(i)b) },
-
-    truncated by the grading bounds u(j)b = 0 for j >= wt(u) + wt(b) and
-    w(i)b = L(i-1)b = 0 for i - 1 > wt(b)."""
-    v._check(b)
-    charge = v.charge
-    acc: dict[Word, Fraction] = {}
-    for pv, cv in v.items():
-        for pb, cb in b.items():
-            for w, c in _word_mode(pv, n, pb, charge).items():
-                total = acc.get(w, Fraction(0)) + cv * cb * c
-                if total:
-                    acc[w] = total
-                else:
-                    acc.pop(w, None)
-    return VirasoroState(acc, charge)
-
-
-def _word_mode(pv: Word, n: int, pb: Word, charge: Fraction) -> dict[Word, Fraction]:
-    if not pv:
-        return {pb: Fraction(1)} if n == -1 else {}
-    if pv == (2,):
-        return _apply(n - 1, pb, charge)
-    k = pv[0]
-    u = pv[1:]
-    t = -k + 1
-    wu, wb = sum(u), sum(pb)
-    t_sign = -1 if t % 2 else 1
-    first_bound = wu + wb - n
-    second_bound = wb + 2
-    acc: dict[Word, Fraction] = {}
-    for i in range(max(0, first_bound, second_bound)):
-        coeff = (-1 if i % 2 else 1) * gen_binomial(t, i)
-        if coeff == 0:
-            continue
-        if i < first_bound:
-            inner = _word_mode(u, n + i, pb, charge)
-            if inner:
-                outer = _apply_to_terms(t - i - 1, inner, charge)
-                _merge(acc, outer, Fraction(coeff))
-        if i < second_bound:
-            inner = _apply(i - 1, pb, charge)
-            if inner:
-                for pw, cw in inner.items():
-                    deeper = _word_mode(u, n + t - i, pw, charge)
-                    _merge(acc, deeper, -coeff * t_sign * cw)
-    return acc
-
-
-def _apply_to_terms(n: int, terms: dict[Word, Fraction], charge: Fraction) -> dict[Word, Fraction]:
-    out: dict[Word, Fraction] = {}
-    for word, coeff in terms.items():
-        _merge(out, _apply(n, word, charge), coeff)
-    return out
-
-
-def _merge(acc: dict[Word, Fraction], terms: dict[Word, Fraction], scalar: Fraction | int) -> None:
-    for word, coeff in terms.items():
-        total = acc.get(word, Fraction(0)) + scalar * coeff
-        if total:
-            acc[word] = total
-        else:
-            acc.pop(word, None)
+    """Generic mode v(n)b for the Virasoro vertex algebra: `mode_action`,
+    whose cached associator recursion peels a word L(-k)u as w(1-k)u with
+    generator field Y(w, z) = sum_n L(n) z^(-n-2) attached to the conformal
+    vector w = L(-2)v0 (so w(j) = L(j-1)).  States at different charges
+    raise ValueError."""
+    return mode_action(v, n, b)

@@ -226,3 +226,38 @@ class TestSubcommands:
         assert run_cli(["eisenstein"])[0] == 2
         assert run_cli(["bogus"])[0] == 2
         assert run_cli(["eisenstein", "--k", "3"])[0] == 2
+
+
+class TestInputValidation:
+    SUBCOMMANDS = (
+        ["character", "--state", "h(-1)^2 vac", "--qmax", "4"],
+        ["eisenstein", "--star", "--qmax", "4"],
+        ["kummer", "--amax", "0", "--qmax", "2"],
+        ["axioms", "--suite", "isometry", "--count", "1"],
+        ["virasoro", "--grade", "2", "--window", "1"],
+    )
+
+    @pytest.mark.parametrize("prime", ["0", "1", "4"])
+    def test_non_prime_rejected(self, prime):
+        # --prime 1 used to hang, --prime 0 read as "no prime", 4 as "4-adic"
+        for argv in self.SUBCOMMANDS:
+            assert run_cli(argv + ["--prime", prime]) == (2, ""), argv
+
+    def test_character_empty_range(self):
+        assert run_cli(["character", "--state", "h(-1) vac", "--qmax", "-1"]) == (2, "")
+
+    def test_eisenstein_empty_range(self):
+        assert run_cli(["eisenstein", "--k", "4", "--qmax", "-1"]) == (2, "")
+
+    def test_kummer_empty_range(self):
+        assert run_cli(["kummer", "--prime", "5", "--amax", "-1"]) == (2, "")
+        assert run_cli(["kummer", "--prime", "5", "--qmax", "-1"]) == (2, "")
+
+    def test_axioms_empty_range(self):
+        assert run_cli(["axioms", "--suite", "isometry", "--count", "0"]) == (2, "")
+        assert run_cli(["axioms", "--suite", "jacobi", "--grade", "-1"]) == (2, "")
+        assert run_cli(["axioms", "--suite", "commutator", "--window", "-1"]) == (2, "")
+
+    def test_virasoro_empty_range(self):
+        assert run_cli(["virasoro", "--grade", "-1"]) == (2, "")
+        assert run_cli(["virasoro", "--window", "-1"]) == (2, "")

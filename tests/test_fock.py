@@ -94,14 +94,6 @@ class TestStateBasics:
         assert y.render() == "-1/12 |0> + 1/2 h(-3) h(-1) |0>"
         assert HeisenbergState.zero().render() == "0"
 
-    def test_truncated(self):
-        x = HeisenbergState.monomial([4]) + HeisenbergState.monomial([2]) + HeisenbergState.vacuum()
-        cut = x.truncated(2)
-        assert cut.grade_cutoff == 2
-        assert cut.coefficient([4]) == 0 and cut.coefficient([2]) == 1
-        with pytest.raises(ValueError):
-            HeisenbergState({(4,): 1}, grade_cutoff=3)
-
 
 class TestNorms:
     def test_sup_norm_examples(self):

@@ -7,7 +7,6 @@ import pytest
 
 from padic_voa.fock import HeisenbergState
 from padic_voa.kummer import (
-    KummerFamily,
     kummer_check,
     kummer_index,
     limit_character_check,
@@ -133,14 +132,6 @@ class TestKummerCheck:
     def test_rejects_misordered_depths(self):
         with pytest.raises(ValueError):
             kummer_check(5, 2, 1)
-
-    def test_family_container(self):
-        family = KummerFamily.build(5, 2)
-        assert family.prime == 5 and family.depth == 2
-        assert len(family.states) == 3
-        assert family.states[0] == u_state(5, 5)
-        with pytest.raises(ValueError):
-            KummerFamily.build(2, 1)
 
 
 class TestLimitCharacter:

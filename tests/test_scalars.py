@@ -1,20 +1,17 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, inf
+from math import comb, factorial
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from padic_voa.scalars import (
-    DEFAULT_PRECISION,
-    PadicScalar,
     bernoulli,
     c_coefficient,
     gen_binomial,
     is_prime,
-    padic_reduce,
     stirling2,
     valuation,
 )
@@ -27,50 +24,26 @@ rationals = st.fractions(
 small_primes = st.sampled_from([2, 3, 5, 7, 11])
 
 
+def reduce_mod(q, p, n):
+    """Test-local p-adic reduction q = p^v * u: returns (v, u mod p^n), with v
+    from `valuation`, so the unit part is a p-adic unit only if v is right."""
+    v = valuation(q, p)
+    u = Fraction(q) / Fraction(p) ** v
+    return v, u.numerator * pow(u.denominator, -1, p**n) % p**n
+
+
 class TestPadicReduce:
     def test_one_sixth_at_five(self):
-        x = padic_reduce(Fraction(1, 6), 5, 4)
-        assert x.valuation == 0
-        assert x.unit == pow(6, -1, 5**4)
-        assert x.unit == 521
-
-    def test_zero_has_infinite_valuation(self):
-        x = padic_reduce(0, 7, 3)
-        assert x.is_zero
-        assert x.valuation == inf
-        assert x.norm_exponent == -inf
+        assert reduce_mod(Fraction(1, 6), 5, 4) == (0, pow(6, -1, 5**4))
+        assert reduce_mod(Fraction(1, 6), 5, 4) == (0, 521)
 
     def test_fifty_at_five(self):
-        x = padic_reduce(50, 5, 3)
-        assert (x.valuation, x.unit) == (2, 2)
+        assert reduce_mod(50, 5, 3) == (2, 2)
 
     def test_negative_denominator_valuation(self):
-        x = padic_reduce(Fraction(3, 25), 5, 4)
-        assert x.valuation == -2
-        assert x.norm_exponent == 2
-
-    def test_integer_round_trip(self):
-        p, n = 5, 3
-        for x in range(p**n):
-            reduced = padic_reduce(x, p, n)
-            assert reduced.lift() == x
-
-    def test_residue_round_trip_large(self):
-        p, n = 3, 4
-        for x in [-7, 1234, 5**6, -(3**5) * 2]:
-            reduced = padic_reduce(x, p, n)
-            v = 0 if x == 0 else valuation(Fraction(x), p)
-            modulus = p ** (v + n)
-            assert (reduced.lift() - x) % modulus == 0
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            padic_reduce(1, 4, 3)
-        with pytest.raises(ValueError):
-            padic_reduce(1, 5, 0)
-
-    def test_default_precision(self):
-        assert padic_reduce(7, 3).precision == DEFAULT_PRECISION == 16
+        v, u = reduce_mod(Fraction(3, 25), 5, 4)
+        assert v == -2
+        assert u % 5 != 0
 
 
 class TestPadicArithmetic:
@@ -78,37 +51,39 @@ class TestPadicArithmetic:
     def test_product_homomorphism_at_unit_valuation(self, a, b, p):
         if a == 0 or b == 0 or valuation(a, p) or valuation(b, p):
             return
-        lhs = padic_reduce(a * b, p, 8)
-        rhs = padic_reduce(a, p, 8) * padic_reduce(b, p, 8)
-        assert lhs == rhs
+        n = 8
+        assert valuation(a * b, p) == 0
+        assert reduce_mod(a * b, p, n)[1] == reduce_mod(a, p, n)[1] * reduce_mod(b, p, n)[1] % p**n
 
     @given(rationals, rationals, small_primes)
     def test_product_homomorphism_up_to_precision(self, a, b, p):
         if a == 0 or b == 0:
             return
         n = 8
-        lhs = padic_reduce(a * b, p, n)
-        rhs = padic_reduce(a, p, n) * padic_reduce(b, p, n)
-        defect = lhs - rhs
-        bound = -n + valuation(a, p) + valuation(b, p)
-        assert defect.norm_exponent <= bound
+        (va, ua), (vb, ub) = reduce_mod(a, p, n), reduce_mod(b, p, n)
+        assert reduce_mod(a * b, p, n) == (va + vb, ua * ub % p**n)
+
+
+class TestValuation:
+    def test_examples(self):
+        assert valuation(Fraction(-81, 2), 3) == 4
+        assert valuation(Fraction(2, 81), 3) == -4
+
+    def test_rejects_zero(self):
+        with pytest.raises(ValueError):
+            valuation(0, 7)
+
+    @pytest.mark.parametrize("p", [-5, 0, 1, 4, 9])
+    def test_rejects_non_prime(self, p):
+        # p = 1 used to loop forever: num % 1 == 0 always holds
+        with pytest.raises(ValueError):
+            valuation(Fraction(3, 4), p)
 
     @given(rationals, rationals, small_primes)
-    def test_strong_triangle(self, a, b, p):
-        x = padic_reduce(a, p, 8)
-        y = padic_reduce(b, p, 8)
-        assert (x + y).norm_exponent <= max(x.norm_exponent, y.norm_exponent)
-
-    @given(rationals, small_primes)
-    def test_additive_inverse(self, a, p):
-        x = padic_reduce(a, p, 8)
-        assert (x - x).is_zero
-
-    def test_mixed_precision_rejected(self):
-        with pytest.raises(ValueError):
-            padic_reduce(1, 5, 4) + padic_reduce(1, 5, 5)
-        with pytest.raises(ValueError):
-            padic_reduce(1, 5, 4) * padic_reduce(1, 7, 4)
+    def test_ultrametric(self, a, b, p):
+        if a == 0 or b == 0 or a + b == 0:
+            return
+        assert valuation(a + b, p) >= min(valuation(a, p), valuation(b, p))
 
 
 class TestBernoulli:

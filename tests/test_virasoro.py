@@ -5,6 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from padic_voa.axioms import associator_defect, commutator_defect, jacobi_defect
+from padic_voa.fock import HeisenbergState
+from padic_voa.modes import _MODE_CACHE, clear_mode_cache, mode_action, residue_product_mode
 from padic_voa.scalars import gen_binomial
 from padic_voa.virasoro import (
     VirasoroState,
@@ -181,3 +184,73 @@ class TestVirasoroJacobi:
         for r, s, t in itertools.product(range(-2, 3), repeat=3):
             defect = vir_jacobi_defect(omega, omega, v0, r, s, t)
             assert defect.is_zero, (r, s, t)
+
+
+def vir_basis(charge, grade: int = 3):
+    return [VirasoroState.word(word, charge) for g in range(grade + 1) for word in vir_grade_basis(g)]
+
+
+class TestSharedEngine:
+    """The generic axioms and residue products of the shared engine, run on
+    Virasoro states; `vir_jacobi_defect` above is the independent oracle."""
+
+    @pytest.mark.parametrize("charge", CHARGES)
+    def test_jacobi_matches_oracle(self, charge):
+        basis = vir_basis(charge)
+        for u, v, w in itertools.product(basis, repeat=3):
+            for r, s, t in itertools.product(range(-1, 2), repeat=3):
+                report = jacobi_defect(u, v, w, r, s, t)
+                assert report.is_zero, (u, v, w, r, s, t)
+                assert report.defect == vir_jacobi_defect(u, v, w, r, s, t)
+
+    @pytest.mark.parametrize("charge", CHARGES)
+    def test_commutator_and_associator(self, charge):
+        basis = vir_basis(charge)
+        for u, v, w in itertools.product(basis, repeat=3):
+            for r, s in itertools.product(range(-1, 2), repeat=2):
+                assert commutator_defect(u, v, w, r, s).is_zero, (u, v, w, r, s)
+                assert associator_defect(u, v, w, r, s).is_zero, (u, v, w, r, s)
+
+    @pytest.mark.parametrize("charge", CHARGES)
+    def test_residue_product_matches_composed_modes(self, charge):
+        basis = vir_basis(charge, 4)
+        mixed = VirasoroState({(4,): 3, (2, 2): Fraction(-1, 2)}, charge)
+        for a, b, w in itertools.product(basis[:4] + [mixed], repeat=3):
+            for t, n in itertools.product(range(-2, 3), repeat=2):
+                composed = mode_action(mode_action(a, t, b), n, w)
+                assert residue_product_mode(a, b, t, n, w) == composed, (a, b, w, t, n)
+
+    def test_cache_keyed_by_algebra(self):
+        # the basis key (2,) is L(-2)v0 at each charge and h(-2)|0> in the
+        # Heisenberg algebra; one cache must keep the three apart
+        cases = [
+            (VirasoroState.word([2], 1), VirasoroState.word([3, 2], 1)),
+            (VirasoroState.word([2], 12), VirasoroState.word([3, 2], 12)),
+            (HeisenbergState.monomial([2]), HeisenbergState.monomial([3, 2])),
+        ]
+
+        def modes(v, b):
+            return [mode_action(v, n, b) for n in range(-2, 5)]
+
+        fresh = []
+        for v, b in cases:
+            clear_mode_cache()
+            fresh.append(modes(v, b))
+        for order in (cases, cases[::-1]):
+            clear_mode_cache()
+            got = [modes(v, b) for v, b in order]
+            assert got == [fresh[cases.index(case)] for case in order]
+        assert _MODE_CACHE
+
+    def test_mixed_algebras_rejected(self):
+        vir1, vir2 = VirasoroState.word([2], 1), VirasoroState.word([2], 2)
+        heis = HeisenbergState.monomial([2])
+        for a, b in ((heis, vir1), (vir1, heis), (vir1, vir2)):
+            with pytest.raises(ValueError):
+                mode_action(a, 0, b)
+            with pytest.raises(ValueError):
+                a + b
+            with pytest.raises(ValueError):
+                jacobi_defect(a, b, b, 0, 0, 0)
+            with pytest.raises(ValueError):
+                residue_product_mode(a, a, 0, 0, b)

@@ -11,7 +11,7 @@ of the axioms).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import inf
+from math import comb, inf
 from typing import Any, Iterable, Sequence
 
 from .fock import GradedState, _accumulate_terms, partitions_of
@@ -129,17 +129,20 @@ def locality_profile(
     mode labels.
 
     Expanding (x-y)^t by the binomial theorem, the (r, s) coefficient (of
-    x^(-r-1) y^(-s-1)) is a signed binomial combination of the brackets
-    [u(r+t-i), v(s+i)] w, i = 0 .. t; for t >= 0 it is the right side
-    R_t(u, v; r, s) w of the Jacobi identity.  Every coefficient lands in
-    grade W - r - s - t - 2, with W = wt(u) + wt(v) + wt(w), so pairs with
-    r + s > W - t - 2 vanish by grading and are skipped.  The clamp
-    |r|, |s| <= W + 2 is a chosen window, not a consequence of grading: for
-    u = v = h, w = |0> and t = 0 the coefficient [h(r), h(-r)]|0> = r|0> is
-    nonzero for every r.  A profile that vanishes for t >= wt(u) + wt(v) is
-    therefore evidence, not proof.  The exact criterion is the OPE
-    characterisation of locality: (x-y)^t [Y(u,x), Y(v,y)] = 0 exactly when
-    u(j)v = 0 for all j >= t.
+    x^(-r-1) y^(-s-1)) is
+
+        R_t(u, v; r, s) w = sum_{i=0..t} (-1)^i C(t, i) [u(r+t-i), v(s+i)] w,
+
+    the right side of the Jacobi identity.  Each bracket [u(a), v(b)] w is
+    R_0(u, v; a, b) w, computed once per call and shared by every (r, s, t)
+    that needs it.  Every coefficient lands in grade W - r - s - t - 2,
+    with W = wt(u) + wt(v) + wt(w), so pairs with r + s > W - t - 2 vanish
+    by grading and are skipped.  The clamp |r|, |s| <= W + 2 is a chosen
+    window, not a consequence of grading: for u = v = h, w = |0> and t = 0
+    the coefficient [h(r), h(-r)]|0> = r|0> is nonzero for every r.  A
+    profile that vanishes for t >= wt(u) + wt(v) is therefore evidence, not
+    proof.  The exact criterion is the OPE characterisation of locality:
+    (x-y)^t [Y(u,x), Y(v,y)] = 0 exactly when u(j)v = 0 for all j >= t.
     """
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
@@ -148,6 +151,18 @@ def locality_profile(
     if u.is_zero or v.is_zero or w.is_zero:
         return [(t, -inf) for t in range(t_max + 1)]
     wu, wv = u.max_weight(), v.max_weight()
+    u_modes, v_modes = _modes_of(u), _modes_of(v)
+    brackets: dict[tuple[int, int], dict] = {}
+
+    def bracket(a: int, b: int) -> dict:
+        """Terms of [u(a), v(b)] w."""
+        terms = brackets.get((a, b))
+        if terms is None:
+            terms = brackets[a, b] = {}
+            for key, c in w._terms.items():
+                _residue_sum(terms, c, u_modes, wu, v_modes, wv, a, b, 0, key)
+        return terms
+
     total_weight = wu + wv + w.max_weight()
     span = total_weight + 2
     profile: list[tuple[int, int | float]] = []
@@ -158,8 +173,8 @@ def locality_profile(
                 if r + s > total_weight - t - 2:
                     continue
                 acc: dict = {}
-                for key, c in w._terms.items():
-                    _residue_sum(acc, c, _modes_of(u), wu, _modes_of(v), wv, r, s, t, key)
+                for i in range(t + 1):
+                    _accumulate_terms(acc, bracket(r + t - i, s + i).items(), (-1) ** i * comb(t, i))
                 best = max(best, w._with(acc).sup_norm_exponent(prime))
         profile.append((t, best))
     return profile

@@ -240,7 +240,7 @@ def render_heisenberg(state: HeisenbergState) -> str:
 
 
 # ---------------------------------------------------------------------------
-# sweep drivers (shared by the CLI and the experiment scripts)
+# sweep drivers
 
 
 @dataclass

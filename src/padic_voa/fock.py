@@ -11,6 +11,13 @@ label, its weight (which is also the minimum part) and the action of its
 modes on a basis key.  The family of norms |.|_r with r = p^e restricted to
 the value group of Q_p is carried on the exponent scale: sup over terms of
 (-v_p(coefficient) + e * weight).
+
+Coefficients are stored exactly, as a plain `int` when integral and as a
+`Fraction` only otherwise (`_exact`).  The mode structure constants of both
+algebras lie in Z (in Z[c'] for Virasoro), so integral inputs keep the mode
+engine on `int` arithmetic, and Python's int/Fraction interop keeps mixed
+states exact with no second code path.  `coefficient` and `items` return
+`Fraction`s whatever the storage.
 """
 
 from __future__ import annotations
@@ -63,6 +70,15 @@ def partition_count(n: int) -> int:
     return len(partitions_of(n))
 
 
+def _exact(c: Coefficient) -> Coefficient:
+    """c as the engine stores it: a plain int when c is integral, otherwise a
+    Fraction."""
+    if isinstance(c, int):
+        return int(c)
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 def _accumulate_terms(acc: dict, pairs: Iterable[tuple[Partition, Coefficient]], scalar: Coefficient = 1) -> None:
     """acc += scalar * (sum of the (key, coefficient) pairs), dropping keys
     whose coefficient cancels to zero."""
@@ -95,12 +111,12 @@ class GradedState:
 
     def __init__(self, terms: Mapping[Partition, Coefficient] | Iterable[tuple[Partition, Coefficient]] = ()) -> None:
         items = terms.items() if isinstance(terms, Mapping) else terms
-        out: dict[Partition, Fraction] = {}
+        out: dict[Partition, Coefficient] = {}
         for key, coeff in items:
             key = tuple(key)
             if any(part < self.WEIGHT for part in key) or list(key) != sorted(key, reverse=True):
                 raise ValueError(f"not a basis key of {type(self).__name__}: {key}")
-            coeff = Fraction(coeff)
+            coeff = _exact(coeff)
             if coeff:
                 out[key] = coeff
         self._terms = out
@@ -112,20 +128,24 @@ class GradedState:
         state._terms = terms
         return state
 
-    def _generator_mode(self, m: int, key: Partition) -> dict[Partition, Coefficient]:
-        """Terms of the generator's mode g(m) applied to one basis key."""
+    def _generator_mode(self, m: int, key: Partition) -> Iterable[tuple[Partition, Coefficient]]:
+        """(key, coefficient) pairs of the generator's mode g(m) applied to one
+        basis key."""
         raise NotImplementedError
 
     def _check(self, other: "GradedState") -> None:
         if self.algebra != other.algebra:
             raise ValueError(f"states of different algebras: {self.algebra} and {other.algebra}")
 
-    def items(self) -> list[tuple[Partition, Fraction]]:
-        """Terms in a deterministic (weight, key) order."""
+    def _ordered_terms(self) -> list[tuple[Partition, Coefficient]]:
         return sorted(self._terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
 
+    def items(self) -> list[tuple[Partition, Fraction]]:
+        """Terms in a deterministic (weight, key) order."""
+        return [(key, Fraction(c)) for key, c in self._ordered_terms()]
+
     def coefficient(self, parts: Iterable[int]) -> Fraction:
-        return self._terms.get(tuple(sorted(parts, reverse=True)), Fraction(0))
+        return Fraction(self._terms.get(tuple(sorted(parts, reverse=True)), 0))
 
     @property
     def is_zero(self) -> bool:
@@ -162,10 +182,10 @@ class GradedState:
         return self._with({key: -c for key, c in self._terms.items()})
 
     def scale(self, scalar: Coefficient) -> "GradedState":
-        scalar = Fraction(scalar)
+        scalar = _exact(scalar)
         if not scalar:
             return self._with({})
-        return self._with({key: scalar * c for key, c in self._terms.items()})
+        return self._with({key: _exact(scalar * c) for key, c in self._terms.items()})
 
     def __rmul__(self, scalar: Coefficient) -> "GradedState":
         return self.scale(scalar)
@@ -190,7 +210,7 @@ class GradedState:
         return len({sum(key) for key in self._terms}) <= 1
 
     def homogeneous_components(self) -> dict[int, "GradedState"]:
-        buckets: dict[int, dict[Partition, Fraction]] = {}
+        buckets: dict[int, dict[Partition, Coefficient]] = {}
         for key, coeff in self._terms.items():
             buckets.setdefault(sum(key), {})[key] = coeff
         return {w: self._with(t) for w, t in sorted(buckets.items())}
@@ -217,7 +237,7 @@ class GradedState:
         if not self._terms:
             return "0"
         chunks: list[str] = []
-        for key, coeff in self.items():
+        for key, coeff in self._ordered_terms():
             factors = []
             for part, exp in sorted(Counter(key).items(), reverse=True):
                 factors.append(f"{self.LABEL}(-{part})" + (f"^{exp}" if exp > 1 else ""))
@@ -244,18 +264,18 @@ class HeisenbergState(GradedState):
     VACUUM = "|0>"
     algebra = "h"
 
-    def _generator_mode(self, m: int, key: Partition) -> dict[Partition, int]:
+    def _generator_mode(self, m: int, key: Partition) -> tuple[tuple[Partition, int], ...]:
         """h(m) on a Fock monomial: multiplication by h(m) for m < 0, the
         derivation m * d/dh(-m) for m > 0, and zero for m = 0 (the rank-1
         algebra has no index-0 generator)."""
         if m < 0:
-            return {tuple(sorted(key + (-m,), reverse=True)): 1}
+            return ((tuple(sorted(key + (-m,), reverse=True)), 1),)
         mult = key.count(m)
         if not mult:
-            return {}
+            return ()
         reduced = list(key)
         reduced.remove(m)
-        return {tuple(reduced): m * mult}
+        return ((tuple(reduced), m * mult),)
 
     @classmethod
     def zero(cls) -> "HeisenbergState":

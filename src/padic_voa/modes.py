@@ -23,9 +23,9 @@ bounds, never by thresholds, so all results are exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable
 
-from .fock import GradedState, HeisenbergState, Partition, _accumulate_terms
+from .fock import Coefficient, GradedState, HeisenbergState, Partition, _accumulate_terms
 
 __all__ = [
     "clear_mode_cache",
@@ -37,8 +37,10 @@ __all__ = [
     "zero_mode",
 ]
 
-_Terms = dict[Partition, Fraction | int]
-_KeyMode = Callable[[int, Partition], _Terms]
+_Terms = dict[Partition, Coefficient]
+_Pairs = Iterable[tuple[Partition, Coefficient]]
+_FrozenTerms = tuple[tuple[Partition, Coefficient], ...]
+_KeyMode = Callable[[int, Partition], _Pairs]
 
 
 def _residue_sum(
@@ -48,9 +50,9 @@ def _residue_sum(
 
         sum_{i>=0} (-1)^i C(t, i) { a(r+t-i) b(s+i) key - (-1)^t b(s+t-i) a(r+i) key }.
 
-    a and b map (mode index, basis key) to terms, for states of largest
-    weight wa and wb; b(s+i) key vanishes once s + i >= wb + wt key, and
-    a(r+i) key once r + i >= wa + wt key."""
+    a and b map (mode index, basis key) to (key, coefficient) pairs, for
+    states of largest weight wa and wb; b(s+i) key vanishes once
+    s + i >= wb + wt key, and a(r+i) key once r + i >= wa + wt key."""
     wk = sum(key)
     first_bound = wb + wk - s
     second_bound = wa + wk - r
@@ -63,12 +65,12 @@ def _residue_sum(
                 break  # C(t, i) = 0 for 0 <= t < i, and so for every larger i
         coeff = scalar * signed_binomial
         if i < first_bound:
-            for inner, c in b(s + i, key).items():
-                _accumulate_terms(acc, a(r + t - i, inner).items(), coeff * c)
+            for inner, c in b(s + i, key):
+                _accumulate_terms(acc, a(r + t - i, inner), coeff * c)
         if i < second_bound:
             coeff *= -t_sign
-            for inner, c in a(r + i, key).items():
-                _accumulate_terms(acc, b(s + t - i, inner).items(), coeff * c)
+            for inner, c in a(r + i, key):
+                _accumulate_terms(acc, b(s + t - i, inner), coeff * c)
 
 
 def h_mode(m: int, b: GradedState) -> GradedState:
@@ -78,23 +80,21 @@ def h_mode(m: int, b: GradedState) -> GradedState:
     conformal vector."""
     acc: _Terms = {}
     for key, coeff in b._terms.items():
-        _accumulate_terms(acc, b._generator_mode(m, key).items(), coeff)
+        _accumulate_terms(acc, b._generator_mode(m, key), coeff)
     return b._with(acc)
 
 
-_MODE_CACHE: dict[tuple[str, Partition, int, Partition], _Terms] = {}
+_MODE_CACHE: dict[tuple[str, Partition, int, Partition], _FrozenTerms] = {}
 
 
 def clear_mode_cache() -> None:
     _MODE_CACHE.clear()
 
 
-def _monomial_mode(proto: GradedState, pv: Partition, n: int, pb: Partition) -> _Terms:
+def _monomial_mode(proto: GradedState, pv: Partition, n: int, pb: Partition) -> _FrozenTerms:
     """v(n) applied to a basis key pb, for v the basis vector pv of the
-    algebra of `proto`.
-
-    Cached on (algebra, pv, n, pb); cached terms are shared and must not be
-    mutated by callers."""
+    algebra of `proto`, as an immutable tuple of (key, coefficient) pairs.
+    Cached on (algebra, pv, n, pb)."""
     cache_key = (proto.algebra, pv, n, pb)
     cached = _MODE_CACHE.get(cache_key)
     if cached is not None:
@@ -102,26 +102,26 @@ def _monomial_mode(proto: GradedState, pv: Partition, n: int, pb: Partition) -> 
 
     wg = proto.WEIGHT
     if not pv:
-        result = {pb: 1} if n == -1 else {}
+        result = ((pb, 1),) if n == -1 else ()
     elif pv == (wg,):
-        result = proto._generator_mode(n, pb)
+        result = tuple(proto._generator_mode(n, pb))
     else:
         u = pv[1:]
-        result = {}
+        acc: _Terms = {}
         _residue_sum(
-            result, 1,
+            acc, 1,
             proto._generator_mode, wg,
             lambda j, key: _monomial_mode(proto, u, j, key), sum(u),
             0, n, wg - 1 - pv[0], pb,
         )
+        result = tuple(acc.items())
 
     _MODE_CACHE[cache_key] = result
     return result
 
 
-def _key_mode(v: GradedState, n: int, key: Partition) -> _Terms:
-    """v(n) applied to one basis key; shared with the cache when v is a
-    basis vector, so callers must not mutate it."""
+def _key_mode(v: GradedState, n: int, key: Partition) -> _Pairs:
+    """v(n) applied to one basis key, as (key, coefficient) pairs."""
     terms = v._terms
     if len(terms) == 1:
         ((pv, cv),) = terms.items()
@@ -129,8 +129,8 @@ def _key_mode(v: GradedState, n: int, key: Partition) -> _Terms:
             return _monomial_mode(v, pv, n, key)
     acc: _Terms = {}
     for pv, cv in terms.items():
-        _accumulate_terms(acc, _monomial_mode(v, pv, n, key).items(), cv)
-    return acc
+        _accumulate_terms(acc, _monomial_mode(v, pv, n, key), cv)
+    return acc.items()
 
 
 def mode_action(v: GradedState, n: int, b: GradedState) -> GradedState:
@@ -141,7 +141,7 @@ def mode_action(v: GradedState, n: int, b: GradedState) -> GradedState:
     acc: _Terms = {}
     for pv, cv in v._terms.items():
         for pb, cb in b._terms.items():
-            _accumulate_terms(acc, _monomial_mode(v, pv, n, pb).items(), cv * cb)
+            _accumulate_terms(acc, _monomial_mode(v, pv, n, pb), cv * cb)
     return b._with(acc)
 
 
@@ -160,8 +160,8 @@ def virasoro_mode(n: int, b: HeisenbergState) -> HeisenbergState:
     candidates.discard(0)
     candidates.discard(n)
     for j in sorted(candidates):
-        _accumulate_terms(acc, h_mode(j, h_mode(n - j, b))._terms.items(), Fraction(1, 2))
-    return b._with(acc)
+        _accumulate_terms(acc, h_mode(j, h_mode(n - j, b))._terms.items())
+    return b._with(acc).scale(Fraction(1, 2))
 
 
 def zero_mode(v: GradedState) -> Callable[[GradedState], GradedState]:
@@ -199,4 +199,4 @@ def residue_product_mode(a: GradedState, b: GradedState, t: int, n: int, w: Grad
 def translation(a: GradedState) -> GradedState:
     """The canonical derivation T(a) = a(-2)|0>, satisfying
     T(a)(n) = -n a(n-1)."""
-    return mode_action(a, -2, a._with({(): Fraction(1)}))
+    return mode_action(a, -2, a._with({(): 1}))

@@ -3,9 +3,11 @@ combinatorial number sequences (Bernoulli, Stirling, generalized binomial)
 that the state and q-series layers consume.
 
 All state and series construction elsewhere in the package happens over exact
-`fractions.Fraction` values; p-adic information enters only at reporting
-boundaries, as norm exponents -v_p(q) from `valuation`, which keeps
-precision bookkeeping out of the recursive mode engine.
+rationals: states store a coefficient as a plain `int` when it is integral
+and as a `fractions.Fraction` otherwise, and q-series hold `Fraction`s.
+p-adic information enters only at reporting boundaries, as norm exponents
+-v_p(q) from `valuation` (which takes either type), so no precision
+bookkeeping enters the recursive mode engine.
 """
 
 from __future__ import annotations

@@ -16,12 +16,11 @@ are dropped.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 from typing import Iterable
 
 from .axioms import DefectReport
-from .fock import GradedState, _accumulate_terms, partitions_of
+from .fock import Coefficient, GradedState, _accumulate_terms, _exact, partitions_of
 from .modes import mode_action
 from .scalars import gen_binomial
 
@@ -34,8 +33,6 @@ __all__ = [
 ]
 
 Word = tuple[int, ...]
-
-Coefficient = Fraction | int
 
 
 def vir_grade_basis(n: int) -> tuple[Word, ...]:
@@ -56,7 +53,7 @@ class VirasoroState(GradedState):
     VACUUM = "v0"
 
     def __init__(self, terms=(), charge: Coefficient = 0) -> None:
-        self.charge = Fraction(charge)
+        self.charge = _exact(charge)
         self.algebra = f"L c'={self.charge}"
         super().__init__(terms)
 
@@ -66,8 +63,8 @@ class VirasoroState(GradedState):
         state.algebra = self.algebra
         return state
 
-    def _generator_mode(self, m: int, key: Word) -> dict[Word, Coefficient]:
-        return _apply(m - 1, key, self.charge)
+    def _generator_mode(self, m: int, key: Word) -> Iterable[tuple[Word, Coefficient]]:
+        return _apply(m - 1, key, self.charge).items()
 
     @classmethod
     def vacuum(cls, charge: Coefficient, coeff: Coefficient = 1) -> "VirasoroState":
@@ -109,7 +106,7 @@ def _prepend_word(k: int, word: Word) -> list[tuple[Word, int]]:
     return out
 
 
-def _apply(n: int, word: Word, charge: Fraction) -> dict[Word, Coefficient]:
+def _apply(n: int, word: Word, charge: Coefficient) -> dict[Word, Coefficient]:
     """L(n) applied to a PBW basis word, in PBW normal form.
 
     v0 is annihilated by L(n) for n >= 0; a bare L(-1)v0 lies in the quotient

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import inf
+from math import comb, inf
 
 import pytest
 from hypothesis import given
@@ -17,6 +17,7 @@ from padic_voa.axioms import (
 )
 from padic_voa.fock import HeisenbergState, grade_basis
 from padic_voa.modes import mode_action
+from padic_voa.virasoro import VirasoroState, vir_grade_basis
 
 VAC = HeisenbergState.vacuum()
 H = HeisenbergState.monomial([1])
@@ -27,6 +28,14 @@ def basis_states(max_grade: int) -> list[HeisenbergState]:
         HeisenbergState.monomial(parts)
         for g in range(max_grade + 1)
         for parts in grade_basis(g)
+    ]
+
+
+def vir_basis(max_grade: int, charge) -> list[VirasoroState]:
+    return [
+        VirasoroState.word(word, charge)
+        for g in range(max_grade + 1)
+        for word in vir_grade_basis(g)
     ]
 
 
@@ -134,6 +143,71 @@ class TestLocality:
             for t, exponent in profile:
                 if t >= threshold:
                     assert exponent == -inf, (u.render(), v.render(), w.render(), t)
+
+
+def unmemoised_profile(u, v, w, t_max, prime=2):
+    """The locality profile over the same window, with every coefficient
+    R_t(u, v; r, s) w summed afresh from composed modes:
+
+        sum_{i=0..t} (-1)^i C(t, i) { u(r+t-i) v(s+i) w - (-1)^t v(s+t-i) u(r+i) w }.
+    """
+    total_weight = u.max_weight() + v.max_weight() + w.max_weight()
+    span = total_weight + 2
+    profile = []
+    for t in range(t_max + 1):
+        best = -inf
+        for r, s in itertools.product(range(-span, span + 1), repeat=2):
+            if r + s > total_weight - t - 2:
+                continue
+            coefficient = w.scale(0)
+            for i in range(t + 1):
+                term = mode_action(u, r + t - i, mode_action(v, s + i, w)) - mode_action(
+                    v, s + t - i, mode_action(u, r + i, w)
+                ).scale((-1) ** t)
+                coefficient = coefficient + term.scale((-1) ** i * comb(t, i))
+            best = max(best, coefficient.sup_norm_exponent(prime))
+        profile.append((t, best))
+    return profile
+
+
+def ope_order(u, v):
+    """1 + max{j >= 0 : u(j)v != 0}, or 0 when there is no such j: by the OPE
+    criterion, (x-y)^t [Y(u,x), Y(v,y)] = 0 exactly for t >= this order."""
+    nonzero = [j for j in range(u.max_weight() + v.max_weight()) if mode_action(u, j, v)]
+    return 1 + max(nonzero, default=-1)
+
+
+# Virasoro at c' = 1/2, so that coefficients with a 2 in the denominator
+# reach the profile at the prime 2; the unmemoised profile costs grow fast
+# with the total weight, hence its cap
+VIR_HALF = vir_basis(4, Fraction(1, 2))
+LOCALITY_TRIPLES = {
+    "heisenberg": list(itertools.product(basis_states(2), basis_states(2), basis_states(1))),
+    "virasoro": [
+        (u, v, w)
+        for u, v, w in itertools.product(VIR_HALF, VIR_HALF, vir_basis(2, Fraction(1, 2)))
+        if u.max_weight() + v.max_weight() + w.max_weight() <= 8
+    ],
+}
+
+
+class TestLocalityMemo:
+    """The memoised `locality_profile` against unmemoised residue sums, and
+    its zero rows against the exact OPE certificate."""
+
+    @pytest.mark.parametrize("algebra", sorted(LOCALITY_TRIPLES))
+    def test_matches_unmemoised_profile(self, algebra):
+        for u, v, w in LOCALITY_TRIPLES[algebra]:
+            t_max = u.max_weight() + v.max_weight() + 1
+            expected = unmemoised_profile(u, v, w, t_max)
+            assert locality_profile(u, v, w, t_max) == expected, (u, v, w)
+
+    @pytest.mark.parametrize("algebra", sorted(LOCALITY_TRIPLES))
+    def test_zero_from_ope_order(self, algebra):
+        for u, v, w in LOCALITY_TRIPLES[algebra]:
+            t0 = ope_order(u, v)  # at most wt u + wt v, by grading
+            profile = locality_profile(u, v, w, u.max_weight() + v.max_weight() + 1)
+            assert all(exponent == -inf for t, exponent in profile if t >= t0), (u, v, w, t0)
 
 
 class TestIsometry:

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from padic_voa.fock import HeisenbergState, grade_basis, partition_count, partitions_of
+from padic_voa.modes import mode_action
 
 from oracles import partition_counts
 
@@ -93,6 +94,39 @@ class TestStateBasics:
         )
         assert y.render() == "-1/12 |0> + 1/2 h(-3) h(-1) |0>"
         assert HeisenbergState.zero().render() == "0"
+
+
+class TestExactStorage:
+    """Integral coefficients are stored as plain ints, others as Fractions;
+    the public accessors return Fractions either way."""
+
+    def test_integral_coefficients_stored_as_int(self):
+        x = HeisenbergState({(2, 1): Fraction(4, 2), (): Fraction(1, 3)})
+        assert type(x._terms[(2, 1)]) is int
+        assert type(x._terms[()]) is Fraction
+        assert type(HeisenbergState.monomial([1], Fraction(1, 2)).scale(6)._terms[(1,)]) is int
+        assert type(HeisenbergState.monomial([1], 3).scale(Fraction(1, 2))._terms[(1,)]) is Fraction
+
+    def test_accessors_return_fractions(self):
+        x = HeisenbergState.monomial([2, 1], 3) + HeisenbergState.vacuum(Fraction(1, 2))
+        assert type(x.coefficient([1, 2])) is Fraction
+        assert type(x.coefficient([3])) is Fraction
+        assert [(key, type(c)) for key, c in x.items()] == [((), Fraction), ((2, 1), Fraction)]
+
+    def test_int_and_fraction_inputs_agree(self):
+        from_int = HeisenbergState.monomial([2, 1], 2)
+        from_fraction = HeisenbergState.monomial([2, 1], Fraction(2))
+        assert from_int == from_fraction
+        assert from_int.render() == from_fraction.render() == "2 h(-2) h(-1) |0>"
+
+    def test_mixed_state_stays_exact(self):
+        x = HeisenbergState.monomial([1], Fraction(1, 2)) + HeisenbergState.monomial([2])
+        assert x.render() == "1/2 h(-1) |0> + h(-2) |0>"
+        assert x.coefficient([1]) == Fraction(1, 2)
+        assert x.coefficient([2]) == 1
+        h = HeisenbergState.monomial([1])
+        assert mode_action(h, 1, x) == HeisenbergState.vacuum(Fraction(1, 2))
+        assert mode_action(x, -1, x).coefficient([1, 1]) == Fraction(1, 4)
 
 
 class TestNorms:

@@ -40,6 +40,27 @@ class TestStateBasics:
         state = VirasoroState.word([3, 2, 2], 1, Fraction(-1, 4))
         assert state.render() == "-1/4 L(-3) L(-2)^2 v0"
 
+    def test_exact_storage(self):
+        state = VirasoroState({(3, 2): Fraction(6, 3), (2,): Fraction(1, 2)}, Fraction(1, 2))
+        assert type(state._terms[(3, 2)]) is int
+        assert type(state._terms[(2,)]) is Fraction
+        assert type(state.charge) is Fraction
+        assert [type(c) for _, c in state.items()] == [Fraction, Fraction]
+        assert type(state.coefficient([2, 3])) is Fraction
+
+    def test_integral_charge_shares_algebra_and_cache(self):
+        # charge 12 is stored as the int 12 whichever type it arrives as, so
+        # both states name one algebra and hit the same mode-cache keys
+        a, b = VirasoroState.word([3, 2], 12), VirasoroState.word([3, 2], Fraction(12))
+        assert type(a.charge) is int and type(b.charge) is int
+        assert a.algebra == b.algebra
+        assert a == b and a.render() == b.render() and repr(a) == repr(b)
+        clear_mode_cache()
+        first = [mode_action(a, n, a) for n in range(-2, 6)]
+        entries = len(_MODE_CACHE)
+        assert [mode_action(b, n, b) for n in range(-2, 6)] == first
+        assert len(_MODE_CACHE) == entries
+
 
 class TestGradedBasis:
     def test_dimensions_match_generating_function(self):

@@ -47,10 +47,6 @@ class DefectReport:
     def is_zero(self) -> bool:
         return self.norm_exponent == -inf
 
-    def to_json(self) -> dict:
-        exponent = None if self.is_zero else self.norm_exponent
-        return {"parameters": dict(self.parameters), "norm_exponent": exponent}
-
 
 def _jacobi_sides(u: GradedState, v: GradedState, w: GradedState, r: int, s: int, t: int) -> GradedState:
     """Left minus right side of the Jacobi identity at (r, s, t)."""

@@ -29,17 +29,25 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import inf
 
 from .axioms import (
-    DefectReport,
     commutator_defect,
     isometry_probe,
     jacobi_defect,
     locality_profile,
 )
 from .fock import HeisenbergState, grade_basis
-from .kummer import kummer_check, kummer_index, u_state
+from .kummer import (
+    exceptional_branch_ok,
+    exceptional_character_exponents,
+    exceptional_state_exponents,
+    kummer_check,
+    kummer_index,
+    on_exceptional_branch,
+    u_state,
+)
 from .qchar import (
     character,
     eisenstein_G,
@@ -240,62 +248,7 @@ def render_heisenberg(state: HeisenbergState) -> str:
 
 
 # ---------------------------------------------------------------------------
-# sweep drivers
-
-
-@dataclass
-class SweepConfig:
-    grade: int
-    window: int
-    prime: int = 2
-
-
-def _basis_states(grade: int) -> list[HeisenbergState]:
-    return [
-        HeisenbergState.monomial(parts)
-        for g in range(grade + 1)
-        for parts in grade_basis(g)
-    ]
-
-
-def run_jacobi_sweep(config: SweepConfig):
-    """All basis triples of grade <= config.grade against
-    (r, s, t) in [-window, window]^3; yields DefectReports."""
-    basis = _basis_states(config.grade)
-    w = config.window
-    for u in basis:
-        for v in basis:
-            for target in basis:
-                for r in range(-w, w + 1):
-                    for s in range(-w, w + 1):
-                        for t in range(-w, w + 1):
-                            report = jacobi_defect(u, v, target, r, s, t, config.prime)
-                            yield (u, v, target), report
-
-
-def run_commutator_sweep(config: SweepConfig):
-    basis = _basis_states(config.grade)
-    w = config.window
-    for u in basis:
-        for v in basis:
-            for target in basis:
-                for r in range(-w, w + 1):
-                    for s in range(-w, w + 1):
-                        report = commutator_defect(u, v, target, r, s, config.prime)
-                        yield (u, v, target), report
-
-
-def run_locality_sweep(config: SweepConfig):
-    """Locality decay profiles for basis triples; a row is flagged as a
-    violation when a coefficient survives at t >= wt(u) + wt(v)."""
-    basis = _basis_states(config.grade)
-    for u in basis:
-        for v in basis:
-            threshold = u.max_weight() + v.max_weight()
-            t_max = max(config.window, threshold + 1)
-            for target in basis:
-                profile = locality_profile(u, v, target, t_max, config.prime)
-                yield (u, v, target), threshold, profile
+# sweeps: each yields a (row, ok) pair per check, for `_tally`
 
 
 def random_probe_states(
@@ -320,11 +273,80 @@ def random_probe_states(
     return states
 
 
-def run_isometry_sweep(config: SweepConfig, count: int = 50, seed: int = 20240229):
-    window = range(-config.window, config.window + 1)
-    for state in random_probe_states(config.grade, config.prime, count, seed):
-        lhs, rhs = isometry_probe(state, config.prime, config.grade, window)
-        yield state, lhs, rhs
+def _axiom_checks(args, grade: int, window: int, prime: int):
+    """Jacobi (r, s, t) and commutator (r, s) defects over [-window, window]
+    and locality profiles, on every triple of basis states up to `grade`; or
+    isometry probes of `args.count` random states.  A locality row fails
+    when a coefficient survives at t >= wt(u) + wt(v)."""
+    span = range(-window, window + 1)
+    if args.suite == "isometry":
+        for state in random_probe_states(grade, prime, args.count, args.seed):
+            lhs, rhs = isometry_probe(state, prime, grade, span)
+            row = {
+                "state": render_heisenberg(state),
+                "lhs": _exponent_json(lhs),
+                "rhs": _exponent_json(rhs),
+                "ok": lhs == rhs,
+            }
+            yield row, lhs == rhs
+        return
+    basis = [HeisenbergState.monomial(parts) for g in range(grade + 1) for parts in grade_basis(g)]
+    for u, v, w in product(basis, repeat=3):
+        triple = {"u": render_heisenberg(u), "v": render_heisenberg(v), "w": render_heisenberg(w)}
+        if args.suite == "locality":
+            threshold = u.max_weight() + v.max_weight()
+            for t, exponent in locality_profile(u, v, w, max(window, threshold + 1), prime):
+                row = {**triple, "t": t, "threshold": threshold, "norm_exponent": _exponent_json(exponent)}
+                yield row, t < threshold or exponent == -inf
+            continue
+        if args.suite == "jacobi":
+            reports = (jacobi_defect(u, v, w, r, s, t, prime) for r, s, t in product(span, repeat=3))
+        else:
+            reports = (commutator_defect(u, v, w, r, s, prime) for r, s in product(span, repeat=2))
+        for report in reports:
+            row = {**triple, "norm_exponent": _exponent_json(report.norm_exponent), **report.parameters}
+            yield row, report.is_zero
+
+
+def _virasoro_checks(args, charge: Fraction, payload: dict):
+    """Bracket defects [L(m), L(n)] for |m|, |n| <= window on every PBW word
+    up to `args.grade`.  At an integral charge each L(n) image is probed for
+    integrality too: a non-integral one clears `payload["integrality_ok"]`
+    and yields its row with ok None, a violation outside the check count."""
+    span = range(-args.window, args.window + 1)
+    for g in range(args.grade + 1):
+        for word in vir_grade_basis(g):
+            state = VirasoroState.word(word, charge)
+            name = state.render()
+            for m, n in product(span, repeat=2):
+                report = vir_bracket_defect(m, n, state, args.prime)
+                row = {"word": name, "norm_exponent": _exponent_json(report.norm_exponent), **report.parameters}
+                yield row, report.is_zero
+            if payload["integral_charge"]:
+                for n in span:
+                    if not L_action(n, state).is_integral():
+                        payload["integrality_ok"] = False
+                        yield {"word": name, "n": n, "non_integral": True}, None
+
+
+def _tally(args, payload: dict, checked) -> int:
+    """Count a sweep's (row, ok) pairs into `payload`, keep failing rows as
+    violations and every counted row under --full (ok None marks an
+    uncounted probe violation), emit it, and return the exit code."""
+    checks = 0
+    rows, violations = [], []
+    for row, ok in checked:
+        if ok is not None:
+            checks += 1
+            if args.full:
+                rows.append(row)
+        if not ok:
+            violations.append(row)
+    payload.update(checks=checks, violations=violations, all_ok=not violations)
+    if args.full:
+        payload["rows"] = rows
+    _emit(payload, args.out)
+    return 0 if not violations else 1
 
 
 # ---------------------------------------------------------------------------
@@ -371,78 +393,59 @@ def _cmd_character(args) -> int:
 
 
 def _cmd_eisenstein(args) -> int:
+    if args.star and args.prime is None:
+        print("error: --star requires --prime", file=sys.stderr)
+        return 2
+    if not args.star and args.k is None:
+        print("error: provide --k or --star", file=sys.stderr)
+        return 2
+    payload = {"command": "eisenstein", "qmax": args.qmax}
     if args.star:
-        if args.prime is None:
-            print("error: --star requires --prime", file=sys.stderr)
-            return 2
         series = eisenstein_G2_star(args.prime, args.qmax)
-        payload = {
-            "command": "eisenstein",
-            "kind": "G2_star",
-            "prime": args.prime,
-            "qmax": args.qmax,
-            "series": series.to_json(),
-        }
+        payload.update(kind="G2_star", prime=args.prime)
     else:
-        if args.k is None:
-            print("error: provide --k or --star", file=sys.stderr)
-            return 2
         series = eisenstein_G(args.k, args.qmax)
-        payload = {
-            "command": "eisenstein",
-            "k": args.k,
-            "kind": "G",
-            "qmax": args.qmax,
-            "series": series.to_json(),
-        }
+        payload.update(kind="G", k=args.k)
+    payload["series"] = series.to_json()
     _emit(payload, args.out)
     return 0
 
 
 def _cmd_kummer(args) -> int:
+    """Generic rows must meet the bound -(a+1); rows on the exceptional
+    branch are judged by `exceptional_branch_ok` and report its exponents."""
     p = args.prime
     state_rows = []
-    ok = True
     for a in range(args.amax + 1):
         for b in range(a, args.amax + 1):
             report = kummer_check(p, a, b)
-            bound = -(a + 1)
-            row_ok = report.norm_exponent <= bound
-            ok = ok and row_ok
-            state_rows.append(
-                {
-                    "a": a,
-                    "b": b,
-                    "r": kummer_index(p, a),
-                    "s": kummer_index(p, b),
-                    "norm_exponent": _exponent_json(report.norm_exponent),
-                    "bound": bound,
-                    "ok": row_ok,
-                }
-            )
+            row = {key: value for key, value in report.parameters.items() if key != "p"}
+            row["norm_exponent"] = _exponent_json(report.norm_exponent)
+            row["ok"] = report.norm_exponent <= row["bound"]
+            if on_exceptional_branch(p, row["r"]):
+                exponents = exceptional_state_exponents(report)
+                row["ok"] = exceptional_branch_ok(exponents, report.norm_exponent, a, b)
+                row.update((key, _exponent_json(e)) for key, e in exponents.items())
+            state_rows.append(row)
     target = eisenstein_G2_star(p, args.qmax).scale(2)
     char_rows = []
     for a in range(args.amax + 1):
-        u = u_state(kummer_index(p, a), p)
-        series = normalized_character(u, args.qmax)
-        per_coeff = [
-            None if series.coeffs[n] == target.coeffs[n] else -valuation(series.coeffs[n] - target.coeffs[n], p)
-            for n in range(args.qmax + 1)
-        ]
+        series = normalized_character(u_state(kummer_index(p, a), p), args.qmax)
         distance = qseries_padic_distance(series, target, p)
-        bound = -(a + 1)
-        row_ok = distance <= bound
-        ok = ok and row_ok
-        char_rows.append(
-            {
-                "a": a,
-                "r": kummer_index(p, a),
-                "distance_exponent": _exponent_json(distance),
-                "bound": bound,
-                "coefficient_exponents": per_coeff,
-                "ok": row_ok,
-            }
-        )
+        row = {
+            "a": a,
+            "r": kummer_index(p, a),
+            "distance_exponent": _exponent_json(distance),
+            "bound": -(a + 1),
+            "coefficient_exponents": [None if d == 0 else -valuation(d, p) for d in (series - target).coeffs],
+            "ok": distance <= -(a + 1),
+        }
+        if on_exceptional_branch(p, row["r"]):
+            exponents = exceptional_character_exponents(p, a, series, target)
+            row["ok"] = exceptional_branch_ok(exponents, distance, a)
+            row.update((key, _exponent_json(e)) for key, e in exponents.items())
+        char_rows.append(row)
+    ok = all(row["ok"] for row in state_rows + char_rows)
     payload = {
         "command": "kummer",
         "prime": p,
@@ -465,134 +468,31 @@ _SUITE_DEFAULTS = {
 
 
 def _cmd_axioms(args) -> int:
-    grade, window = _SUITE_DEFAULTS[args.suite]
-    if args.grade is not None:
-        grade = args.grade
-    if args.window is not None:
-        window = args.window
+    default_grade, default_window = _SUITE_DEFAULTS[args.suite]
+    grade = default_grade if args.grade is None else args.grade
+    window = default_window if args.window is None else args.window
     prime = args.prime if args.prime is not None else (3 if args.suite == "isometry" else 2)
-    config = SweepConfig(grade=grade, window=window, prime=prime)
-
-    checks = 0
-    violations = []
-    rows = []
-    if args.suite == "jacobi":
-        for (u, v, w), report in run_jacobi_sweep(config):
-            checks += 1
-            row = _axiom_row(u, v, w, report)
-            if args.full:
-                rows.append(row)
-            if not report.is_zero:
-                violations.append(row)
-    elif args.suite == "commutator":
-        for (u, v, w), report in run_commutator_sweep(config):
-            checks += 1
-            row = _axiom_row(u, v, w, report)
-            if args.full:
-                rows.append(row)
-            if not report.is_zero:
-                violations.append(row)
-    elif args.suite == "locality":
-        for (u, v, w), threshold, profile in run_locality_sweep(config):
-            for t, exponent in profile:
-                checks += 1
-                row = {
-                    "u": render_heisenberg(u),
-                    "v": render_heisenberg(v),
-                    "w": render_heisenberg(w),
-                    "t": t,
-                    "threshold": threshold,
-                    "norm_exponent": _exponent_json(exponent),
-                }
-                if args.full:
-                    rows.append(row)
-                if t >= threshold and exponent != -inf:
-                    violations.append(row)
-    else:  # isometry
-        for state, lhs, rhs in run_isometry_sweep(config, count=args.count, seed=args.seed):
-            checks += 1
-            row = {
-                "state": render_heisenberg(state),
-                "lhs": _exponent_json(lhs),
-                "rhs": _exponent_json(rhs),
-                "ok": lhs == rhs,
-            }
-            if args.full:
-                rows.append(row)
-            if lhs != rhs:
-                violations.append(row)
-
     payload = {
         "command": "axioms",
         "suite": args.suite,
         "grade": grade,
         "window": window,
         "prime": prime,
-        "checks": checks,
-        "violations": violations,
-        "all_ok": not violations,
     }
-    if args.full:
-        payload["rows"] = rows
-    _emit(payload, args.out)
-    return 0 if not violations else 1
-
-
-def _axiom_row(u, v, w, report: DefectReport) -> dict:
-    row = {
-        "u": render_heisenberg(u),
-        "v": render_heisenberg(v),
-        "w": render_heisenberg(w),
-        "norm_exponent": _exponent_json(report.norm_exponent),
-    }
-    row.update(report.parameters)
-    return row
+    return _tally(args, payload, _axiom_checks(args, grade, window, prime))
 
 
 def _cmd_virasoro(args) -> int:
     charge = Fraction(args.cprime)
-    window = args.window
-    checks = 0
-    violations = []
-    rows = []
-    integral_charge = charge.denominator == 1
-    integrality_ok = True
-    for g in range(args.grade + 1):
-        for word in vir_grade_basis(g):
-            state = VirasoroState.word(word, charge)
-            for m in range(-window, window + 1):
-                for n in range(-window, window + 1):
-                    report = vir_bracket_defect(m, n, state, args.prime)
-                    checks += 1
-                    row = {
-                        "word": state.render(),
-                        "norm_exponent": _exponent_json(report.norm_exponent),
-                    }
-                    row.update(report.parameters)
-                    if args.full:
-                        rows.append(row)
-                    if not report.is_zero:
-                        violations.append(row)
-            if integral_charge:
-                for n in range(-window, window + 1):
-                    if not L_action(n, state).is_integral():
-                        integrality_ok = False
-                        violations.append({"word": state.render(), "n": n, "non_integral": True})
     payload = {
         "command": "virasoro",
         "cprime": str(charge),
         "grade": args.grade,
-        "window": window,
-        "checks": checks,
-        "integral_charge": integral_charge,
-        "integrality_ok": integrality_ok,
-        "violations": violations,
-        "all_ok": not violations,
+        "window": args.window,
+        "integral_charge": charge.denominator == 1,
+        "integrality_ok": True,
     }
-    if args.full:
-        payload["rows"] = rows
-    _emit(payload, args.out)
-    return 0 if not violations else 1
+    return _tally(args, payload, _virasoro_checks(args, charge, payload))
 
 
 def _prime(text: str) -> int:
@@ -677,9 +577,6 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

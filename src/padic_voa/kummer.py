@@ -16,16 +16,21 @@ reporting boundary (norm exponents), after the (1 - p^r) rescaling.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import inf
 
 from .axioms import DefectReport
 from .fock import HeisenbergState
 from .qchar import QSeries, eisenstein_G2_star, normalized_character, qseries_padic_distance
-from .scalars import bernoulli, c_coefficient, is_prime
+from .scalars import bernoulli, c_coefficient, is_prime, valuation
 
 __all__ = [
+    "exceptional_branch_ok",
+    "exceptional_character_exponents",
+    "exceptional_state_exponents",
     "kummer_check",
     "kummer_index",
     "limit_character_check",
+    "on_exceptional_branch",
     "square_bracket_state",
     "square_bracket_state_by_substitution",
     "u_state",
@@ -113,8 +118,7 @@ def kummer_check(p: int, a: int, b: int) -> DefectReport:
 
     The congruence target is exponent <= -(a+1).  The c(r, m) coefficients
     meet it for every odd prime; the vacuum (Bernoulli) coefficient meets it
-    when (p-1) does not divide r+1, which excludes p = 3 where the measured
-    exponent is exactly 1 - a.
+    off the exceptional branch (see `on_exceptional_branch`).
     """
     if a > b:
         raise ValueError("need a <= b")
@@ -133,3 +137,49 @@ def limit_character_check(p: int, a: int, n_max: int) -> int | float:
     u = u_state(kummer_index(p, a), p)
     target = eisenstein_G2_star(p, n_max).scale(2)
     return qseries_padic_distance(normalized_character(u, n_max), target, p)
+
+
+def on_exceptional_branch(p: int, r: int) -> bool:
+    """(p-1) | r+1: the weight k = r+1 lies on the pole of the p-adic zeta
+    function (Washington, *Introduction to Cyclotomic Fields*, Thm 7.10).
+    There the vacuum coefficient z(k) = zeta_p(1-k) of u_{k-1} converges
+    only at exponent 1 - a; this holds for every family weight at p = 3."""
+    return (r + 1) % (p - 1) == 0
+
+
+def _regularised_exponent(p: int, k: int, z: Fraction, k2: int, z2: Fraction) -> int | float:
+    """Exponent of E(k) z - E(k2) z2 with E(k) = 1 - (1+p)^k.  E(k) cancels
+    the pole: E(k) zeta_p(1-k) is an Iwasawa power series in (1+p)^(1-k) - 1."""
+    x = (1 - (1 + p) ** k) * z - (1 - (1 + p) ** k2) * z2
+    return -valuation(x, p) if x else -inf
+
+
+def exceptional_state_exponents(report: DefectReport) -> dict:
+    """For a `kummer_check` row u_r - u_s: the exponents of its non-vacuum part
+    and of E(r+1) z(r+1) - E(s+1) z(s+1), z(k) the vacuum coefficient of u_{k-1}."""
+    p, r, s = (report.parameters[key] for key in ("p", "r", "s"))
+    vacuum = HeisenbergState.vacuum(report.defect.coefficient(()))
+    z_r, z_s = (u_state(i, p).coefficient(()) for i in (r, s))
+    return {
+        "non_vacuum_exponent": (report.defect - vacuum).sup_norm_exponent(p),
+        "regularised_exponent": _regularised_exponent(p, r + 1, z_r, s + 1, z_s),
+    }
+
+
+def exceptional_character_exponents(p: int, a: int, character: QSeries, target: QSeries) -> dict:
+    """For f(u_r) - 2 G_2* with r = kummer_index(p, a): the largest exponent
+    of its q^n coefficients (n >= 1), and that of E(r+1) f(u_r)_0 - E(2) zeta_p(-1),
+    zeta_p(-1) = (p-1)/12 being the constant term of 2 G_2*."""
+    k = kummer_index(p, a) + 1
+    q_terms = (character - target).coeffs[1:]
+    return {
+        "q_coefficient_exponent": max((-valuation(d, p) for d in q_terms if d), default=-inf),
+        "regularised_exponent": _regularised_exponent(p, k, character.coefficient(0), 2, Fraction(p - 1, 12)),
+    }
+
+
+def exceptional_branch_ok(exponents: dict, whole: int | float, a: int, b: int | None = None) -> bool:
+    """The Kummer criterion on the exceptional branch: each of `exponents`
+    is <= -(a+1) and the whole difference has exponent exactly 1 - a, or
+    -inf for a = b.  Character rows pass b = None.  Each bound is sharp."""
+    return whole == (-inf if a == b else 1 - a) and all(e <= -(a + 1) for e in exponents.values())

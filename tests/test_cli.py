@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 from fractions import Fraction
@@ -165,12 +166,31 @@ class TestSubcommands:
             r for r in payload["state_congruences"] if (r["a"], r["b"]) == (0, 1)
         )
         assert row["norm_exponent"] <= -1
+        # no row of p = 5 is on the exceptional branch
+        assert all("regularised_exponent" not in r for r in payload["state_congruences"])
 
-    def test_kummer_report_prime_three_fails_contract(self):
-        code, out = run_cli(["kummer", "--prime", "3", "--amax", "1", "--qmax", "6"])
-        assert code == 1
+    def test_kummer_report_prime_three_exceptional_branch(self):
+        # every p = 3 row has (p-1) | r+1 and is judged by the exceptional-
+        # branch criterion: both new exponents <= -(a+1), whole exactly 1 - a
+        code, out = run_cli(["kummer", "--prime", "3", "--amax", "2"])
+        assert code == 0
         payload = json.loads(out)
-        assert not payload["all_ok"]
+        assert payload["all_ok"]
+        states = {
+            (row["a"], row["b"]): (row["non_vacuum_exponent"], row["regularised_exponent"], row["norm_exponent"])
+            for row in payload["state_congruences"]
+        }
+        zero = (None, None, None)
+        assert states == {
+            (0, 0): zero, (0, 1): (-1, -1, 1), (0, 2): (-1, -1, 1),
+            (1, 1): zero, (1, 2): (-2, -2, 0), (2, 2): zero,
+        }
+        characters = [
+            (row["q_coefficient_exponent"], row["regularised_exponent"], row["distance_exponent"])
+            for row in payload["character_distances"]
+        ]
+        assert characters == [(-1, -1, 1), (-2, -2, 0), (-3, -3, -1)]
+        assert all(row["ok"] for row in payload["state_congruences"] + payload["character_distances"])
 
     def test_axioms_jacobi(self):
         code, out = run_cli(["axioms", "--suite", "jacobi", "--grade", "2", "--window", "2"])
@@ -207,6 +227,16 @@ class TestSubcommands:
         payload = json.loads(out)
         assert payload["integrality_ok"] and payload["all_ok"]
 
+    def test_virasoro_integrality_probe_is_not_counted(self, monkeypatch):
+        # a non-integral L(n) image is a violation but not a check or a row
+        monkeypatch.setattr("padic_voa.cli.L_action", lambda n, state: state.scale(Fraction(1, 2)))
+        code, out = run_cli(["virasoro", "--grade", "0", "--window", "0", "--full"])
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["checks"] == 1 and len(payload["rows"]) == 1
+        assert not payload["integrality_ok"] and not payload["all_ok"]
+        assert payload["violations"] == [{"word": "1 v0", "n": 0, "non_integral": True}]
+
     def test_deterministic_output(self):
         args = ["kummer", "--prime", "5", "--amax", "1", "--qmax", "6"]
         assert run_cli(args) == run_cli(args)
@@ -226,6 +256,24 @@ class TestSubcommands:
         assert run_cli(["eisenstein"])[0] == 2
         assert run_cli(["bogus"])[0] == 2
         assert run_cli(["eisenstein", "--k", "3"])[0] == 2
+
+
+# stdout sha256 of small --full sweeps: sweep JSON must stay byte-identical
+SWEEP_SHA256 = [
+    ("axioms --suite jacobi --grade 1 --window 1 --full", "b5516c08f9b7ee8b44d46dcc138ebf20458a2c512612ffdf74de3ff352036c10"),
+    ("axioms --suite commutator --grade 2 --window 1 --full", "22d38e2180959f5d2f8c976dbdc973de7e6a10e7f19ed26397ecac58f74da39e"),
+    ("axioms --suite locality --grade 1 --window 3 --full", "bbc2da0169ed364b5fa778bc3781a8be452633dec7d56e085f3a745515b7087d"),
+    ("axioms --suite isometry --grade 2 --count 5 --prime 5 --full", "181952c9624db6e0ca9575d05cefff88ef6aab83294629ca0b12c493abb44860"),
+    ("virasoro --cprime 1/2 --grade 4 --window 2 --full", "48f7b824b1f3395c3f8b7805fda00f7fd9d5a00665f301a89ec0f1ba53e67eed"),
+    ("virasoro --cprime 12 --grade 4 --window 2 --full", "3e8152549f981c47b2f641969378c136e63d3dea7cd9474a33401bbbbe080896"),
+]
+
+
+@pytest.mark.parametrize("command, digest", SWEEP_SHA256)
+def test_sweep_output_unchanged(command, digest):
+    code, out = run_cli(command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestInputValidation:

@@ -18,7 +18,6 @@ from .kummer import (
     kummer_index,
     limit_character_check,
     square_bracket_state,
-    square_bracket_state_by_substitution,
     u_state,
     v_state,
 )
@@ -26,7 +25,6 @@ from .modes import (
     h_mode,
     mode_action,
     residue_product_mode,
-    translation,
     virasoro_mode,
     zero_mode,
 )
@@ -46,7 +44,6 @@ from .scalars import (
     c_coefficient,
     gen_binomial,
     is_prime,
-    stirling2,
     valuation,
 )
 from .virasoro import (
@@ -56,5 +53,16 @@ from .virasoro import (
     vir_grade_basis,
     vir_mode_action,
 )
+
+__all__ = [
+    "DefectReport", "associator_defect", "commutator_defect", "isometry_probe", "jacobi_defect", "locality_profile",
+    "GradedState", "HeisenbergState", "Partition", "grade_basis", "partition_count", "partitions_of",
+    "kummer_check", "kummer_index", "limit_character_check", "square_bracket_state", "u_state", "v_state",
+    "h_mode", "mode_action", "residue_product_mode", "virasoro_mode", "zero_mode",
+    "QSeries", "character", "coprime_divisor_sum", "divisor_power_sum", "eisenstein_G", "eisenstein_G2_star",
+    "eta_series", "normalized_character", "qseries_padic_distance",
+    "bernoulli", "c_coefficient", "gen_binomial", "is_prime", "valuation",
+    "VirasoroState", "L_action", "vir_bracket_defect", "vir_grade_basis", "vir_mode_action",
+]
 
 __version__ = "0.1.0"

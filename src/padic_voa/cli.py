@@ -6,15 +6,12 @@ State-expression grammar (whitespace between tokens is ignored):
 
     expr   := '-'? term (('+'|'-') term)*
     term   := coeff? factor* 'vac'
-    factor := gen '(' '-'? int ')' ('^' int)?
-    gen    := 'h' | 'L'
+    factor := 'h' '(' '-' int ')' ('^' int)?
     coeff  := int ('/' int)?
 
 The leading '-' extension lets canonical renderings of states with a negative
-leading coefficient round-trip.  h-indices must be nonzero; building a basis
-monomial additionally requires them negative (creation).  L-factors are
-applied right-to-left to the Virasoro vacuum at the requested quasicentral
-charge, so any integer index is meaningful.
+leading coefficient round-trip.  Every factor must be a creation operator
+h(-n) with n >= 1; any other factor is a ParseError at its offset.
 
 Exit codes: 0 on success with all contracts met, 1 on a contract violation
 (nonzero defect where an exact zero is required, or a congruence bound
@@ -27,7 +24,6 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import inf
@@ -59,13 +55,7 @@ from .scalars import is_prime, valuation
 from .virasoro import VirasoroState, L_action, vir_bracket_defect, vir_grade_basis
 
 __all__ = [
-    "Factor",
     "ParseError",
-    "StateExpr",
-    "Term",
-    "evaluate_heisenberg",
-    "evaluate_state",
-    "evaluate_virasoro",
     "main",
     "parse_state",
     "render_heisenberg",
@@ -79,27 +69,6 @@ class ParseError(ValueError):
         super().__init__(f"{message} (at offset {offset})")
         self.offset = offset
         self.reason = message
-
-
-@dataclass(frozen=True)
-class Factor:
-    generator: str
-    index: int
-    exponent: int = 1
-
-
-@dataclass(frozen=True)
-class Term:
-    coefficient: Fraction
-    factors: tuple[Factor, ...]
-
-
-@dataclass(frozen=True)
-class StateExpr:
-    terms: tuple[Term, ...]
-
-    def generators(self) -> set[str]:
-        return {f.generator for t in self.terms for f in t.factors}
 
 
 class _Scanner:
@@ -146,23 +115,22 @@ class _Scanner:
         return self.pos >= len(self.text)
 
 
-def parse_state(text: str) -> StateExpr:
-    """Parse a state expression; raises ParseError with the input offset."""
+def parse_state(text: str) -> HeisenbergState:
+    """Parse a state expression into a Fock state; raises ParseError with the
+    input offset."""
     scanner = _Scanner(text)
-    terms: list[Term] = []
-    sign = -1 if scanner.take("-") else 1
-    terms.append(_parse_term(scanner, sign))
+    state = _parse_term(scanner, -1 if scanner.take("-") else 1)
     while not scanner.at_end():
         if scanner.take("+"):
-            terms.append(_parse_term(scanner, 1))
+            state = state + _parse_term(scanner, 1)
         elif scanner.take("-"):
-            terms.append(_parse_term(scanner, -1))
+            state = state + _parse_term(scanner, -1)
         else:
             raise ParseError("expected '+', '-', or end of input", scanner.pos)
-    return StateExpr(tuple(terms))
+    return state
 
 
-def _parse_term(scanner: _Scanner, sign: int) -> Term:
+def _parse_term(scanner: _Scanner, sign: int) -> HeisenbergState:
     coeff = Fraction(sign)
     if scanner.peek().isdigit():
         numerator = scanner.integer()
@@ -172,21 +140,21 @@ def _parse_term(scanner: _Scanner, sign: int) -> Term:
             if denominator == 0:
                 raise ParseError("zero denominator", scanner.pos)
         coeff *= Fraction(numerator, denominator)
-    factors: list[Factor] = []
-    while scanner.peek() in ("h", "L"):
-        factors.append(_parse_factor(scanner))
+    parts: list[int] = []
+    while scanner.peek() == "h":
+        parts.extend(_parse_factor(scanner))
     if not scanner.keyword("vac"):
-        raise ParseError("expected generator factor or 'vac'", scanner.pos)
-    return Term(coeff, tuple(factors))
+        raise ParseError("expected a factor h(-n) or 'vac'", scanner.pos)
+    return HeisenbergState.monomial(parts, coeff)
 
 
-def _parse_factor(scanner: _Scanner) -> Factor:
-    generator = scanner.peek()
+def _parse_factor(scanner: _Scanner) -> list[int]:
+    """A factor h(-n)^e, as e copies of the part n."""
     scanner.pos += 1
     scanner.expect("(")
-    index_sign = -1 if scanner.take("-") else 1
+    scanner.skip_ws()
     index_pos = scanner.pos
-    index = index_sign * scanner.integer()
+    index = -scanner.integer() if scanner.take("-") else scanner.integer()
     scanner.expect(")")
     exponent = 1
     if scanner.take("^"):
@@ -194,52 +162,9 @@ def _parse_factor(scanner: _Scanner) -> Factor:
         exponent = scanner.integer()
         if exponent < 1:
             raise ParseError("exponent must be >= 1", exponent_pos)
-    if generator == "h" and index == 0:
-        raise ParseError("h(0) is not a generator", index_pos)
-    return Factor(generator, index, exponent)
-
-
-def evaluate_heisenberg(expr: StateExpr) -> HeisenbergState:
-    """Evaluate an expression over h-factors to a Fock state.  Every index
-    must be a creation index (negative)."""
-    total = HeisenbergState.zero()
-    for term in expr.terms:
-        parts: list[int] = []
-        for factor in term.factors:
-            if factor.generator != "h":
-                raise ValueError("h-generators required in a Heisenberg expression")
-            if factor.index >= 0:
-                raise ValueError(
-                    f"positive creation index h({factor.index}) where a basis"
-                    " monomial is required"
-                )
-            parts.extend([-factor.index] * factor.exponent)
-        total = total + HeisenbergState.monomial(parts, term.coefficient)
-    return total
-
-
-def evaluate_virasoro(expr: StateExpr, charge: Fraction | int) -> VirasoroState:
-    """Evaluate an expression over L-factors by applying the modes
-    right-to-left to the highest-weight vector."""
-    total = VirasoroState.zero(charge)
-    for term in expr.terms:
-        state = VirasoroState.vacuum(charge, term.coefficient)
-        for factor in reversed(term.factors):
-            if factor.generator != "L":
-                raise ValueError("L-generators required in a Virasoro expression")
-            for _ in range(factor.exponent):
-                state = L_action(factor.index, state)
-        total = total + state
-    return total
-
-
-def evaluate_state(expr: StateExpr, charge: Fraction | int = 0):
-    generators = expr.generators()
-    if generators == {"h", "L"}:
-        raise ValueError("cannot mix h and L generators in one expression")
-    if generators == {"L"}:
-        return evaluate_virasoro(expr, charge)
-    return evaluate_heisenberg(expr)
+    if index >= 0:
+        raise ParseError(f"h({index}) is not a creation index h(-n) with n >= 1", index_pos)
+    return [-index] * exponent
 
 
 def render_heisenberg(state: HeisenbergState) -> str:
@@ -358,16 +283,20 @@ def _exponent_json(value: int | float):
 
 
 def _emit(payload: dict, out_path: str | None) -> None:
+    """Write the payload to `out_path` (if given), then to stdout, so that a
+    file that cannot be written leaves stdout empty."""
     text = json.dumps(payload, sort_keys=True, indent=2)
-    print(text)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        try:
+            with open(out_path, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write {out_path}: {exc.strerror}") from exc
+    print(text)
 
 
 def _cmd_character(args) -> int:
-    expr = parse_state(args.state)
-    state = evaluate_heisenberg(expr)
+    state = parse_state(args.state)
     series = (
         normalized_character(state, args.qmax)
         if args.eta
@@ -483,7 +412,7 @@ def _cmd_axioms(args) -> int:
 
 
 def _cmd_virasoro(args) -> int:
-    charge = Fraction(args.cprime)
+    charge = args.cprime
     payload = {
         "command": "virasoro",
         "cprime": str(charge),
@@ -501,6 +430,14 @@ def _prime(text: str) -> int:
     if not is_prime(value):
         raise argparse.ArgumentTypeError(f"{text} is not a prime")
     return value
+
+
+def _rational(text: str) -> Fraction:
+    """argparse type: an exact rational such as 12 or 1/2."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"{text} is not a rational number") from None
 
 
 def _at_least(low: int):
@@ -558,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ax.set_defaults(func=_cmd_axioms)
 
     p_vir = sub.add_parser("virasoro", help="Virasoro bracket defect table")
-    p_vir.add_argument("--cprime", default="1", help="quasicentral charge (rational)")
+    p_vir.add_argument("--cprime", type=_rational, default="1", help="quasicentral charge (rational)")
     p_vir.add_argument("--grade", type=_at_least(0), default=6)
     p_vir.add_argument("--window", type=_at_least(0), default=4)
     p_vir.add_argument("--prime", type=_prime, default=2)

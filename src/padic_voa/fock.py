@@ -206,9 +206,6 @@ class GradedState:
         """Largest basis weight present; 0 for the zero state."""
         return max((sum(key) for key in self._terms), default=0)
 
-    def is_homogeneous(self) -> bool:
-        return len({sum(key) for key in self._terms}) <= 1
-
     def homogeneous_components(self) -> dict[int, "GradedState"]:
         buckets: dict[int, dict[Partition, Coefficient]] = {}
         for key, coeff in self._terms.items():

@@ -32,7 +32,6 @@ __all__ = [
     "limit_character_check",
     "on_exceptional_branch",
     "square_bracket_state",
-    "square_bracket_state_by_substitution",
     "u_state",
     "v_state",
 ]
@@ -56,42 +55,6 @@ def square_bracket_state(r: int) -> HeisenbergState:
     for m in range(r):
         state = state + HeisenbergState.monomial([m + 1, 1], c_coefficient(r, m))
     return state
-
-
-def square_bracket_state_by_substitution(r: int) -> HeisenbergState:
-    """Small-order oracle for `square_bracket_state`: extract the z^(r-1)
-    coefficient of (r-1)! e^z Y(h, e^z - 1) h directly, expanding e^z - 1 as
-    a truncated power series.
-
-    Y(h, x) h = sum_{k>=1} h(-k)h(-1)|0> x^(k-1) + |0> x^(-2), so after the
-    substitution x = e^z - 1 the monomial h(-m-1)h(-1)|0> picks up the
-    z^(r-1) coefficient of (r-1)! e^z (e^z-1)^m, and the vacuum picks up the
-    z^(r-1) coefficient of (r-1)! e^z (e^z-1)^(-2).  The (e^z-1)^(-2) factor
-    is computed as z^(-2) times the inverse square of (e^z-1)/z.
-    """
-    _require_odd_positive(r)
-    order = r + 2
-    factorials = [1]
-    for i in range(1, order + 2):
-        factorials.append(factorials[-1] * i)
-    exp_z = QSeries([Fraction(1, factorials[i]) for i in range(order + 1)])
-    expm1 = QSeries([0] + [Fraction(1, factorials[i]) for i in range(1, order + 1)])
-    scale = Fraction(factorials[r - 1])
-
-    state = HeisenbergState.zero()
-    power = QSeries.one(order)
-    for m in range(r):
-        # coefficient of z^(r-1) in e^z (e^z - 1)^m
-        coeff = scale * (exp_z * power).coefficient(r - 1)
-        if coeff:
-            state = state + HeisenbergState.monomial([m + 1, 1], coeff)
-        power = power * expm1
-
-    # (e^z - 1)^(-2) = z^(-2) * ((e^z - 1)/z)^(-2)
-    ratio = QSeries([Fraction(1, factorials[i + 1]) for i in range(order + 1)])
-    inv2 = ratio.inverse() * ratio.inverse()
-    vac_coeff = scale * (exp_z * inv2).coefficient(r + 1)
-    return state + HeisenbergState.vacuum(vac_coeff)
 
 
 def v_state(r: int) -> HeisenbergState:

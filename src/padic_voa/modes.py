@@ -1,8 +1,8 @@
 """Mode actions on graded states: the generator modes, the cached recursive
 engine computing v(n)b for arbitrary states of the Heisenberg or the
 Virasoro vertex algebra, Virasoro modes at central charge 1 inside the
-Heisenberg algebra, zero modes, residue products, and the translation
-operator.
+Heisenberg algebra (the modes of the conformal vector, through the same
+engine), zero modes and residue products.
 
 Everything rests on one residue sum, the right side of the Jacobi identity
 (Kac, *Vertex Algebras for Beginners*, the associativity/Borcherds form):
@@ -32,7 +32,6 @@ __all__ = [
     "h_mode",
     "mode_action",
     "residue_product_mode",
-    "translation",
     "virasoro_mode",
     "zero_mode",
 ]
@@ -145,23 +144,13 @@ def mode_action(v: GradedState, n: int, b: GradedState) -> GradedState:
     return b._with(acc)
 
 
+_CONFORMAL_VECTOR = HeisenbergState({(1, 1): Fraction(1, 2)})
+
+
 def virasoro_mode(n: int, b: HeisenbergState) -> HeisenbergState:
     """The Virasoro mode L(n) inside the Heisenberg algebra (central charge 1):
-    L(n) = 1/2 sum_j h(j) h(n-j) for n != 0, and L(0) acts on a homogeneous
-    state as multiplication by its weight."""
-    acc: _Terms = {}
-    if n == 0:
-        for w, component in b.homogeneous_components().items():
-            _accumulate_terms(acc, component._terms.items(), w)
-        return b._with(acc)
-    parts_seen = {part for parts in b._terms for part in parts}
-    candidates = set(range(min(0, n) + 1, max(0, n)))
-    candidates |= parts_seen | {n - q for q in parts_seen}
-    candidates.discard(0)
-    candidates.discard(n)
-    for j in sorted(candidates):
-        _accumulate_terms(acc, h_mode(j, h_mode(n - j, b))._terms.items())
-    return b._with(acc).scale(Fraction(1, 2))
+    L(n) = w(n+1) for the conformal vector w = 1/2 h(-1)^2|0>."""
+    return mode_action(_CONFORMAL_VECTOR, n + 1, b)
 
 
 def zero_mode(v: GradedState) -> Callable[[GradedState], GradedState]:
@@ -195,8 +184,3 @@ def residue_product_mode(a: GradedState, b: GradedState, t: int, n: int, w: Grad
             _residue_sum(acc, c, _modes_of(a), a.max_weight(), _modes_of(b), b.max_weight(), 0, n, t, key)
     return w._with(acc)
 
-
-def translation(a: GradedState) -> GradedState:
-    """The canonical derivation T(a) = a(-2)|0>, satisfying
-    T(a)(n) = -n a(n-1)."""
-    return mode_action(a, -2, a._with({(): 1}))

@@ -49,17 +49,8 @@ class QSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    @classmethod
-    def one(cls, order: int) -> "QSeries":
-        return cls([1] + [0] * order)
-
     def coefficient(self, n: int) -> Fraction:
         return self.coeffs[n]
-
-    def truncate(self, order: int) -> "QSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return QSeries(self.coeffs[: order + 1], self.offset)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QSeries):
@@ -102,18 +93,6 @@ class QSeries:
                 if b:
                     coeffs[i + j] += a * b
         return QSeries(coeffs, self.offset + other.offset)
-
-    def inverse(self) -> "QSeries":
-        """Multiplicative inverse of a series with unit constant term."""
-        if not self.coeffs[0]:
-            raise ValueError("series with zero constant term has no inverse")
-        inv = [1 / self.coeffs[0]]
-        for n in range(1, self.order + 1):
-            acc = Fraction(0)
-            for i in range(1, n + 1):
-                acc += self.coeffs[i] * inv[n - i]
-            inv.append(-acc / self.coeffs[0])
-        return QSeries(inv, -self.offset)
 
     def to_json(self) -> dict:
         return {

@@ -1,6 +1,7 @@
 """Exact scalar arithmetic: p-adic valuations of rationals, and the
-combinatorial number sequences (Bernoulli, Stirling, generalized binomial)
-that the state and q-series layers consume.
+combinatorial number sequences (Bernoulli numbers, the Stirling-type
+integers c(r, m), generalized binomials) that the state and q-series layers
+consume.
 
 All state and series construction elsewhere in the package happens over exact
 rationals: states store a coefficient as a plain `int` when it is integral
@@ -20,7 +21,6 @@ __all__ = [
     "c_coefficient",
     "gen_binomial",
     "is_prime",
-    "stirling2",
     "valuation",
 ]
 
@@ -83,25 +83,6 @@ def bernoulli(k: int) -> Fraction:
                 acc += comb(m + 1, j) * _BERNOULLI[j]
         _BERNOULLI.append(-acc / (m + 1))
     return _BERNOULLI[k]
-
-
-_STIRLING: dict[tuple[int, int], int] = {}
-
-
-def stirling2(n: int, k: int) -> int:
-    """Stirling number of the second kind S(n, k), by the triangle recurrence."""
-    if n < 0 or k < 0:
-        raise ValueError("indices must be nonnegative")
-    if n == k:
-        return 1
-    if k == 0 or k > n:
-        return 0
-    key = (n, k)
-    cached = _STIRLING.get(key)
-    if cached is None:
-        cached = k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
-        _STIRLING[key] = cached
-    return cached
 
 
 def c_coefficient(r: int, m: int) -> int:

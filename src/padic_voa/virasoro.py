@@ -21,7 +21,7 @@ from typing import Iterable
 
 from .axioms import DefectReport
 from .fock import Coefficient, GradedState, _accumulate_terms, _exact, partitions_of
-from .modes import mode_action
+from .modes import h_mode, mode_action
 from .scalars import gen_binomial
 
 __all__ = [
@@ -128,11 +128,9 @@ def _apply(n: int, word: Word, charge: Coefficient) -> dict[Word, Coefficient]:
 
 def L_action(n: int, state: VirasoroState) -> VirasoroState:
     """The Virasoro mode L(n) on the quotient module, rewritten to the PBW
-    basis.  L(0) acts on a basis word as its grade; L(n) shifts grade by -n."""
-    acc: dict[Word, Coefficient] = {}
-    for word, coeff in state._terms.items():
-        _accumulate_terms(acc, _apply(n, word, state.charge).items(), coeff)
-    return state._with(acc)
+    basis.  L(0) acts on a basis word as its grade; L(n) shifts grade by -n.
+    This is the generator mode w(n+1) of the conformal vector w = L(-2)v0."""
+    return h_mode(n + 1, state)
 
 
 def vir_bracket_defect(m: int, n: int, state: VirasoroState, prime: int = 2) -> DefectReport:

@@ -1,10 +1,22 @@
 """Independent oracles used by the test suite.
 
 Everything here is deliberately implemented by a different route than the
-package code it checks: Akiyama-Tanigawa instead of the binomial recurrence,
-generating-function coefficient extraction instead of recursive enumeration,
-and the brute-force normal-ordered product expansion instead of the
-associator recursion.
+package code it checks, and works on plain coefficient lists where it can:
+
+* Bernoulli numbers by the Akiyama-Tanigawa triangle, instead of the binomial
+  recurrence of `scalars.bernoulli`;
+* Stirling numbers S(n, k) by the triangle recurrence, instead of the
+  alternating power sums of `scalars.c_coefficient`;
+* partition counts by generating-function coefficient extraction
+  (`series_inverse_coeffs` inverts a power series, as `QSeries.inverse`
+  did), instead of recursive enumeration;
+* square-bracket states by substituting x = e^z - 1 into Y(h, x)h and
+  extracting one z-coefficient, instead of the closed Stirling/Bernoulli
+  form of `kummer.square_bracket_state`;
+* v(n)b for a basis monomial v by the brute-force normal-ordered product
+  expansion, and the Virasoro modes L(n) = 1/2 sum_j h(j)h(n-j) of the
+  Heisenberg algebra from generator modes alone, instead of the associator
+  recursion of `modes.mode_action`.
 """
 
 from __future__ import annotations
@@ -33,7 +45,7 @@ def akiyama_tanigawa_bernoulli(n: int) -> list[Fraction]:
     return out
 
 
-def series_inverse_coeffs(coeffs: list[int], order: int) -> list[Fraction]:
+def series_inverse_coeffs(coeffs: list, order: int) -> list[Fraction]:
     """Coefficients of 1 / sum c_n q^n up to the given order (c_0 != 0)."""
     inv = [Fraction(1, coeffs[0])]
     for n in range(1, order + 1):
@@ -42,6 +54,13 @@ def series_inverse_coeffs(coeffs: list[int], order: int) -> list[Fraction]:
             acc += coeffs[i] * inv[n - i]
         inv.append(-acc / coeffs[0])
     return inv
+
+
+def series_product_coeffs(a: list, b: list) -> list:
+    """Coefficients of the product of two power series, truncated to the
+    shorter one."""
+    order = min(len(a), len(b))
+    return [sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(order)]
 
 
 def product_coeffs(order: int, min_part: int = 1) -> list[int]:
@@ -60,6 +79,69 @@ def partition_counts(order: int, min_part: int = 1) -> list[int]:
     inv = series_inverse_coeffs(product_coeffs(order, min_part), order)
     assert all(c.denominator == 1 for c in inv)
     return [int(c) for c in inv]
+
+
+def stirling2(n: int, k: int) -> int:
+    """Stirling number of the second kind S(n, k), building the triangle
+    S(m, j) = j S(m-1, j) + S(m-1, j-1) row by row."""
+    row = [1]  # S(0, 0)
+    for m in range(1, n + 1):
+        row = [(j * row[j] if j < m else 0) + (row[j - 1] if j else 0) for j in range(m + 1)]
+    return row[k] if 0 <= k <= n else 0
+
+
+def square_bracket_state_by_substitution(r: int) -> HeisenbergState:
+    """(r-1)! h[-r]h[-1]|0> for odd r >= 1: the z^(r-1) coefficient of
+    (r-1)! e^z Y(h, e^z - 1) h, with e^z - 1 expanded as a truncated power
+    series.
+
+    Y(h, x) h = sum_{k>=1} h(-k)h(-1)|0> x^(k-1) + |0> x^(-2), so after the
+    substitution x = e^z - 1 the monomial h(-m-1)h(-1)|0> picks up the
+    z^(r-1) coefficient of (r-1)! e^z (e^z-1)^m, and the vacuum picks up the
+    z^(r-1) coefficient of (r-1)! e^z (e^z-1)^(-2).  The (e^z-1)^(-2) factor
+    is computed as z^(-2) times the inverse square of (e^z-1)/z.
+    """
+    order = r + 2
+    factorials = [1]
+    for i in range(1, order + 2):
+        factorials.append(factorials[-1] * i)
+    exp_z = [Fraction(1, factorials[i]) for i in range(order + 1)]
+    expm1 = [0] + exp_z[1:]
+    scale = factorials[r - 1]
+
+    state = HeisenbergState.zero()
+    power = [1] + [0] * order  # (e^z - 1)^m
+    for m in range(r):
+        coeff = scale * series_product_coeffs(exp_z, power)[r - 1]
+        if coeff:
+            state = state + HeisenbergState.monomial([m + 1, 1], coeff)
+        power = series_product_coeffs(power, expm1)
+
+    # (e^z - 1)^(-2) = z^(-2) * ((e^z - 1)/z)^(-2)
+    inverse = series_inverse_coeffs([Fraction(1, factorials[i + 1]) for i in range(order + 1)], order)
+    inverse_square = series_product_coeffs(inverse, inverse)
+    vacuum_coeff = scale * series_product_coeffs(exp_z, inverse_square)[r + 1]
+    return state + HeisenbergState.vacuum(vacuum_coeff)
+
+
+def virasoro_mode_by_sum(n: int, b: HeisenbergState) -> HeisenbergState:
+    """The Virasoro mode L(n) of the Heisenberg algebra (central charge 1)
+    from generator modes alone: L(n) = 1/2 sum_j h(j) h(n-j) for n != 0,
+    summed over the j for which a term can be nonzero, and L(0) acting on
+    each homogeneous component as multiplication by its weight."""
+    if n == 0:
+        total = HeisenbergState.zero()
+        for w, component in b.homogeneous_components().items():
+            total = total + component.scale(w)
+        return total
+    parts_seen = {part for parts, _ in b.items() for part in parts}
+    candidates = set(range(min(0, n) + 1, max(0, n)))
+    candidates |= parts_seen | {n - q for q in parts_seen}
+    candidates -= {0, n}
+    total = HeisenbergState.zero()
+    for j in sorted(candidates):
+        total = total + h_mode(j, h_mode(n - j, b))
+    return total.scale(Fraction(1, 2))
 
 
 def divisor_sum_brute(n: int, k: int) -> int:

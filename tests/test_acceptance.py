@@ -45,7 +45,6 @@ from padic_voa.kummer import (
     kummer_index,
     limit_character_check,
     square_bracket_state,
-    square_bracket_state_by_substitution,
     u_state,
     v_state,
 )
@@ -54,7 +53,7 @@ from padic_voa.qchar import eisenstein_G, eisenstein_G2_star, normalized_charact
 from padic_voa.scalars import valuation
 from padic_voa.virasoro import VirasoroState, L_action, vir_bracket_defect, vir_grade_basis
 
-from oracles import akiyama_tanigawa_bernoulli
+from oracles import akiyama_tanigawa_bernoulli, square_bracket_state_by_substitution
 
 VAC = HeisenbergState.vacuum()
 H = HeisenbergState.monomial([1])

@@ -10,17 +10,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from padic_voa.cli import (
-    ParseError,
-    evaluate_heisenberg,
-    evaluate_state,
-    evaluate_virasoro,
-    main,
-    parse_state,
-    render_heisenberg,
-)
+from padic_voa.cli import ParseError, main, parse_state, render_heisenberg
 from padic_voa.fock import HeisenbergState, grade_basis
-from padic_voa.virasoro import VirasoroState
 
 
 def run_cli(argv: list[str]) -> tuple[int, str]:
@@ -32,12 +23,12 @@ def run_cli(argv: list[str]) -> tuple[int, str]:
 
 class TestParser:
     def test_monomial(self):
-        state = evaluate_heisenberg(parse_state("h(-1)^2 vac"))
+        state = parse_state("h(-1)^2 vac")
         assert state == HeisenbergState.monomial([1, 1])
         assert state.weight() == 2
 
     def test_two_term_state(self):
-        state = evaluate_heisenberg(parse_state("1/2 h(-3)h(-1) vac - 1/12 vac"))
+        state = parse_state("1/2 h(-3)h(-1) vac - 1/12 vac")
         assert state.coefficient([3, 1]) == Fraction(1, 2)
         assert state.coefficient([]) == Fraction(-1, 12)
 
@@ -63,29 +54,19 @@ class TestParser:
             parse_state("h(-1)^0 vac")
 
     def test_leading_minus(self):
-        state = evaluate_heisenberg(parse_state("-1/12 vac + h(-1) vac"))
+        state = parse_state("-1/12 vac + h(-1) vac")
         assert state.coefficient([]) == Fraction(-1, 12)
 
     def test_positive_creation_index_rejected(self):
-        with pytest.raises(ValueError, match="positive creation index"):
-            evaluate_heisenberg(parse_state("h(2) vac"))
+        with pytest.raises(ParseError, match="not a creation index") as excinfo:
+            parse_state("h(-1) h(2) vac")
+        assert excinfo.value.offset == 8
 
     def test_mixed_generators_rejected(self):
-        with pytest.raises(ValueError, match="mix"):
-            evaluate_state(parse_state("h(-1) L(-2) vac"))
-
-    def test_virasoro_expression(self):
-        state = evaluate_virasoro(parse_state("L(-2)^2 vac"), 1)
-        assert state == VirasoroState.word([2, 2], 1)
-
-    def test_virasoro_rewriting_through_parser(self):
-        # operators apply right-to-left, so reordering happens on evaluation
-        state = evaluate_virasoro(parse_state("L(-1) L(-2) vac"), 1)
-        assert state == VirasoroState.word([3], 1)
-
-    def test_dispatch(self):
-        assert isinstance(evaluate_state(parse_state("vac")), HeisenbergState)
-        assert isinstance(evaluate_state(parse_state("L(-2) vac"), 1), VirasoroState)
+        # the grammar has one generator; an L factor is a parse error at its offset
+        with pytest.raises(ParseError) as excinfo:
+            parse_state("h(-1) L(-2) vac")
+        assert excinfo.value.offset == 6
 
 
 class TestRoundTrip:
@@ -99,10 +80,10 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("text", CASES)
     def test_parse_render_parse(self, text):
-        state = evaluate_heisenberg(parse_state(text))
+        state = parse_state(text)
         rendered = render_heisenberg(state)
-        assert evaluate_heisenberg(parse_state(rendered)) == state
-        assert render_heisenberg(evaluate_heisenberg(parse_state(rendered))) == rendered
+        assert parse_state(rendered) == state
+        assert render_heisenberg(parse_state(rendered)) == rendered
 
     @given(
         st.lists(
@@ -123,7 +104,7 @@ class TestRoundTrip:
         if state.is_zero:
             return
         rendered = render_heisenberg(state)
-        assert evaluate_heisenberg(parse_state(rendered)) == state
+        assert parse_state(rendered) == state
 
 
 class TestSubcommands:
@@ -252,6 +233,7 @@ class TestSubcommands:
     def test_usage_errors_exit_two(self):
         assert run_cli(["character", "--state", "h(-1 vac"])[0] == 2
         assert run_cli(["character", "--state", "h(2) vac"])[0] == 2
+        assert run_cli(["character", "--state", "L(-2) vac"])[0] == 2
         assert run_cli(["eisenstein", "--star"])[0] == 2
         assert run_cli(["eisenstein"])[0] == 2
         assert run_cli(["bogus"])[0] == 2
@@ -309,3 +291,14 @@ class TestInputValidation:
     def test_virasoro_empty_range(self):
         assert run_cli(["virasoro", "--grade", "-1"]) == (2, "")
         assert run_cli(["virasoro", "--window", "-1"]) == (2, "")
+
+    @pytest.mark.parametrize("cprime", ["1/0", "abc"])
+    def test_virasoro_charge_not_rational(self, cprime):
+        # 1/0 used to end in a ZeroDivisionError traceback with exit 1
+        assert run_cli(["virasoro", "--cprime", cprime]) == (2, "")
+
+    def test_out_into_missing_directory(self, tmp_path, capsys):
+        # used to end in a FileNotFoundError traceback with exit 1
+        target = tmp_path / "missing" / "x.json"
+        assert run_cli(["eisenstein", "--k", "4", "--out", str(target)]) == (2, "")
+        assert capsys.readouterr().err.startswith(f"error: cannot write {target}")

@@ -71,9 +71,8 @@ class TestStateBasics:
             (HeisenbergState.vacuum() + HeisenbergState.monomial([1])).weight()
 
     def test_homogeneity(self):
-        assert HeisenbergState.monomial([3, 1], 2).is_homogeneous()
+        assert list(HeisenbergState.monomial([3, 1], 2).homogeneous_components()) == [4]
         mixed = HeisenbergState.vacuum() + HeisenbergState.monomial([2])
-        assert not mixed.is_homogeneous()
         assert sorted(mixed.homogeneous_components()) == [0, 2]
 
     def test_monomial_sorts_parts(self):

@@ -11,12 +11,13 @@ from padic_voa.kummer import (
     kummer_index,
     limit_character_check,
     square_bracket_state,
-    square_bracket_state_by_substitution,
     u_state,
     v_state,
 )
 from padic_voa.qchar import eisenstein_G, normalized_character, qseries_padic_distance
 from padic_voa.scalars import bernoulli, c_coefficient
+
+from oracles import square_bracket_state_by_substitution
 
 
 class TestSquareBracketState:

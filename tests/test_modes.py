@@ -11,12 +11,11 @@ from padic_voa.modes import (
     h_mode,
     mode_action,
     residue_product_mode,
-    translation,
     virasoro_mode,
     zero_mode,
 )
 
-from oracles import normal_ordered_mode
+from oracles import normal_ordered_mode, virasoro_mode_by_sum
 
 VAC = HeisenbergState.vacuum()
 H = HeisenbergState.monomial([1])
@@ -134,10 +133,19 @@ class TestVirasoroInHeisenberg:
                 assert bracket == expected, (m, n, b.render())
 
     def test_agrees_with_conformal_vector_modes(self):
-        omega = HeisenbergState.monomial([1, 1], Fraction(1, 2))
+        # the engine's w(n+1) against 1/2 sum_j h(j)h(n-j), on basis states
+        # and on inhomogeneous states with fractional coefficients, where
+        # the oracle's L(0) multiplies each component by its own weight
+        parts = [p for g in range(5) for p in grade_basis(g)]
+        mixed = [
+            HeisenbergState.monomial(p, Fraction(1, 2))
+            + HeisenbergState.monomial(q, Fraction(-3, 7))
+            + HeisenbergState.vacuum(Fraction(-1, 12))
+            for p, q in itertools.combinations(parts, 2)
+        ]
         for n in range(-4, 5):
-            for b in basis_states(3):
-                assert virasoro_mode(n, b) == mode_action(omega, n + 1, b)
+            for b in basis_states(4) + mixed:
+                assert virasoro_mode(n, b) == virasoro_mode_by_sum(n, b), (n, b.render())
 
 
 class TestZeroMode:
@@ -183,6 +191,11 @@ class TestResidueProduct:
                 ab = mode_action(a, t, b)
                 direct = mode_action(ab, n, w)
                 assert residue_product_mode(a, b, t, n, w) == direct
+
+
+def translation(a: HeisenbergState) -> HeisenbergState:
+    """The canonical derivation T(a) = a(-2)|0>."""
+    return mode_action(a, -2, VAC)
 
 
 class TestTranslation:

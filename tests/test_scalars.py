@@ -12,11 +12,10 @@ from padic_voa.scalars import (
     c_coefficient,
     gen_binomial,
     is_prime,
-    stirling2,
     valuation,
 )
 
-from oracles import akiyama_tanigawa_bernoulli
+from oracles import akiyama_tanigawa_bernoulli, stirling2
 
 rationals = st.fractions(
     min_value=Fraction(-10**6), max_value=Fraction(10**6), max_denominator=10**4

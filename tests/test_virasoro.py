@@ -108,6 +108,8 @@ class TestLAction:
         # dies in the quotient
         got = L_action(-1, VirasoroState.word([2], 1))
         assert got == VirasoroState.word([3], 1)
+        # L(-2) L(-2) v0 is already in PBW order
+        assert L_action(-2, VirasoroState.word([2], 1)) == VirasoroState.word([2, 2], 1)
 
 
 class TestBracketDefect:

@@ -68,7 +68,6 @@ class ParseError(ValueError):
     def __init__(self, message: str, offset: int) -> None:
         super().__init__(f"{message} (at offset {offset})")
         self.offset = offset
-        self.reason = message
 
 
 class _Scanner:

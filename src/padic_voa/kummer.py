@@ -8,9 +8,10 @@ as
     (r-1)! h[-r]h[-1]|0>
         = sum_{m=0}^{r-1} c(r, m) h(-m-1)h(-1)|0>  -  B_{r+1}/(r+1) |0>,
 
-with c(r, m) the Stirling-type integers from `scalars.c_coefficient`.  States
-are assembled as exact rationals first; p-adic reduction happens only at the
-reporting boundary (norm exponents), after the (1 - p^r) rescaling.
+with c(r, m) the Stirling-type integers of `scalars.c_coefficient`, taken a
+whole row at a time from `scalars.c_row`.  States are assembled as exact
+rationals first; p-adic reduction happens only at the reporting boundary
+(norm exponents), after the (1 - p^r) rescaling.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from math import inf
 from .axioms import DefectReport
 from .fock import HeisenbergState
 from .qchar import QSeries, eisenstein_G2_star, normalized_character, qseries_padic_distance
-from .scalars import bernoulli, c_coefficient, is_prime, valuation
+from .scalars import bernoulli, c_row, is_prime, valuation
 
 __all__ = [
     "exceptional_branch_ok",
@@ -49,12 +50,11 @@ def _require_odd_prime(p: int) -> None:
 
 def square_bracket_state(r: int) -> HeisenbergState:
     """The state (r-1)! h[-r]h[-1]|0> in the round-bracket monomial basis,
-    via the closed-form Stirling/Bernoulli expansion."""
+    via the closed-form Stirling/Bernoulli expansion, built in one piece from
+    the row c(r, 0..r-1)."""
     _require_odd_positive(r)
-    state = HeisenbergState.vacuum(-bernoulli(r + 1) / (r + 1))
-    for m in range(r):
-        state = state + HeisenbergState.monomial([m + 1, 1], c_coefficient(r, m))
-    return state
+    terms = [((m + 1, 1), c) for m, c in enumerate(c_row(r))]
+    return HeisenbergState([((), -bernoulli(r + 1) / (r + 1)), *terms])
 
 
 def v_state(r: int) -> HeisenbergState:

@@ -2,7 +2,7 @@
 engine computing v(n)b for arbitrary states of the Heisenberg or the
 Virasoro vertex algebra, Virasoro modes at central charge 1 inside the
 Heisenberg algebra (the modes of the conformal vector, through the same
-engine), zero modes and residue products.
+engine), zero modes and their graded traces, and residue products.
 
 Everything rests on one residue sum, the right side of the Jacobi identity
 (Kac, *Vertex Algebras for Beginners*, the associativity/Borcherds form):
@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .fock import Coefficient, GradedState, HeisenbergState, Partition, _accumulate_terms
+from .fock import Coefficient, GradedState, HeisenbergState, Partition, _accumulate_terms, partitions_of
 
 __all__ = [
     "clear_mode_cache",
@@ -34,6 +34,7 @@ __all__ = [
     "residue_product_mode",
     "virasoro_mode",
     "zero_mode",
+    "zero_mode_trace",
 ]
 
 _Terms = dict[Partition, Coefficient]
@@ -85,9 +86,15 @@ def h_mode(m: int, b: GradedState) -> GradedState:
 
 _MODE_CACHE: dict[tuple[str, Partition, int, Partition], _FrozenTerms] = {}
 
+# zero-mode traces derived from _MODE_CACHE, keyed on (algebra, pv, grade);
+# once it holds _TRACE_CACHE_SIZE entries the oldest one is dropped
+_TRACE_CACHE: dict[tuple[str, Partition, int], Coefficient] = {}
+_TRACE_CACHE_SIZE = 8192
+
 
 def clear_mode_cache() -> None:
     _MODE_CACHE.clear()
+    _TRACE_CACHE.clear()
 
 
 def _monomial_mode(proto: GradedState, pv: Partition, n: int, pb: Partition) -> _FrozenTerms:
@@ -117,6 +124,23 @@ def _monomial_mode(proto: GradedState, pv: Partition, n: int, pb: Partition) -> 
 
     _MODE_CACHE[cache_key] = result
     return result
+
+
+def zero_mode_trace(proto: GradedState, pv: Partition, n: int) -> Coefficient:
+    """Tr(o(v) | grade n) for v the basis vector pv of the algebra of `proto`:
+    the sum over the grade-n basis keys pb of the pb-coefficient of
+    v(wt v - 1) pb, read off the engine's images without building states.
+    An integer for Heisenberg; cached on (algebra, pv, n)."""
+    cache_key = (proto.algebra, pv, n)
+    trace = _TRACE_CACHE.get(cache_key)
+    if trace is None:
+        k = sum(pv) - 1
+        basis = partitions_of(n, proto.WEIGHT)
+        trace = sum(dict(_monomial_mode(proto, pv, k, pb)).get(pb, 0) for pb in basis)
+        if len(_TRACE_CACHE) >= _TRACE_CACHE_SIZE:
+            del _TRACE_CACHE[next(iter(_TRACE_CACHE))]
+        _TRACE_CACHE[cache_key] = trace
+    return trace
 
 
 def _key_mode(v: GradedState, n: int, key: Partition) -> _Pairs:

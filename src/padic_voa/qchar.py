@@ -11,8 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import inf
 
-from .fock import HeisenbergState, grade_basis
-from .modes import zero_mode
+from .fock import HeisenbergState
+from .modes import zero_mode_trace
 from .scalars import bernoulli, is_prime, valuation
 
 __all__ = [
@@ -110,19 +110,15 @@ class QSeries:
 def character(v: HeisenbergState, n_max: int) -> QSeries:
     """Graded trace Z(v, q) = q^(-1/24) sum_n Tr(o(v) on grade n) q^n.
 
-    Traces are accumulated matrix-free: o(v) is applied to each basis
-    monomial and the diagonal coefficient read off.
+    Z is linear in v, so each coefficient is sum_key c_key Tr(o(key) | grade n)
+    over the basis keys of v.  Each trace is an integer from
+    `modes.zero_mode_trace`, read off the diagonal of the engine's basis images
+    and cached, so Fractions enter only in this final combination.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    o_v = zero_mode(v)
-    coeffs = []
-    for n in range(n_max + 1):
-        trace = Fraction(0)
-        for parts in grade_basis(n):
-            image = o_v(HeisenbergState.monomial(parts))
-            trace += image.coefficient(parts)
-        coeffs.append(trace)
+    terms = v._terms.items()
+    coeffs = [sum(c * zero_mode_trace(v, key, n) for key, c in terms) for n in range(n_max + 1)]
     return QSeries(coeffs, Fraction(-1, 24))
 
 

@@ -1,7 +1,7 @@
 """Exact scalar arithmetic: p-adic valuations of rationals, and the
-combinatorial number sequences (Bernoulli numbers, the Stirling-type
-integers c(r, m), generalized binomials) that the state and q-series layers
-consume.
+combinatorial number sequences (Bernoulli numbers from integer tangent
+numbers, the Stirling-type integers c(r, m) from one forward-difference
+table, generalized binomials) that the state and q-series layers consume.
 
 All state and series construction elsewhere in the package happens over exact
 rationals: states store a coefficient as a plain `int` when it is integral
@@ -14,11 +14,14 @@ bookkeeping enters the recursive mode engine.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from functools import lru_cache
+from itertools import pairwise
+from math import factorial
 
 __all__ = [
     "bernoulli",
     "c_coefficient",
+    "c_row",
     "gen_binomial",
     "is_prime",
     "valuation",
@@ -68,21 +71,61 @@ _BERNOULLI: list[Fraction] = [Fraction(1)]
 
 
 def bernoulli(k: int) -> Fraction:
-    """k-th Bernoulli number, from the defining series z/(e^z - 1).
+    """k-th Bernoulli number, from the defining series z/(e^z - 1), so
+    B_1 = -1/2 and B_k = 0 for odd k >= 3.
 
-    Computed by the equivalent recurrence sum_{j=0}^{k} C(k+1, j) B_j = 0
-    (k >= 1) with memoization, so B_1 = -1/2 and B_k = 0 for odd k >= 3.
+    Even indices come from the integer tangent numbers T_n (Brent and Harvey,
+    *Fast computation of Bernoulli, tangent and secant numbers*, 2013):
+
+        B_2n = (-1)^(n-1) 2n T_n / (4^n (4^n - 1)).
+
+    The values are memoised in `_BERNOULLI` (B_0, B_1, ...); a call past its
+    end refills it to at least twice its length, so ascending calls do the
+    O(k^2) integer work a bounded number of times.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    while len(_BERNOULLI) <= k:
-        m = len(_BERNOULLI)
-        acc = Fraction(0)
-        for j in range(m):
-            if _BERNOULLI[j]:
-                acc += comb(m + 1, j) * _BERNOULLI[j]
-        _BERNOULLI.append(-acc / (m + 1))
+    if k >= len(_BERNOULLI):
+        top = max(k, 2 * len(_BERNOULLI))
+        tangent = _tangent_numbers(top // 2)
+        for j in range(len(_BERNOULLI), top + 1):
+            if j == 1:
+                value = Fraction(-1, 2)
+            elif j % 2:
+                value = Fraction(0)
+            else:
+                n = j // 2
+                value = Fraction((-1) ** (n - 1) * j * tangent[n], 4**n * (4**n - 1))
+            _BERNOULLI.append(value)
     return _BERNOULLI[k]
+
+
+def _tangent_numbers(n: int) -> list[int]:
+    """[0, T_1, ..., T_n], tan z = sum_k T_k z^(2k-1)/(2k-1)! (1, 2, 16, 272,
+    ...), by Brent and Harvey's in-place triangle: integer multiply-adds
+    only."""
+    t = [0, 1] + [0] * (n - 1)
+    for k in range(2, n + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t
+
+
+@lru_cache(maxsize=32)
+def c_row(r: int) -> tuple[int, ...]:
+    """(c(r, 0), ..., c(r, r-1)), the forward differences at 0 of
+    f(j) = (j+1)^(r-1), read down one difference table built by subtraction
+    alone (see `c_coefficient`)."""
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    column = [(j + 1) ** (r - 1) for j in range(r)]
+    row = []
+    while column:
+        row.append(column[0])
+        column = [b - a for a, b in pairwise(column)]
+    return tuple(row)
 
 
 def c_coefficient(r: int, m: int) -> int:
@@ -90,18 +133,15 @@ def c_coefficient(r: int, m: int) -> int:
 
         c(r, m) = sum_{j=0}^{m} (-1)^(m+j) C(m, j) (j+1)^(r-1),
 
-    equal to m! * S(r, m+1); in particular c(r, m) = 0 for m >= r and
+    the m-th forward difference at 0 of (j+1)^(r-1), read from `c_row`.  It
+    equals m! * S(r, m+1); in particular c(r, m) = 0 for m >= r and
     c(r, r-1) = (r-1)!.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
     if m < 0:
         raise ValueError("m must be >= 0")
-    total = 0
-    for j in range(m + 1):
-        term = comb(m, j) * (j + 1) ** (r - 1)
-        total += term if (m + j) % 2 == 0 else -term
-    return total
+    return c_row(r)[m] if m < r else 0
 
 
 def gen_binomial(t: int, i: int) -> int:

@@ -3,20 +3,25 @@
 Everything here is deliberately implemented by a different route than the
 package code it checks, and works on plain coefficient lists where it can:
 
-* Bernoulli numbers by the Akiyama-Tanigawa triangle, instead of the binomial
-  recurrence of `scalars.bernoulli`;
+* Bernoulli numbers by the Akiyama-Tanigawa triangle of rationals, instead
+  of the integer tangent numbers of `scalars.bernoulli`;
 * Stirling numbers S(n, k) by the triangle recurrence, instead of the
-  alternating power sums of `scalars.c_coefficient`;
+  forward-difference table of (j+1)^(r-1) of `scalars.c_row`, from which
+  `scalars.c_coefficient` reads c(r, m) = m! S(r, m+1);
 * partition counts by generating-function coefficient extraction
   (`series_inverse_coeffs` inverts a power series, as `QSeries.inverse`
   did), instead of recursive enumeration;
 * square-bracket states by substituting x = e^z - 1 into Y(h, x)h and
   extracting one z-coefficient, instead of the closed Stirling/Bernoulli
-  form of `kummer.square_bracket_state`;
+  form of `kummer.square_bracket_state`, built from one `c_row`;
 * v(n)b for a basis monomial v by the brute-force normal-ordered product
   expansion, and the Virasoro modes L(n) = 1/2 sum_j h(j)h(n-j) of the
   Heisenberg algebra from generator modes alone, instead of the associator
   recursion of `modes.mode_action`.
+
+Graded traces are checked in `tests/test_qchar.py` against o(v) applied as
+a state map to every basis monomial, instead of the cached per-key integer
+traces of `modes.zero_mode_trace` that `qchar.character` combines.
 """
 
 from __future__ import annotations

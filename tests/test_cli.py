@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import shlex
 from fractions import Fraction
 
 import pytest
@@ -248,12 +249,17 @@ SWEEP_SHA256 = [
     ("axioms --suite isometry --grade 2 --count 5 --prime 5 --full", "181952c9624db6e0ca9575d05cefff88ef6aab83294629ca0b12c493abb44860"),
     ("virasoro --cprime 1/2 --grade 4 --window 2 --full", "48f7b824b1f3395c3f8b7805fda00f7fd9d5a00665f301a89ec0f1ba53e67eed"),
     ("virasoro --cprime 12 --grade 4 --window 2 --full", "3e8152549f981c47b2f641969378c136e63d3dea7cd9474a33401bbbbe080896"),
+    ('character --state "1/2 h(-9)h(-1) vac" --qmax 20 --eta', "0cb485648ef6555cdd5f4bc0b743c95da23bdea0d0c81eca613c46faba29cbb2"),
+    ('character --state "h(-1)^2 vac" --qmax 10 --prime 5', "97375d45cc622472693d2e574a4cbd97e501b4b944417325b53bf6866025cc72"),
+    ("kummer --prime 5 --amax 2", "eec2c8287de6af7bf193adf8daab374e23a1c97fb3010d2df203cff9efea6096"),
+    ("kummer --prime 3 --amax 2", "7f28f70c5cb53c94bed24fa5978ce68bf27f2fee6b4a864c24f1341a25170a6c"),
+    ("kummer --prime 7 --amax 1 --qmax 6", "33f3c2a77770909b69747a1381a03b6466d16d43e57729fa239d2d438c963916"),
 ]
 
 
 @pytest.mark.parametrize("command, digest", SWEEP_SHA256)
 def test_sweep_output_unchanged(command, digest):
-    code, out = run_cli(command.split())
+    code, out = run_cli(shlex.split(command))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from padic_voa import modes
 from padic_voa.fock import HeisenbergState, grade_basis, partition_count
-from padic_voa.modes import zero_mode
+from padic_voa.kummer import u_state
+from padic_voa.modes import clear_mode_cache, zero_mode
 from padic_voa.qchar import (
     QSeries,
     character,
@@ -75,7 +77,48 @@ class TestEta:
         assert eta * inverse == QSeries([1] + [0] * 15)
 
 
+def matrix_free_character(v: HeisenbergState, n_max: int) -> list[Fraction]:
+    """Test-local traces: o(v) applied as a state map to each grade-n basis
+    monomial, and the diagonal coefficient read off the image."""
+    o_v = zero_mode(v)
+    return [
+        sum((o_v(HeisenbergState.monomial(parts)).coefficient(parts) for parts in grade_basis(n)), Fraction(0))
+        for n in range(n_max + 1)
+    ]
+
+
+INHOMOGENEOUS = HH.scale(Fraction(3, 7)) + HeisenbergState.monomial([3, 1], Fraction(-5, 2)) + VAC.scale(Fraction(1, 12))
+
+
 class TestCharacter:
+    @pytest.mark.parametrize(
+        "v, n_max",
+        [
+            (INHOMOGENEOUS, 8),
+            (u_state(21, 5), 10),
+            (HeisenbergState.zero(), 5),
+        ],
+        ids=["inhomogeneous", "u_21_at_5", "zero"],
+    )
+    def test_matches_matrix_free_trace(self, v, n_max):
+        series = character(v, n_max)
+        assert series.offset == Fraction(-1, 24)
+        assert list(series.coeffs) == matrix_free_character(v, n_max)
+
+    def test_clear_mode_cache_empties_the_trace_cache(self):
+        v = HeisenbergState.monomial([2, 1]) + HH.scale(Fraction(1, 3))
+        first = character(v, 7)
+        assert modes._TRACE_CACHE
+        clear_mode_cache()
+        assert not modes._TRACE_CACHE and not modes._MODE_CACHE
+        assert character(v, 7) == first
+
+    def test_trace_cache_drops_its_oldest_entries(self, monkeypatch):
+        clear_mode_cache()
+        monkeypatch.setattr(modes, "_TRACE_CACHE_SIZE", 3)
+        assert character(INHOMOGENEOUS, 6) == QSeries(matrix_free_character(INHOMOGENEOUS, 6), Fraction(-1, 24))
+        assert list(modes._TRACE_CACHE) == [(INHOMOGENEOUS.algebra, key, 6) for key in ((1, 1), (3, 1), ())]
+
     def test_vacuum_counts_partitions(self):
         series = character(VAC, 10)
         assert series.offset == Fraction(-1, 24)

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from padic_voa import scalars
 from padic_voa.scalars import (
     bernoulli,
     c_coefficient,
+    c_row,
     gen_binomial,
     is_prime,
     valuation,
@@ -99,6 +101,18 @@ class TestBernoulli:
         oracle = akiyama_tanigawa_bernoulli(40)
         assert [bernoulli(k) for k in range(41)] == oracle
 
+    def test_against_akiyama_tanigawa_to_300_in_any_order(self):
+        # the memo list is refilled in geometric steps: every order of calls,
+        # and a list cut back to B_0, must give the same values
+        oracle = akiyama_tanigawa_bernoulli(300)
+        del scalars._BERNOULLI[1:]
+        assert [bernoulli(k) for k in range(301)] == oracle
+        del scalars._BERNOULLI[1:]
+        assert [bernoulli(k) for k in range(300, -1, -1)] == oracle[::-1]
+        del scalars._BERNOULLI[1:]
+        assert bernoulli(296) == oracle[296]
+        assert [bernoulli(k) for k in range(301)] == oracle
+
     def test_defining_recurrence(self):
         for k in range(1, 31):
             assert sum(comb(k + 1, j) * bernoulli(j) for j in range(k + 1)) == 0
@@ -120,9 +134,13 @@ class TestCCoefficient:
         assert c_coefficient(3, 2) == 2
 
     def test_matches_stirling_product(self):
-        for r in range(1, 13):
-            for m in range(13):
+        for r in range(1, 61):
+            for m in range(r + 3):
                 assert c_coefficient(r, m) == factorial(m) * stirling2(r, m + 1)
+
+    def test_row_cache_is_bounded(self):
+        assert c_row.cache_info().maxsize is not None
+        assert isinstance(c_row(7), tuple)
 
     def test_top_coefficient_is_factorial(self):
         for r in range(1, 10):

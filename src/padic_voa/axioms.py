@@ -11,11 +11,11 @@ of the axioms).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb, inf
+from math import inf
 from typing import Any, Iterable, Sequence
 
 from .fock import GradedState, _accumulate_terms, partitions_of
-from .modes import _modes_of, _residue_sum, mode_action, residue_product_mode
+from .modes import _modes_of, _residue_sum, mode_action
 from .scalars import gen_binomial
 
 __all__ = [
@@ -108,9 +108,9 @@ def associator_defect(
     prime: int = 2,
 ) -> DefectReport:
     """Defect of the associator formula (u(t)v)(s) w = R_t(u, v; 0, s) w:
-    the composed modes minus the residue product."""
-    defect = mode_action(mode_action(u, t, v), s, w) - residue_product_mode(u, v, t, s, w)
-    return DefectReport.from_defect(defect, prime, {"s": s, "t": t})
+    the composed modes minus the residue product.  This is the Jacobi
+    identity at r = 0, where only the i = 0 term C(0, 0) = 1 survives."""
+    return DefectReport.from_defect(_jacobi_sides(u, v, w, 0, s, t), prime, {"s": s, "t": t})
 
 
 def locality_profile(
@@ -124,16 +124,16 @@ def locality_profile(
     (x-y)^t [Y(u,x), Y(v,y)] w for t = 0 .. t_max, over a chosen window of
     mode labels.
 
-    Expanding (x-y)^t by the binomial theorem, the (r, s) coefficient (of
-    x^(-r-1) y^(-s-1)) is
+    The (r, s) coefficient (of x^(-r-1) y^(-s-1)) is R_t(u, v; r, s) w, the
+    right side of the Jacobi identity.  At t = 0 it is the bracket
+    [u(r), v(s)] w, computed once per call by the residue sum of `modes`;
+    each further factor (x-y) is one subtraction,
 
-        R_t(u, v; r, s) w = sum_{i=0..t} (-1)^i C(t, i) [u(r+t-i), v(s+i)] w,
+        R_t(r, s) = R_{t-1}(r+1, s) - R_{t-1}(r, s+1).
 
-    the right side of the Jacobi identity.  Each bracket [u(a), v(b)] w is
-    R_0(u, v; a, b) w, computed once per call and shared by every (r, s, t)
-    that needs it.  Every coefficient lands in grade W - r - s - t - 2,
-    with W = wt(u) + wt(v) + wt(w), so pairs with r + s > W - t - 2 vanish
-    by grading and are skipped.  The clamp |r|, |s| <= W + 2 is a chosen
+    Every coefficient lands in grade W - r - s - t - 2, with
+    W = wt(u) + wt(v) + wt(w), so pairs with r + s > W - t - 2 vanish by
+    grading and are skipped.  The clamp |r|, |s| <= W + 2 is a chosen
     window, not a consequence of grading: for u = v = h, w = |0> and t = 0
     the coefficient [h(r), h(-r)]|0> = r|0> is nonzero for every r.  A
     profile that vanishes for t >= wt(u) + wt(v) is therefore evidence, not
@@ -148,30 +148,27 @@ def locality_profile(
         return [(t, -inf) for t in range(t_max + 1)]
     wu, wv = u.max_weight(), v.max_weight()
     u_modes, v_modes = _modes_of(u), _modes_of(v)
-    brackets: dict[tuple[int, int], dict] = {}
-
-    def bracket(a: int, b: int) -> dict:
-        """Terms of [u(a), v(b)] w."""
-        terms = brackets.get((a, b))
-        if terms is None:
-            terms = brackets[a, b] = {}
-            for key, c in w._terms.items():
-                _residue_sum(terms, c, u_modes, wu, v_modes, wv, a, b, 0, key)
-        return terms
-
     total_weight = wu + wv + w.max_weight()
     span = total_weight + 2
+    # R_0 on every (r, s) that the t_max steps below read
+    grid: dict[tuple[int, int], dict] = {}
+    for r in range(-span, span + t_max + 1):
+        for s in range(-span, min(span + t_max, total_weight - 2 - r) + 1):
+            terms = grid[r, s] = {}
+            for key, c in w._terms.items():
+                _residue_sum(terms, c, u_modes, wu, v_modes, wv, r, s, 0, key)
     profile: list[tuple[int, int | float]] = []
     for t in range(t_max + 1):
-        best: int | float = -inf
-        for r in range(-span, span + 1):
-            for s in range(-span, span + 1):
-                if r + s > total_weight - t - 2:
-                    continue
-                acc: dict = {}
-                for i in range(t + 1):
-                    _accumulate_terms(acc, bracket(r + t - i, s + i).items(), (-1) ** i * comb(t, i))
-                best = max(best, w._with(acc).sup_norm_exponent(prime))
+        if t:
+            previous, grid = grid, {}
+            for r, s in previous:
+                if r + s <= total_weight - t - 2 and max(r, s) <= span + t_max - t:
+                    terms = grid[r, s] = dict(previous[r + 1, s])
+                    _accumulate_terms(terms, previous[r, s + 1].items(), -1)
+        best = max(
+            (w._with(terms).sup_norm_exponent(prime) for (r, s), terms in grid.items() if max(r, s) <= span),
+            default=-inf,
+        )
         profile.append((t, best))
     return profile
 

@@ -51,7 +51,7 @@ from .qchar import (
     normalized_character,
     qseries_padic_distance,
 )
-from .scalars import is_prime, valuation
+from .scalars import is_prime
 from .virasoro import VirasoroState, L_action, vir_bracket_defect, vir_grade_basis
 
 __all__ = [
@@ -309,13 +309,10 @@ def _cmd_character(args) -> int:
         "state": render_heisenberg(state),
     }
     if args.prime is not None:
-        exponents = [
-            None if c == 0 else -valuation(c, args.prime) for c in series.coeffs
-        ]
+        exponents = series.norm_exponents(args.prime)
         payload["prime"] = args.prime
-        payload["coefficient_norm_exponents"] = exponents
-        finite = [e for e in exponents if e is not None]
-        payload["sup_norm_exponent"] = max(finite) if finite else None
+        payload["coefficient_norm_exponents"] = [_exponent_json(e) for e in exponents]
+        payload["sup_norm_exponent"] = _exponent_json(max(exponents))
     _emit(payload, args.out)
     return 0
 
@@ -365,7 +362,7 @@ def _cmd_kummer(args) -> int:
             "r": kummer_index(p, a),
             "distance_exponent": _exponent_json(distance),
             "bound": -(a + 1),
-            "coefficient_exponents": [None if d == 0 else -valuation(d, p) for d in (series - target).coeffs],
+            "coefficient_exponents": [_exponent_json(e) for e in (series - target).norm_exponents(p)],
             "ok": distance <= -(a + 1),
         }
         if on_exceptional_branch(p, row["r"]):

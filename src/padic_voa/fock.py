@@ -28,7 +28,7 @@ from functools import lru_cache
 from math import inf
 from typing import Iterable, Iterator, Mapping
 
-from .scalars import valuation
+from .scalars import is_prime, valuation
 
 __all__ = [
     "GradedState",
@@ -225,6 +225,8 @@ class GradedState:
     def r_norm_exponent(self, p: int, e: int) -> int | float:
         """log_p of |.|_r at r = p^e: max over terms of
         (-v_p(coefficient) + e * weight)."""
+        if not is_prime(p):
+            raise ValueError(f"prime required, got {p}")
         if not self._terms:
             return -inf
         return max(-valuation(c, p) + e * sum(key) for key, c in self._terms.items())

@@ -134,9 +134,9 @@ def exceptional_character_exponents(p: int, a: int, character: QSeries, target: 
     of its q^n coefficients (n >= 1), and that of E(r+1) f(u_r)_0 - E(2) zeta_p(-1),
     zeta_p(-1) = (p-1)/12 being the constant term of 2 G_2*."""
     k = kummer_index(p, a) + 1
-    q_terms = (character - target).coeffs[1:]
+    q_exponents = (character - target).norm_exponents(p)[1:]
     return {
-        "q_coefficient_exponent": max((-valuation(d, p) for d in q_terms if d), default=-inf),
+        "q_coefficient_exponent": max(q_exponents, default=-inf),
         "regularised_exponent": _regularised_exponent(p, k, character.coefficient(0), 2, Fraction(p - 1, 12)),
     }
 

@@ -52,6 +52,12 @@ class QSeries:
     def coefficient(self, n: int) -> Fraction:
         return self.coeffs[n]
 
+    def norm_exponents(self, p: int) -> list[int | float]:
+        """-v_p of each coefficient, -inf for a zero one."""
+        if not is_prime(p):
+            raise ValueError(f"prime required, got {p}")
+        return [-valuation(c, p) if c else -inf for c in self.coeffs]
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QSeries):
             return NotImplemented
@@ -107,6 +113,11 @@ class QSeries:
         return f"QSeries(q^({self.offset}) * [{head}{tail}]; order {self.order})"
 
 
+def _require_order(n_max: int) -> None:
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+
+
 def character(v: HeisenbergState, n_max: int) -> QSeries:
     """Graded trace Z(v, q) = q^(-1/24) sum_n Tr(o(v) on grade n) q^n.
 
@@ -115,8 +126,7 @@ def character(v: HeisenbergState, n_max: int) -> QSeries:
     `modes.zero_mode_trace`, read off the diagonal of the engine's basis images
     and cached, so Fractions enter only in this final combination.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    _require_order(n_max)
     terms = v._terms.items()
     coeffs = [sum(c * zero_mode_trace(v, key, n) for key, c in terms) for n in range(n_max + 1)]
     return QSeries(coeffs, Fraction(-1, 24))
@@ -125,6 +135,7 @@ def character(v: HeisenbergState, n_max: int) -> QSeries:
 def eta_series(n_max: int) -> QSeries:
     """Dedekind eta: q^(1/24) prod_{n>=1} (1 - q^n), by Euler's pentagonal
     number expansion."""
+    _require_order(n_max)
     coeffs = [Fraction(0)] * (n_max + 1)
     coeffs[0] = Fraction(1)
     k = 1
@@ -168,6 +179,7 @@ def eisenstein_G(k: int, n_max: int) -> QSeries:
     """Weight-k Eisenstein series G_k = -B_k/2k + sum_n sigma_{k-1}(n) q^n."""
     if k < 2 or k % 2:
         raise ValueError("k must be even and >= 2")
+    _require_order(n_max)
     coeffs = [-bernoulli(k) / (2 * k)]
     coeffs += [Fraction(divisor_power_sum(n, k - 1)) for n in range(1, n_max + 1)]
     return QSeries(coeffs)
@@ -183,6 +195,7 @@ def eisenstein_G2_star(p: int, n_max: int) -> QSeries:
     """
     if p == 2 or not is_prime(p):
         raise ValueError("p must be an odd prime")
+    _require_order(n_max)
     coeffs = [Fraction(p - 1, 24)]
     coeffs += [Fraction(coprime_divisor_sum(n, p)) for n in range(1, n_max + 1)]
     return QSeries(coeffs)
@@ -191,11 +204,4 @@ def eisenstein_G2_star(p: int, n_max: int) -> QSeries:
 def qseries_padic_distance(a: QSeries, b: QSeries, p: int) -> int | float:
     """log_p of the sup-norm distance between two q-expansions with equal
     offsets: max over n of -v_p(a_n - b_n); -inf when they agree."""
-    if a.offset != b.offset:
-        raise ValueError(f"offset mismatch: {a.offset} vs {b.offset}")
-    best: int | float = -inf
-    for n in range(min(a.order, b.order) + 1):
-        diff = a.coeffs[n] - b.coeffs[n]
-        if diff:
-            best = max(best, -valuation(diff, p))
-    return best
+    return max((a - b).norm_exponents(p))

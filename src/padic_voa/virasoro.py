@@ -82,44 +82,28 @@ class VirasoroState(GradedState):
         return f"VirasoroState({self.render()}; c'={self.charge})"
 
 
-def _prepend(k: int, terms: dict[Word, Coefficient]) -> dict[Word, Coefficient]:
-    """Left-multiply by the creation operator L(-k), k >= 2, restoring PBW
-    order.  Commuting L(-k) past a larger creation part k' produces the
-    deeper creation L(-k-k'); no central term can arise (k + k' > 0)."""
-    out: dict[Word, Coefficient] = {}
-    for word, coeff in terms.items():
-        _accumulate_terms(out, _prepend_word(k, word), coeff)
-    return out
-
-
-def _prepend_word(k: int, word: Word) -> list[tuple[Word, int]]:
-    if not word or k >= word[0]:
-        return [((k, *word), 1)]
-    head, rest = word[0], word[1:]
-    # L(-k) L(-head) = L(-head) L(-k) + (head - k) L(-k-head)
-    out: list[tuple[Word, int]] = []
-    for inner_word, factor in _prepend_word(k, rest):
-        for outer_word, outer_factor in _prepend_word(head, inner_word):
-            out.append((outer_word, factor * outer_factor))
-    for deep_word, factor in _prepend_word(k + head, rest):
-        out.append((deep_word, factor * (head - k)))
-    return out
-
-
 def _apply(n: int, word: Word, charge: Coefficient) -> dict[Word, Coefficient]:
-    """L(n) applied to a PBW basis word, in PBW normal form.
+    """L(n) applied to a PBW basis word, in PBW normal form, by commuting L(n)
+    rightward past the word's top part:
 
-    v0 is annihilated by L(n) for n >= 0; a bare L(-1)v0 lies in the quotient
-    ideal and is dropped.  Terminates because every recursive call shortens
-    the word (creations are delegated to `_prepend`)."""
-    if n <= -2:
-        return _prepend(-n, {word: 1})
+        L(n) L(-head) = L(-head) L(n) + (n + head) L(n - head)
+                        + delta_{n, head} C(n+1, 3) c'.
+
+    A creation L(n), n <= -2, stops in front of a part <= -n.  L(n) with
+    n >= 0 annihilates v0, and a bare L(-1)v0 lies in the quotient ideal and
+    is dropped.  Terminates: L(n) with n >= -1 recurses on the shorter rest
+    of the word, apart from creations.  A creation L(-k) recurses either at a
+    smaller total grade k + wt(word), or at the same total grade with a
+    deeper creation, L(-head) or L(-k-head) with head > k; and no creation
+    is deeper than the total grade."""
+    if n <= -2 and (not word or -n >= word[0]):
+        return {(-n, *word): 1}
     if not word:
         return {}
     head, rest = word[0], word[1:]
-    # L(n) L(-head) = L(-head) L(n) + (n + head) L(n - head)
-    #                 + delta_{n, head} C(n+1, 3) c'
-    out = _prepend(head, _apply(n, rest, charge))
+    out: dict[Word, Coefficient] = {}
+    for inner, c in _apply(n, rest, charge).items():
+        _accumulate_terms(out, _apply(-head, inner, charge).items(), c)
     _accumulate_terms(out, _apply(n - head, rest, charge).items(), n + head)
     if n == head:
         _accumulate_terms(out, [(rest, comb(n + 1, 3) * charge)])

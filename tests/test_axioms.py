@@ -70,6 +70,10 @@ class TestJacobi:
         assert report.defect.is_zero
         assert report.parameters == {"r": 1, "s": -1, "t": 0}
 
+    def test_rejects_non_prime_on_zero_defect(self):
+        with pytest.raises(ValueError):
+            jacobi_defect(H, H, VAC, 1, -1, 0, prime=4)
+
 
 class TestCommutator:
     def test_pairing_instance(self):
@@ -192,7 +196,7 @@ LOCALITY_TRIPLES = {
 
 
 class TestLocalityMemo:
-    """The memoised `locality_profile` against unmemoised residue sums, and
+    """The stepped `locality_profile` against unmemoised residue sums, and
     its zero rows against the exact OPE certificate."""
 
     @pytest.mark.parametrize("algebra", sorted(LOCALITY_TRIPLES))

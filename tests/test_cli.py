@@ -246,9 +246,11 @@ SWEEP_SHA256 = [
     ("axioms --suite jacobi --grade 1 --window 1 --full", "b5516c08f9b7ee8b44d46dcc138ebf20458a2c512612ffdf74de3ff352036c10"),
     ("axioms --suite commutator --grade 2 --window 1 --full", "22d38e2180959f5d2f8c976dbdc973de7e6a10e7f19ed26397ecac58f74da39e"),
     ("axioms --suite locality --grade 1 --window 3 --full", "bbc2da0169ed364b5fa778bc3781a8be452633dec7d56e085f3a745515b7087d"),
+    ("axioms --suite locality --grade 2 --window 4 --full", "a6ba66bf22ef05647f4f2643c722c369073d6bae98c139900217f73d81fbf5f2"),
     ("axioms --suite isometry --grade 2 --count 5 --prime 5 --full", "181952c9624db6e0ca9575d05cefff88ef6aab83294629ca0b12c493abb44860"),
     ("virasoro --cprime 1/2 --grade 4 --window 2 --full", "48f7b824b1f3395c3f8b7805fda00f7fd9d5a00665f301a89ec0f1ba53e67eed"),
     ("virasoro --cprime 12 --grade 4 --window 2 --full", "3e8152549f981c47b2f641969378c136e63d3dea7cd9474a33401bbbbe080896"),
+    ("virasoro --cprime 1/2 --grade 8 --window 3 --full", "2aefb3e35c83f40a34ddeaaeedf21ab8f75e067db943d387b4811f9c57dbd78a"),
     ('character --state "1/2 h(-9)h(-1) vac" --qmax 20 --eta', "0cb485648ef6555cdd5f4bc0b743c95da23bdea0d0c81eca613c46faba29cbb2"),
     ('character --state "h(-1)^2 vac" --qmax 10 --prime 5', "97375d45cc622472693d2e574a4cbd97e501b4b944417325b53bf6866025cc72"),
     ("kummer --prime 5 --amax 2", "eec2c8287de6af7bf193adf8daab374e23a1c97fb3010d2df203cff9efea6096"),

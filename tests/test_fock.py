@@ -145,6 +145,13 @@ class TestNorms:
         assert HeisenbergState.vacuum().r_norm_exponent(p, -3) == 0
         assert HeisenbergState.monomial([1], p).r_norm_exponent(p, 0) == -1
 
+    def test_rejects_non_prime_on_zero_state(self):
+        for state in (HeisenbergState.zero(), HeisenbergState.vacuum()):
+            with pytest.raises(ValueError):
+                state.sup_norm_exponent(4)
+            with pytest.raises(ValueError):
+                state.r_norm_exponent(4, 1)
+
     @given(states(), states(), st.sampled_from([2, 3, 5, 7]))
     def test_strong_triangle(self, a, b, p):
         assert (a + b).sup_norm_exponent(p) <= max(

@@ -30,6 +30,21 @@ H = HeisenbergState.monomial([1])
 HH = HeisenbergState.monomial([1, 1])
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        eta_series,
+        lambda n: normalized_character(H, n),
+        lambda n: eisenstein_G(4, n),
+        lambda n: eisenstein_G2_star(5, n),
+    ],
+    ids=["eta_series", "normalized_character", "eisenstein_G", "eisenstein_G2_star"],
+)
+def test_negative_order_rejected(build):
+    with pytest.raises(ValueError, match="n_max must be >= 0"):
+        build(-1)
+
+
 class TestQSeries:
     def test_offset_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -41,6 +56,13 @@ class TestQSeries:
         product = a * b
         assert product.offset == 0
         assert product.coeffs == (Fraction(1), Fraction(0))
+
+    def test_norm_exponents(self):
+        assert QSeries([0, 25, Fraction(1, 5), 3]).norm_exponents(5) == [-inf, -2, 1, 0]
+
+    def test_norm_exponents_reject_non_prime_on_zero_series(self):
+        with pytest.raises(ValueError):
+            QSeries([0, 0]).norm_exponents(4)
 
     def test_json_strings_are_exact(self):
         a = QSeries([Fraction(-691, 2730), 1], Fraction(-1, 24))
@@ -227,6 +249,11 @@ class TestPadicDistance:
         a = QSeries([0, 25, 0])
         b = QSeries([0, 0, 0])
         assert qseries_padic_distance(a, b, 5) == -2
+
+    def test_rejects_non_prime_on_identical_series(self):
+        a = eisenstein_G(2, 4)
+        with pytest.raises(ValueError):
+            qseries_padic_distance(a, a, 4)
 
     def test_offset_mismatch(self):
         with pytest.raises(ValueError):

@@ -16,7 +16,7 @@ from typing import Any, Iterable, Sequence
 
 from .fock import GradedState, _accumulate_terms, partitions_of
 from .modes import _modes_of, _residue_sum, mode_action
-from .scalars import gen_binomial
+from .scalars import gen_binomial, is_prime
 
 __all__ = [
     "DefectReport",
@@ -142,6 +142,8 @@ def locality_profile(
     """
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
+    if not is_prime(prime):
+        raise ValueError(f"prime required, got {prime}")
     u._check(v)
     u._check(w)
     if u.is_zero or v.is_zero or w.is_zero:

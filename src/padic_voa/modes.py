@@ -93,6 +93,8 @@ _TRACE_CACHE_SIZE = 8192
 
 
 def clear_mode_cache() -> None:
+    """Empty `_MODE_CACHE` (v(n) on basis keys) and `_TRACE_CACHE` (zero-mode
+    traces); `virasoro._apply.cache_clear()` resets the Virasoro rewrite memo."""
     _MODE_CACHE.clear()
     _TRACE_CACHE.clear()
 

@@ -11,11 +11,13 @@ with kappa acting as the identity and c' the quasicentral charge (half the
 conventional central charge), so that all structure constants lie in Z[c'].
 Applied modes are rewritten to PBW normal form by bubbling rightward with the
 bracket; normal-form words containing a part 1 span the quotient ideal and
-are dropped.
+are dropped.  Each rewrite of L(n) on a word is kept, as an immutable tuple,
+in one bounded memo keyed on (n, word, c'); `_apply.cache_clear()` empties it.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb
 from typing import Iterable
 
@@ -64,7 +66,7 @@ class VirasoroState(GradedState):
         return state
 
     def _generator_mode(self, m: int, key: Word) -> Iterable[tuple[Word, Coefficient]]:
-        return _apply(m - 1, key, self.charge).items()
+        return _apply(m - 1, key, self.charge)
 
     @classmethod
     def vacuum(cls, charge: Coefficient, coeff: Coefficient = 1) -> "VirasoroState":
@@ -82,7 +84,8 @@ class VirasoroState(GradedState):
         return f"VirasoroState({self.render()}; c'={self.charge})"
 
 
-def _apply(n: int, word: Word, charge: Coefficient) -> dict[Word, Coefficient]:
+@lru_cache(maxsize=1 << 16)
+def _apply(n: int, word: Word, charge: Coefficient) -> tuple[tuple[Word, Coefficient], ...]:
     """L(n) applied to a PBW basis word, in PBW normal form, by commuting L(n)
     rightward past the word's top part:
 
@@ -95,19 +98,20 @@ def _apply(n: int, word: Word, charge: Coefficient) -> dict[Word, Coefficient]:
     of the word, apart from creations.  A creation L(-k) recurses either at a
     smaller total grade k + wt(word), or at the same total grade with a
     deeper creation, L(-head) or L(-k-head) with head > k; and no creation
-    is deeper than the total grade."""
+    is deeper than the total grade.  Memoised on (n, word, c') in a bounded
+    LRU cache, as an immutable tuple of (word, coefficient) pairs."""
     if n <= -2 and (not word or -n >= word[0]):
-        return {(-n, *word): 1}
+        return (((-n, *word), 1),)
     if not word:
-        return {}
+        return ()
     head, rest = word[0], word[1:]
     out: dict[Word, Coefficient] = {}
-    for inner, c in _apply(n, rest, charge).items():
-        _accumulate_terms(out, _apply(-head, inner, charge).items(), c)
-    _accumulate_terms(out, _apply(n - head, rest, charge).items(), n + head)
+    for inner, c in _apply(n, rest, charge):
+        _accumulate_terms(out, _apply(-head, inner, charge), c)
+    _accumulate_terms(out, _apply(n - head, rest, charge), n + head)
     if n == head:
         _accumulate_terms(out, [(rest, comb(n + 1, 3) * charge)])
-    return out
+    return tuple(out.items())
 
 
 def L_action(n: int, state: VirasoroState) -> VirasoroState:

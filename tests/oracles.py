@@ -17,7 +17,10 @@ package code it checks, and works on plain coefficient lists where it can:
 * v(n)b for a basis monomial v by the brute-force normal-ordered product
   expansion, and the Virasoro modes L(n) = 1/2 sum_j h(j)h(n-j) of the
   Heisenberg algebra from generator modes alone, instead of the associator
-  recursion of `modes.mode_action`.
+  recursion of `modes.mode_action`;
+* L(n) on a Virasoro PBW word by straightening unsorted mode sequences on
+  v0 with the bracket alone, instead of the memoised head-peeling rewrite
+  `virasoro._apply`.
 
 Graded traces are checked in `tests/test_qchar.py` against o(v) applied as
 a state map to every basis monomial, instead of the cached per-key integer
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import comb
 
 from padic_voa.fock import HeisenbergState
 from padic_voa.modes import h_mode
@@ -203,3 +207,36 @@ def normal_ordered_mode(parts: tuple[int, ...], n: int, b: HeisenbergState) -> H
         if not state.is_zero:
             total = total + state.scale(coeff)
     return total
+
+
+def virasoro_straighten(modes: tuple[int, ...], charge) -> dict[tuple[int, ...], object]:
+    """L(m_1) ... L(m_k) v0 in the PBW basis of the Virasoro quotient module,
+    as {word: coefficient} with words n_1 >= ... >= n_r >= 2 for
+    L(-n_1) ... L(-n_r) v0.
+
+    A worklist of mode sequences, read left to right, is straightened with
+    two rules only: L(n) v0 = 0 for n >= -1 on the rightmost mode, and the
+    first adjacent pair L(a) L(b) with a > b is swapped by
+
+        L(a) L(b) = L(b) L(a) + (a - b) L(a + b) + delta_{a+b,0} C(a+1, 3) c'.
+
+    A sequence with no such pair and rightmost mode <= -2 is a PBW word."""
+    out: dict[tuple[int, ...], object] = {}
+    pending: dict[tuple[int, ...], object] = {tuple(modes): 1}
+    while pending:
+        seq, coeff = pending.popitem()
+        if not coeff or (seq and seq[-1] >= -1):
+            continue
+        i = next((i for i in range(len(seq) - 1) if seq[i] > seq[i + 1]), None)
+        if i is None:
+            word = tuple(-m for m in seq)
+            out[word] = out.get(word, 0) + coeff
+            continue
+        a, b = seq[i], seq[i + 1]
+        head, tail = seq[:i], seq[i + 2 :]
+        moves = [((*head, b, a, *tail), coeff), ((*head, a + b, *tail), (a - b) * coeff)]
+        if a + b == 0:
+            moves.append(((*head, *tail), comb(a + 1, 3) * charge * coeff))
+        for move, c in moves:
+            pending[move] = pending.get(move, 0) + c
+    return {word: c for word, c in out.items() if c}

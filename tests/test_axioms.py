@@ -127,6 +127,13 @@ class TestLocality:
         assert profile[2] == -inf
         assert profile[3] == -inf
 
+    def test_zero_state_checks_prime(self):
+        zero = HeisenbergState.zero()
+        for triple in ((zero, H, VAC), (H, zero, VAC), (H, H, zero)):
+            with pytest.raises(ValueError, match="prime required, got 4"):
+                locality_profile(*triple, 2, prime=4)
+            assert locality_profile(*triple, 2, prime=5) == [(0, -inf), (1, -inf), (2, -inf)]
+
     def test_identity_field_commutes(self):
         for w in basis_states(2):
             profile = locality_profile(VAC, HeisenbergState.monomial([2, 1]), w, 3)

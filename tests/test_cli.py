@@ -251,6 +251,7 @@ SWEEP_SHA256 = [
     ("virasoro --cprime 1/2 --grade 4 --window 2 --full", "48f7b824b1f3395c3f8b7805fda00f7fd9d5a00665f301a89ec0f1ba53e67eed"),
     ("virasoro --cprime 12 --grade 4 --window 2 --full", "3e8152549f981c47b2f641969378c136e63d3dea7cd9474a33401bbbbe080896"),
     ("virasoro --cprime 1/2 --grade 8 --window 3 --full", "2aefb3e35c83f40a34ddeaaeedf21ab8f75e067db943d387b4811f9c57dbd78a"),
+    ("virasoro --cprime 1 --grade 7 --window 7 --full", "4530c8f321160b75a6152eb2ef65fe0d4411b48cfad1eabb5e299e264f8a2eb9"),
     ('character --state "1/2 h(-9)h(-1) vac" --qmax 20 --eta', "0cb485648ef6555cdd5f4bc0b743c95da23bdea0d0c81eca613c46faba29cbb2"),
     ('character --state "h(-1)^2 vac" --qmax 10 --prime 5', "97375d45cc622472693d2e574a4cbd97e501b4b944417325b53bf6866025cc72"),
     ("kummer --prime 5 --amax 2", "eec2c8287de6af7bf193adf8daab374e23a1c97fb3010d2df203cff9efea6096"),

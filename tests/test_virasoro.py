@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
 from fractions import Fraction
 
 import pytest
 
+from padic_voa import virasoro
 from padic_voa.axioms import associator_defect, commutator_defect, jacobi_defect
+from padic_voa.cli import main
 from padic_voa.fock import HeisenbergState
 from padic_voa.modes import _MODE_CACHE, clear_mode_cache, mode_action, residue_product_mode
 from padic_voa.scalars import gen_binomial
@@ -17,7 +21,7 @@ from padic_voa.virasoro import (
     vir_mode_action,
 )
 
-from oracles import partition_counts
+from oracles import partition_counts, virasoro_straighten
 
 CHARGES = (0, 1, 12, Fraction(1, 2))
 
@@ -110,6 +114,56 @@ class TestLAction:
         assert got == VirasoroState.word([3], 1)
         # L(-2) L(-2) v0 is already in PBW order
         assert L_action(-2, VirasoroState.word([2], 1)) == VirasoroState.word([2, 2], 1)
+
+
+class TestRewriteMemo:
+    """`virasoro._apply` against the straightening oracle, and the contract
+    of its memo: bounded, keyed on (n, word, c'), immutable values."""
+
+    WORDS = [word for grade in range(7) for word in vir_grade_basis(grade)]
+    CASES = [(n, word) for word in WORDS for n in range(-4, 5)]
+
+    @staticmethod
+    def check(n, word, charge):
+        got = L_action(n, VirasoroState.word(word, charge))._terms
+        expected = virasoro_straighten((n, *(-part for part in word)), charge)
+        assert got == expected, (n, word, charge)
+
+    def test_matches_straightening_oracle(self):
+        virasoro._apply.cache_clear()
+        for charge in CHARGES:
+            for n, word in self.CASES:
+                self.check(n, word, charge)
+        # charges interleaved on a warm memo: a key without c' would hand
+        # one charge's rewrite to the next
+        for n, word in self.CASES:
+            for charge in CHARGES:
+                self.check(n, word, charge)
+
+    def test_values_are_tuples_and_memo_bounded(self):
+        assert type(virasoro._apply(2, (3, 2), 1)) is tuple
+        assert type(virasoro._apply(-5, (3, 2), 1)) is tuple
+        assert isinstance(virasoro._apply.cache_info().maxsize, int)
+
+    def test_results_do_not_share_memo_values(self):
+        state = VirasoroState.word([4, 2, 2], Fraction(1, 2))
+        first = L_action(2, state)
+        expected = dict(first._terms)
+        first._terms.clear()
+        first._terms[(9,)] = 5
+        assert L_action(2, state)._terms == expected
+
+    def test_repeated_sweep_adds_no_misses(self):
+        argv = ["virasoro", "--cprime", "1", "--grade", "5", "--window", "3"]
+        outputs = []
+        for _ in range(2):
+            misses = virasoro._apply.cache_info().misses
+            buffer = io.StringIO()
+            with contextlib.redirect_stdout(buffer):
+                assert main(argv) == 0
+            outputs.append(buffer.getvalue())
+        assert virasoro._apply.cache_info().misses == misses
+        assert outputs[0] == outputs[1]
 
 
 class TestBracketDefect:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 from itertools import product
@@ -35,22 +36,8 @@ from .axioms import (
     locality_profile,
 )
 from .fock import HeisenbergState, grade_basis
-from .kummer import (
-    exceptional_branch_ok,
-    exceptional_character_exponents,
-    exceptional_state_exponents,
-    kummer_check,
-    kummer_index,
-    on_exceptional_branch,
-    u_state,
-)
-from .qchar import (
-    character,
-    eisenstein_G,
-    eisenstein_G2_star,
-    normalized_character,
-    qseries_padic_distance,
-)
+from .kummer import character_verdict, kummer_check, kummer_index, state_verdict, u_state
+from .qchar import character, eisenstein_G, eisenstein_G2_star, normalized_character
 from .scalars import is_prime
 from .virasoro import VirasoroState, L_action, vir_bracket_defect, vir_grade_basis
 
@@ -70,95 +57,72 @@ class ParseError(ValueError):
         self.offset = offset
 
 
-class _Scanner:
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, char: str) -> bool:
-        if self.peek() == char:
-            self.pos += 1
-            return True
-        return False
-
-    def expect(self, char: str) -> None:
-        if not self.take(char):
-            raise ParseError(f"expected '{char}'", self.pos)
-
-    def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError("expected an integer", start)
-        return int(self.text[start : self.pos])
-
-    def keyword(self, word: str) -> bool:
-        self.skip_ws()
-        if self.text.startswith(word, self.pos):
-            self.pos += len(word)
-            return True
-        return False
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
+_TOKEN = re.compile(r"\s*(\d+|vac|\S)")
 
 
 def parse_state(text: str) -> HeisenbergState:
     """Parse a state expression into a Fock state; raises ParseError with the
-    input offset."""
-    scanner = _Scanner(text)
-    state = _parse_term(scanner, -1 if scanner.take("-") else 1)
-    while not scanner.at_end():
-        if scanner.take("+"):
-            state = state + _parse_term(scanner, 1)
-        elif scanner.take("-"):
-            state = state + _parse_term(scanner, -1)
-        else:
-            raise ParseError("expected '+', '-', or end of input", scanner.pos)
+    input offset.  The rules below read one list of (token, offset) pairs,
+    last token first, whose bottom is an end marker ("", len(text))."""
+    tokens = [("", len(text))] + [(match[1], match.start(1)) for match in _TOKEN.finditer(text)][::-1]
+    state = _parse_term(tokens, -1 if _take(tokens, "-") else 1)
+    while tokens[-1][0]:
+        token, offset = tokens.pop()
+        if token not in ("+", "-"):
+            raise ParseError("expected '+', '-', or end of input", offset)
+        state = state + _parse_term(tokens, 1 if token == "+" else -1)
     return state
 
 
-def _parse_term(scanner: _Scanner, sign: int) -> HeisenbergState:
+def _take(tokens: list[tuple[str, int]], token: str) -> bool:
+    if tokens[-1][0] == token:
+        tokens.pop()
+        return True
+    return False
+
+
+def _expect(tokens: list[tuple[str, int]], token: str) -> None:
+    found, offset = tokens.pop()
+    if found != token:
+        raise ParseError(f"expected '{token}'", offset)
+
+
+def _integer(tokens: list[tuple[str, int]]) -> int:
+    token, offset = tokens.pop()
+    if not token.isdecimal():
+        raise ParseError("expected an integer", offset)
+    return int(token)
+
+
+def _parse_term(tokens: list[tuple[str, int]], sign: int) -> HeisenbergState:
     coeff = Fraction(sign)
-    if scanner.peek().isdigit():
-        numerator = scanner.integer()
-        denominator = 1
-        if scanner.take("/"):
-            denominator = scanner.integer()
+    if tokens[-1][0].isdecimal():
+        coeff *= _integer(tokens)
+        if _take(tokens, "/"):
+            token, offset = tokens[-1]
+            denominator = _integer(tokens)
             if denominator == 0:
-                raise ParseError("zero denominator", scanner.pos)
-        coeff *= Fraction(numerator, denominator)
+                raise ParseError("zero denominator", offset + len(token))
+            coeff /= denominator
     parts: list[int] = []
-    while scanner.peek() == "h":
-        parts.extend(_parse_factor(scanner))
-    if not scanner.keyword("vac"):
-        raise ParseError("expected a factor h(-n) or 'vac'", scanner.pos)
+    while _take(tokens, "h"):
+        parts.extend(_parse_factor(tokens))
+    token, offset = tokens.pop()
+    if token != "vac":
+        raise ParseError("expected a factor h(-n) or 'vac'", offset)
     return HeisenbergState.monomial(parts, coeff)
 
 
-def _parse_factor(scanner: _Scanner) -> list[int]:
-    """A factor h(-n)^e, as e copies of the part n."""
-    scanner.pos += 1
-    scanner.expect("(")
-    scanner.skip_ws()
-    index_pos = scanner.pos
-    index = -scanner.integer() if scanner.take("-") else scanner.integer()
-    scanner.expect(")")
+def _parse_factor(tokens: list[tuple[str, int]]) -> list[int]:
+    """A factor h(-n)^e after its 'h', as e copies of the part n."""
+    _expect(tokens, "(")
+    index_pos = tokens[-1][1]
+    index = -_integer(tokens) if _take(tokens, "-") else _integer(tokens)
+    _expect(tokens, ")")
     exponent = 1
-    if scanner.take("^"):
-        exponent_pos = scanner.pos
-        exponent = scanner.integer()
+    if tokens[-1][0] == "^":
+        exponent_pos = tokens.pop()[1] + 1
+        exponent = _integer(tokens)
         if exponent < 1:
             raise ParseError("exponent must be >= 1", exponent_pos)
     if index >= 0:
@@ -337,38 +301,33 @@ def _cmd_eisenstein(args) -> int:
 
 
 def _cmd_kummer(args) -> int:
-    """Generic rows must meet the bound -(a+1); rows on the exceptional
-    branch are judged by `exceptional_branch_ok` and report its exponents."""
+    """Lay out the state and character rows with their `kummer` verdicts;
+    a row on the exceptional branch also reports its branch exponents."""
     p = args.prime
     state_rows = []
     for a in range(args.amax + 1):
         for b in range(a, args.amax + 1):
             report = kummer_check(p, a, b)
+            branch, ok = state_verdict(report)
             row = {key: value for key, value in report.parameters.items() if key != "p"}
-            row["norm_exponent"] = _exponent_json(report.norm_exponent)
-            row["ok"] = report.norm_exponent <= row["bound"]
-            if on_exceptional_branch(p, row["r"]):
-                exponents = exceptional_state_exponents(report)
-                row["ok"] = exceptional_branch_ok(exponents, report.norm_exponent, a, b)
-                row.update((key, _exponent_json(e)) for key, e in exponents.items())
+            row.update(norm_exponent=_exponent_json(report.norm_exponent), ok=ok)
+            row.update((key, _exponent_json(e)) for key, e in branch.items())
             state_rows.append(row)
     target = eisenstein_G2_star(p, args.qmax).scale(2)
     char_rows = []
     for a in range(args.amax + 1):
         series = normalized_character(u_state(kummer_index(p, a), p), args.qmax)
-        distance = qseries_padic_distance(series, target, p)
+        exponents = (series - target).norm_exponents(p)
+        branch, ok = character_verdict(p, a, series, exponents)
         row = {
             "a": a,
             "r": kummer_index(p, a),
-            "distance_exponent": _exponent_json(distance),
+            "distance_exponent": _exponent_json(max(exponents)),
             "bound": -(a + 1),
-            "coefficient_exponents": [_exponent_json(e) for e in (series - target).norm_exponents(p)],
-            "ok": distance <= -(a + 1),
+            "coefficient_exponents": [_exponent_json(e) for e in exponents],
+            "ok": ok,
         }
-        if on_exceptional_branch(p, row["r"]):
-            exponents = exceptional_character_exponents(p, a, series, target)
-            row["ok"] = exceptional_branch_ok(exponents, distance, a)
-            row.update((key, _exponent_json(e)) for key, e in exponents.items())
+        row.update((key, _exponent_json(e)) for key, e in branch.items())
         char_rows.append(row)
     ok = all(row["ok"] for row in state_rows + char_rows)
     payload = {
@@ -421,11 +380,14 @@ def _cmd_virasoro(args) -> int:
 
 
 def _prime(text: str) -> int:
-    """argparse type: a prime number."""
+    """argparse type: a prime number within the range of `is_prime`."""
     value = int(text)
-    if not is_prime(value):
-        raise argparse.ArgumentTypeError(f"{text} is not a prime")
-    return value
+    try:
+        if is_prime(value):
+            return value
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    raise argparse.ArgumentTypeError(f"{text} is not a prime")
 
 
 def _rational(text: str) -> Fraction:

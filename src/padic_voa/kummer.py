@@ -25,34 +25,24 @@ from .qchar import QSeries, eisenstein_G2_star, normalized_character, qseries_pa
 from .scalars import bernoulli, c_row, is_prime, valuation
 
 __all__ = [
-    "exceptional_branch_ok",
-    "exceptional_character_exponents",
-    "exceptional_state_exponents",
+    "character_verdict",
     "kummer_check",
     "kummer_index",
     "limit_character_check",
     "on_exceptional_branch",
     "square_bracket_state",
+    "state_verdict",
     "u_state",
     "v_state",
 ]
-
-
-def _require_odd_positive(r: int) -> None:
-    if r < 1 or r % 2 == 0:
-        raise ValueError(f"r must be a positive odd integer, got {r}")
-
-
-def _require_odd_prime(p: int) -> None:
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
 
 
 def square_bracket_state(r: int) -> HeisenbergState:
     """The state (r-1)! h[-r]h[-1]|0> in the round-bracket monomial basis,
     via the closed-form Stirling/Bernoulli expansion, built in one piece from
     the row c(r, 0..r-1)."""
-    _require_odd_positive(r)
+    if r < 1 or r % 2 == 0:
+        raise ValueError(f"r must be a positive odd integer, got {r}")
     terms = [((m + 1, 1), c) for m, c in enumerate(c_row(r))]
     return HeisenbergState([((), -bernoulli(r + 1) / (r + 1)), *terms])
 
@@ -64,7 +54,8 @@ def v_state(r: int) -> HeisenbergState:
 
 def u_state(r: int, p: int) -> HeisenbergState:
     """The p-rescaled family member u_r = 2 (1 - p^r) v_r."""
-    _require_odd_prime(p)
+    if p == 2 or not is_prime(p):
+        raise ValueError(f"p must be an odd prime, got {p}")
     return square_bracket_state(r).scale(1 - Fraction(p) ** r)
 
 
@@ -96,7 +87,6 @@ def kummer_check(p: int, a: int, b: int) -> DefectReport:
 def limit_character_check(p: int, a: int, n_max: int) -> int | float:
     """p-adic distance exponent between the rescaled character of
     u_{1 + p^a(p-1)} and 2 G_2* through q-order n_max."""
-    _require_odd_prime(p)
     u = u_state(kummer_index(p, a), p)
     target = eisenstein_G2_star(p, n_max).scale(2)
     return qseries_padic_distance(normalized_character(u, n_max), target, p)
@@ -117,32 +107,36 @@ def _regularised_exponent(p: int, k: int, z: Fraction, k2: int, z2: Fraction) ->
     return -valuation(x, p) if x else -inf
 
 
-def exceptional_state_exponents(report: DefectReport) -> dict:
-    """For a `kummer_check` row u_r - u_s: the exponents of its non-vacuum part
-    and of E(r+1) z(r+1) - E(s+1) z(s+1), z(k) the vacuum coefficient of u_{k-1}."""
-    p, r, s = (report.parameters[key] for key in ("p", "r", "s"))
+def state_verdict(report: DefectReport) -> tuple[dict, bool]:
+    """The Kummer verdict on a `kummer_check` row u_r - u_s, as (branch
+    exponents, ok).  Off the exceptional branch it is exponent <= -(a+1),
+    with no branch exponents.  On it, each branch exponent must be <= -(a+1)
+    and the whole exponent exactly 1 - a (-inf for a = b); they are those of
+    the non-vacuum part and of E(r+1) z(r+1) - E(s+1) z(s+1), z(k) the vacuum
+    coefficient of u_{k-1}.  Each bound is sharp."""
+    p, a, b, r, s = (report.parameters[key] for key in ("p", "a", "b", "r", "s"))
+    if not on_exceptional_branch(p, r):
+        return {}, report.norm_exponent <= -(a + 1)
     vacuum = HeisenbergState.vacuum(report.defect.coefficient(()))
     z_r, z_s = (u_state(i, p).coefficient(()) for i in (r, s))
-    return {
+    branch = {
         "non_vacuum_exponent": (report.defect - vacuum).sup_norm_exponent(p),
         "regularised_exponent": _regularised_exponent(p, r + 1, z_r, s + 1, z_s),
     }
+    return branch, report.norm_exponent == (-inf if a == b else 1 - a) and max(branch.values()) <= -(a + 1)
 
 
-def exceptional_character_exponents(p: int, a: int, character: QSeries, target: QSeries) -> dict:
-    """For f(u_r) - 2 G_2* with r = kummer_index(p, a): the largest exponent
-    of its q^n coefficients (n >= 1), and that of E(r+1) f(u_r)_0 - E(2) zeta_p(-1),
-    zeta_p(-1) = (p-1)/12 being the constant term of 2 G_2*."""
-    k = kummer_index(p, a) + 1
-    q_exponents = (character - target).norm_exponents(p)[1:]
-    return {
-        "q_coefficient_exponent": max(q_exponents, default=-inf),
-        "regularised_exponent": _regularised_exponent(p, k, character.coefficient(0), 2, Fraction(p - 1, 12)),
+def character_verdict(p: int, a: int, series: QSeries, exponents: list) -> tuple[dict, bool]:
+    """As `state_verdict`, for f(u_r) - 2 G_2* with r = kummer_index(p, a),
+    given f(u_r) and the norm exponents of the difference's coefficients.
+    The branch exponents are the largest of the q^n coefficients (n >= 1)
+    and that of E(r+1) f(u_r)_0 - E(2) zeta_p(-1), zeta_p(-1) = (p-1)/12
+    being the constant term of 2 G_2*."""
+    r = kummer_index(p, a)
+    if not on_exceptional_branch(p, r):
+        return {}, max(exponents) <= -(a + 1)
+    branch = {
+        "q_coefficient_exponent": max(exponents[1:], default=-inf),
+        "regularised_exponent": _regularised_exponent(p, r + 1, series.coefficient(0), 2, Fraction(p - 1, 12)),
     }
-
-
-def exceptional_branch_ok(exponents: dict, whole: int | float, a: int, b: int | None = None) -> bool:
-    """The Kummer criterion on the exceptional branch: each of `exponents`
-    is <= -(a+1) and the whole difference has exponent exactly 1 - a, or
-    -inf for a = b.  Character rows pass b = None.  Each bound is sharp."""
-    return whole == (-inf if a == b else 1 - a) and all(e <= -(a + 1) for e in exponents.values())
+    return branch, max(exponents) == 1 - a and max(branch.values()) <= -(a + 1)

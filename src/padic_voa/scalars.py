@@ -28,19 +28,35 @@ __all__ = [
 ]
 
 
+# Miller-Rabin on the first twelve primes is exact below psi_12 = _MR_BOUND
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BOUND = 318665857834031151167461
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality test; the primes used here are tiny."""
-    if n < 2:
+    """Deterministic Miller-Rabin test on `_MR_BASES`, exact for every
+    n < psi_12 ~ 3.2e23 (Sorenson and Webster, *Strong pseudoprimes to twelve
+    prime bases*, Math. Comp. 2017).  Raises ValueError for larger n rather
+    than answering slowly or wrongly."""
+    if n <= _MR_BASES[-1]:
+        return n in _MR_BASES
+    if any(n % base == 0 for base in _MR_BASES):
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    if n >= _MR_BOUND:
+        raise ValueError(f"{n} is too large for the primality test (limit {_MR_BOUND - 1})")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for base in _MR_BASES:
+        x = pow(base, d, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
             return False
-        d += 2
     return True
 
 
@@ -55,8 +71,7 @@ def valuation(q: Fraction | int, p: int) -> int:
         raise ValueError(f"prime required, got {p}")
     if q == 0:
         raise ValueError("valuation of zero is infinite")
-    num = q.numerator if isinstance(q, Fraction) else q
-    den = q.denominator if isinstance(q, Fraction) else 1
+    num, den = q.numerator, q.denominator
     v = 0
     while num % p == 0:
         num //= p

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from padic_voa.cli import ParseError, main, parse_state, render_heisenberg
+from padic_voa.cli import ParseError, build_parser, main, parse_state, render_heisenberg
 from padic_voa.fock import HeisenbergState, grade_basis
 
 
@@ -67,6 +68,45 @@ class TestParser:
         # the grammar has one generator; an L factor is a parse error at its offset
         with pytest.raises(ParseError) as excinfo:
             parse_state("h(-1) L(-2) vac")
+        assert excinfo.value.offset == 6
+
+    # every error kind of the grammar, with the message and offset it reports
+    ERRORS = [
+        ("h(-1 vac", "expected ')'", 5),
+        ("1/0 vac", "zero denominator", 3),
+        ("1 / 0 vac", "zero denominator", 5),
+        ("h(-1)^0 vac", "exponent must be >= 1", 6),
+        ("h(2) vac", "h(2) is not a creation index", 2),
+        ("h(0) vac", "h(0) is not a creation index", 2),
+        ("h(-1) L(-2) vac", "expected a factor h(-n) or 'vac'", 6),
+        ("h(-1)", "expected a factor h(-n) or 'vac'", 5),
+        ("", "expected a factor h(-n) or 'vac'", 0),
+        ("   ", "expected a factor h(-n) or 'vac'", 3),
+        ("2 3 vac", "expected a factor h(-n) or 'vac'", 2),
+        ("- vac +", "expected a factor h(-n) or 'vac'", 7),
+        ("vac vac", "expected '+', '-', or end of input", 4),
+        ("vacuum", "expected '+', '-', or end of input", 3),
+        ("1/ vac", "expected an integer", 3),
+        ("h(-1)^ vac", "expected an integer", 7),
+        ("h-1) vac", "expected '('", 1),
+        ("hvac", "expected '('", 1),
+    ]
+
+    @pytest.mark.parametrize("text, message, offset", ERRORS)
+    def test_error_message_and_offset(self, text, message, offset):
+        with pytest.raises(ParseError) as excinfo:
+            parse_state(text)
+        assert str(excinfo.value).startswith(message)
+        assert str(excinfo.value).endswith(f"(at offset {offset})")
+        assert excinfo.value.offset == offset
+
+    def test_whitespace_inside_a_factor(self):
+        assert parse_state("h(- 1) vac") == HeisenbergState.monomial([1])
+
+    def test_non_ascii_digit_is_a_parse_error(self):
+        # '²' is a digit to str.isdigit but no integer literal
+        with pytest.raises(ParseError) as excinfo:
+            parse_state("h(-1)^² vac")
         assert excinfo.value.offset == 6
 
 
@@ -306,8 +346,33 @@ class TestInputValidation:
         # 1/0 used to end in a ZeroDivisionError traceback with exit 1
         assert run_cli(["virasoro", "--cprime", cprime]) == (2, "")
 
+    def test_large_prime_is_decided_quickly(self):
+        # trial division of this prime used to take minutes
+        code, out = run_cli(["eisenstein", "--star", "--prime", "1000000000000000003", "--qmax", "2"])
+        assert code == 0 and json.loads(out)["prime"] == 1000000000000000003
+
+    def test_prime_beyond_the_exact_test_rejected(self, capsys):
+        assert run_cli(["eisenstein", "--star", "--prime", str(10**24 + 7), "--qmax", "2"]) == (2, "")
+        assert "too large for the primality test" in capsys.readouterr().err
+
     def test_out_into_missing_directory(self, tmp_path, capsys):
         # used to end in a FileNotFoundError traceback with exit 1
         target = tmp_path / "missing" / "x.json"
         assert run_cli(["eisenstein", "--k", "4", "--out", str(target)]) == (2, "")
         assert capsys.readouterr().err.startswith(f"error: cannot write {target}")
+
+
+def test_option_surface():
+    # every option of every subcommand: a new knob is a deliberate change here
+    (subcommands,) = [action for action in build_parser()._actions if isinstance(action, argparse._SubParsersAction)]
+    surface = {
+        name: [option for action in parser._actions for option in action.option_strings]
+        for name, parser in subcommands.choices.items()
+    }
+    assert surface == {
+        "character": ["-h", "--help", "--state", "--qmax", "--eta", "--prime", "--out"],
+        "eisenstein": ["-h", "--help", "--k", "--star", "--prime", "--qmax", "--out"],
+        "kummer": ["-h", "--help", "--prime", "--amax", "--qmax", "--out"],
+        "axioms": ["-h", "--help", "--suite", "--grade", "--window", "--prime", "--count", "--seed", "--full", "--out"],
+        "virasoro": ["-h", "--help", "--cprime", "--grade", "--window", "--prime", "--full", "--out"],
+    }

@@ -25,3 +25,10 @@ def test_package_exports_what_it_imports():
         if not name.startswith("_") and not isinstance(value, ModuleType)
     }
     assert sorted(padic_voa.__all__) == sorted(public)
+
+
+def test_package_exports_the_library_modules():
+    # every library module's public names, and nothing else; cli is the front end
+    library = [name for name in MODULES[1:] if name != "padic_voa.cli"]
+    union = {export for name in library for export in importlib.import_module(name).__all__}
+    assert sorted(padic_voa.__all__) == sorted(union)

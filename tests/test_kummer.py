@@ -7,14 +7,16 @@ import pytest
 
 from padic_voa.fock import HeisenbergState
 from padic_voa.kummer import (
+    character_verdict,
     kummer_check,
     kummer_index,
     limit_character_check,
     square_bracket_state,
+    state_verdict,
     u_state,
     v_state,
 )
-from padic_voa.qchar import eisenstein_G, normalized_character, qseries_padic_distance
+from padic_voa.qchar import eisenstein_G, eisenstein_G2_star, normalized_character, qseries_padic_distance
 from padic_voa.scalars import bernoulli, c_coefficient
 
 from oracles import square_bracket_state_by_substitution
@@ -155,3 +157,39 @@ class TestLimitCharacter:
             r = kummer_index(p, a)
             vacuum_coeff = -(1 - Fraction(p) ** r) * bernoulli(r + 1) / (r + 1)
             assert valuation(vacuum_coeff - limit, p) >= a + 1
+
+
+class TestVerdicts:
+    @staticmethod
+    def character_row(p, a, n_max=10):
+        """f(u_r) and the norm exponents of f(u_r) - 2 G_2*, as `padic-voa kummer` forms them."""
+        series = normalized_character(u_state(kummer_index(p, a), p), n_max)
+        return series, (series - eisenstein_G2_star(p, n_max).scale(2)).norm_exponents(p)
+
+    def test_generic_rows_at_five(self):
+        for a in range(3):
+            for b in range(a, 3):
+                assert state_verdict(kummer_check(5, a, b)) == ({}, True), (a, b)
+            assert character_verdict(5, a, *self.character_row(5, a)) == ({}, True), a
+
+    def test_branch_exponents_at_three(self):
+        # the exponents that the p = 3 CLI report pins, each <= -(a+1)
+        def state(non_vacuum, regularised):
+            return {"non_vacuum_exponent": non_vacuum, "regularised_exponent": regularised}, True
+
+        states = {(a, b): state_verdict(kummer_check(3, a, b)) for a in range(3) for b in range(a, 3)}
+        assert states == {
+            (0, 0): state(-inf, -inf), (0, 1): state(-1, -1), (0, 2): state(-1, -1),
+            (1, 1): state(-inf, -inf), (1, 2): state(-2, -2), (2, 2): state(-inf, -inf),
+        }
+        characters = [character_verdict(3, a, *self.character_row(3, a)) for a in range(3)]
+        assert characters == [
+            ({"q_coefficient_exponent": e, "regularised_exponent": e}, True) for e in (-1, -2, -3)
+        ]
+
+    @pytest.mark.parametrize("shift", [1, -1])
+    def test_shifted_character_row_fails(self, shift):
+        # one power of p more or less in every coefficient: the distance is no longer exactly 1 - a
+        for a in range(3):
+            series, exponents = self.character_row(3, a)
+            assert not character_verdict(3, a, series, [e + shift for e in exponents])[1], a

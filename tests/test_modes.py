@@ -6,7 +6,10 @@ from fractions import Fraction
 from hypothesis import given
 from hypothesis import strategies as st
 
+from padic_voa import modes
+from padic_voa.axioms import jacobi_defect
 from padic_voa.fock import HeisenbergState, grade_basis
+from padic_voa.kummer import v_state
 from padic_voa.modes import (
     h_mode,
     mode_action,
@@ -14,6 +17,7 @@ from padic_voa.modes import (
     virasoro_mode,
     zero_mode,
 )
+from padic_voa.qchar import character
 
 from oracles import normal_ordered_mode, virasoro_mode_by_sum
 
@@ -223,3 +227,35 @@ class TestTranslation:
     def test_equals_l_minus_one(self):
         for a in basis_states(3):
             assert translation(a) == virasoro_mode(-1, a)
+
+
+class TestBoundedCaches:
+    @staticmethod
+    def sweep():
+        """A grade-2 Jacobi sweep, the mode images it is built from, and one
+        character, all computed from empty caches."""
+        modes.clear_mode_cache()
+        states = basis_states(2)
+        images = [mode_action(u, n, v) for u, v in itertools.product(states, repeat=2) for n in range(-2, 3)]
+        defects = [
+            jacobi_defect(u, v, w, r, s, t, 2)
+            for u, v, w in itertools.product(states, repeat=3)
+            for r, s, t in itertools.product(range(-1, 2), repeat=3)
+        ]
+        return images, [(d.defect, d.norm_exponent) for d in defects], character(v_state(5), 10)
+
+    def test_small_bound_gives_the_same_results(self, monkeypatch):
+        expected = self.sweep()
+
+        class Watched(dict):
+            peak = 0
+
+            def __setitem__(self, key, value):
+                super().__setitem__(key, value)
+                Watched.peak = max(Watched.peak, len(self))
+
+        monkeypatch.setattr(modes, "_MODE_CACHE", Watched())
+        monkeypatch.setattr(modes, "_MODE_CACHE_SIZE", 64)
+        monkeypatch.setattr(modes, "_TRACE_CACHE_SIZE", 4)
+        assert self.sweep() == expected
+        assert 0 < Watched.peak <= 64 and len(modes._TRACE_CACHE) <= 4

@@ -186,3 +186,26 @@ class TestGenBinomial:
 def test_is_prime():
     assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert not is_prime(1) and not is_prime(0) and not is_prime(-5)
+
+
+class TestIsPrime:
+    def test_matches_trial_division_below_ten_to_the_five(self):
+        def by_trial_division(n):
+            return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+        assert [n for n in range(10**5) if is_prime(n)] == [n for n in range(10**5) if by_trial_division(n)]
+
+    def test_large_primes(self):
+        assert is_prime(2**61 - 1) and is_prime(2**64 - 59) and is_prime(10**18 + 3)
+
+    def test_pseudoprimes_rejected(self):
+        # 561 and 5148001 = 41 * 241 * 521 are Carmichael numbers, the second with
+        # no factor among the bases; 3215031751 is a strong pseudoprime to
+        # bases 2, 3, 5 and 7, and 3825123056546413051 to every base up to 31
+        for n in (561, 5148001, 3215031751, 3825123056546413051):
+            assert not is_prime(n), n
+
+    def test_above_the_exact_range_raises(self):
+        assert not is_prime(scalars._MR_BOUND - 2)  # even
+        with pytest.raises(ValueError, match="too large"):
+            is_prime(scalars._MR_BOUND)

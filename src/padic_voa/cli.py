@@ -36,7 +36,7 @@ from .axioms import (
     locality_profile,
 )
 from .fock import HeisenbergState, grade_basis
-from .kummer import character_verdict, kummer_check, kummer_index, state_verdict, u_state
+from .kummer import character_row, character_verdict, kummer_check, kummer_index, state_verdict
 from .qchar import character, eisenstein_G, eisenstein_G2_star, normalized_character
 from .scalars import is_prime
 from .virasoro import VirasoroState, L_action, vir_bracket_defect, vir_grade_basis
@@ -302,8 +302,11 @@ def _cmd_eisenstein(args) -> int:
 
 def _cmd_kummer(args) -> int:
     """Lay out the state and character rows with their `kummer` verdicts;
-    a row on the exceptional branch also reports its branch exponents."""
+    a row on the exceptional branch also reports its branch exponents.  The
+    deepest index is checked first, so an r above the family's limit exits 2
+    before any member is built."""
     p = args.prime
+    kummer_index(p, args.amax)
     state_rows = []
     for a in range(args.amax + 1):
         for b in range(a, args.amax + 1):
@@ -313,11 +316,9 @@ def _cmd_kummer(args) -> int:
             row.update(norm_exponent=_exponent_json(report.norm_exponent), ok=ok)
             row.update((key, _exponent_json(e)) for key, e in branch.items())
             state_rows.append(row)
-    target = eisenstein_G2_star(p, args.qmax).scale(2)
     char_rows = []
     for a in range(args.amax + 1):
-        series = normalized_character(u_state(kummer_index(p, a), p), args.qmax)
-        exponents = (series - target).norm_exponents(p)
+        series, exponents = character_row(p, a, args.qmax)
         branch, ok = character_verdict(p, a, series, exponents)
         row = {
             "a": a,

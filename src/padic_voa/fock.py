@@ -98,7 +98,8 @@ class GradedState:
     (Heisenberg with Virasoro, or two Virasoro charges) raises ValueError.
     Subclasses set `LABEL` (the generator's name in `render`), `WEIGHT`
     (the generator's weight and the minimum part), `VACUUM` (the vacuum's
-    name in `render`) and `algebra` (a hashable tag naming the algebra), and
+    name in `render`), `algebra` (a hashable tag naming the algebra) and
+    `central_charge` (the algebra's c, which offsets its characters), and
     implement `_generator_mode`.
     """
 
@@ -108,6 +109,7 @@ class GradedState:
     WEIGHT: int
     VACUUM: str
     algebra: str
+    central_charge: Coefficient
 
     def __init__(self, terms: Mapping[Partition, Coefficient] | Iterable[tuple[Partition, Coefficient]] = ()) -> None:
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -262,6 +264,7 @@ class HeisenbergState(GradedState):
     WEIGHT = 1
     VACUUM = "|0>"
     algebra = "h"
+    central_charge = 1
 
     def _generator_mode(self, m: int, key: Partition) -> tuple[tuple[Partition, int], ...]:
         """h(m) on a Fock monomial: multiplication by h(m) for m < 0, the

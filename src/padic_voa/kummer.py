@@ -21,10 +21,11 @@ from math import inf
 
 from .axioms import DefectReport
 from .fock import HeisenbergState
-from .qchar import QSeries, eisenstein_G2_star, normalized_character, qseries_padic_distance
+from .qchar import QSeries, eisenstein_G2_star, normalized_character
 from .scalars import bernoulli, c_row, is_prime, valuation
 
 __all__ = [
+    "character_row",
     "character_verdict",
     "kummer_check",
     "kummer_index",
@@ -59,11 +60,20 @@ def u_state(r: int, p: int) -> HeisenbergState:
     return square_bracket_state(r).scale(1 - Fraction(p) ** r)
 
 
+# `c_row(r)` holds about r^2 log10(r) digits: `padic-voa kummer --prime 997
+# --amax 0` takes 3.6 s on 2 vCPUs (Python 3.11), --prime 10007 does not end.
+_MAX_INDEX = 1000
+
+
 def kummer_index(p: int, a: int) -> int:
-    """The weight index r = 1 + p^a (p-1) of depth a in the family."""
+    """The weight index r = 1 + p^a (p-1) of depth a in the family, at most
+    `_MAX_INDEX` (p^a is not computed past the limit's bit length)."""
     if a < 0:
         raise ValueError("depth must be >= 0")
-    return 1 + p**a * (p - 1)
+    r = 1 + p ** min(a, _MAX_INDEX.bit_length()) * (p - 1)
+    if r > _MAX_INDEX:
+        raise ValueError(f"r = 1 + {p}^{a} ({p}-1) is too large for the Kummer family (limit {_MAX_INDEX})")
+    return r
 
 
 def kummer_check(p: int, a: int, b: int) -> DefectReport:
@@ -84,12 +94,18 @@ def kummer_check(p: int, a: int, b: int) -> DefectReport:
     )
 
 
+def character_row(p: int, a: int, n_max: int) -> tuple[QSeries, list[int | float]]:
+    """The rescaled character f(u_r), r = kummer_index(p, a), and the norm
+    exponents of the coefficients of f(u_r) - 2 G_2* through q-order n_max:
+    the row that `character_verdict` judges."""
+    series = normalized_character(u_state(kummer_index(p, a), p), n_max)
+    return series, (series - eisenstein_G2_star(p, n_max).scale(2)).norm_exponents(p)
+
+
 def limit_character_check(p: int, a: int, n_max: int) -> int | float:
     """p-adic distance exponent between the rescaled character of
     u_{1 + p^a(p-1)} and 2 G_2* through q-order n_max."""
-    u = u_state(kummer_index(p, a), p)
-    target = eisenstein_G2_star(p, n_max).scale(2)
-    return qseries_padic_distance(normalized_character(u, n_max), target, p)
+    return max(character_row(p, a, n_max)[1])
 
 
 def on_exceptional_branch(p: int, r: int) -> bool:
@@ -100,10 +116,16 @@ def on_exceptional_branch(p: int, r: int) -> bool:
     return (r + 1) % (p - 1) == 0
 
 
-def _regularised_exponent(p: int, k: int, z: Fraction, k2: int, z2: Fraction) -> int | float:
-    """Exponent of E(k) z - E(k2) z2 with E(k) = 1 - (1+p)^k.  E(k) cancels
+def _zeta(p: int, k: int) -> Fraction:
+    """z(k) = -(1 - p^(k-1)) B_k / k = zeta_p(1-k), the vacuum coefficient of
+    u_{k-1}; z(2) = (p-1)/12 is the constant term of 2 G_2*."""
+    return -(1 - Fraction(p) ** (k - 1)) * bernoulli(k) / k
+
+
+def _regularised_exponent(p: int, k: int, z: Fraction, k2: int) -> int | float:
+    """Exponent of E(k) z - E(k2) z(k2) with E(k) = 1 - (1+p)^k.  E(k) cancels
     the pole: E(k) zeta_p(1-k) is an Iwasawa power series in (1+p)^(1-k) - 1."""
-    x = (1 - (1 + p) ** k) * z - (1 - (1 + p) ** k2) * z2
+    x = (1 - (1 + p) ** k) * z - (1 - (1 + p) ** k2) * _zeta(p, k2)
     return -valuation(x, p) if x else -inf
 
 
@@ -113,30 +135,28 @@ def state_verdict(report: DefectReport) -> tuple[dict, bool]:
     with no branch exponents.  On it, each branch exponent must be <= -(a+1)
     and the whole exponent exactly 1 - a (-inf for a = b); they are those of
     the non-vacuum part and of E(r+1) z(r+1) - E(s+1) z(s+1), z(k) the vacuum
-    coefficient of u_{k-1}.  Each bound is sharp."""
+    coefficient of u_{k-1}, read from `_zeta`.  Each bound is sharp."""
     p, a, b, r, s = (report.parameters[key] for key in ("p", "a", "b", "r", "s"))
     if not on_exceptional_branch(p, r):
         return {}, report.norm_exponent <= -(a + 1)
     vacuum = HeisenbergState.vacuum(report.defect.coefficient(()))
-    z_r, z_s = (u_state(i, p).coefficient(()) for i in (r, s))
     branch = {
         "non_vacuum_exponent": (report.defect - vacuum).sup_norm_exponent(p),
-        "regularised_exponent": _regularised_exponent(p, r + 1, z_r, s + 1, z_s),
+        "regularised_exponent": _regularised_exponent(p, r + 1, _zeta(p, r + 1), s + 1),
     }
     return branch, report.norm_exponent == (-inf if a == b else 1 - a) and max(branch.values()) <= -(a + 1)
 
 
 def character_verdict(p: int, a: int, series: QSeries, exponents: list) -> tuple[dict, bool]:
     """As `state_verdict`, for f(u_r) - 2 G_2* with r = kummer_index(p, a),
-    given f(u_r) and the norm exponents of the difference's coefficients.
-    The branch exponents are the largest of the q^n coefficients (n >= 1)
-    and that of E(r+1) f(u_r)_0 - E(2) zeta_p(-1), zeta_p(-1) = (p-1)/12
-    being the constant term of 2 G_2*."""
+    given the row f(u_r), exponents of `character_row`.  The branch exponents
+    are the largest of the q^n coefficients (n >= 1) and that of
+    E(r+1) f(u_r)_0 - E(2) z(2), z(2) = zeta_p(-1) the constant term of 2 G_2*."""
     r = kummer_index(p, a)
     if not on_exceptional_branch(p, r):
         return {}, max(exponents) <= -(a + 1)
     branch = {
         "q_coefficient_exponent": max(exponents[1:], default=-inf),
-        "regularised_exponent": _regularised_exponent(p, r + 1, series.coefficient(0), 2, Fraction(p - 1, 12)),
+        "regularised_exponent": _regularised_exponent(p, r + 1, series.coefficient(0), 2),
     }
     return branch, max(exponents) == 1 - a and max(branch.values()) <= -(a + 1)

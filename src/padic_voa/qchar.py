@@ -11,20 +11,18 @@ from __future__ import annotations
 from fractions import Fraction
 from math import inf
 
-from .fock import HeisenbergState
+from .fock import GradedState, HeisenbergState
 from .modes import zero_mode_trace
 from .scalars import bernoulli, is_prime, valuation
 
 __all__ = [
     "QSeries",
     "character",
-    "coprime_divisor_sum",
     "divisor_power_sum",
     "eisenstein_G",
     "eisenstein_G2_star",
     "eta_series",
     "normalized_character",
-    "qseries_padic_distance",
 ]
 
 Coefficient = Fraction | int
@@ -118,8 +116,9 @@ def _require_order(n_max: int) -> None:
         raise ValueError("n_max must be >= 0")
 
 
-def character(v: HeisenbergState, n_max: int) -> QSeries:
-    """Graded trace Z(v, q) = q^(-1/24) sum_n Tr(o(v) on grade n) q^n.
+def character(v: GradedState, n_max: int) -> QSeries:
+    """Graded trace Z(v, q) = q^(-c/24) sum_n Tr(o(v) on grade n) q^n, with c
+    the central charge of v's algebra (1 for Heisenberg, 2c' for Virasoro).
 
     Z is linear in v, so each coefficient is sum_key c_key Tr(o(key) | grade n)
     over the basis keys of v.  Each trace is an integer from
@@ -129,7 +128,7 @@ def character(v: HeisenbergState, n_max: int) -> QSeries:
     _require_order(n_max)
     terms = v._terms.items()
     coeffs = [sum(c * zero_mode_trace(v, key, n) for key, c in terms) for n in range(n_max + 1)]
-    return QSeries(coeffs, Fraction(-1, 24))
+    return QSeries(coeffs, -Fraction(v.central_charge) / 24)
 
 
 def eta_series(n_max: int) -> QSeries:
@@ -170,11 +169,6 @@ def divisor_power_sum(n: int, k: int) -> int:
     return total
 
 
-def coprime_divisor_sum(n: int, p: int) -> int:
-    """sigma*(n): sum of the divisors of n coprime to p."""
-    return sum(d for d in range(1, n + 1) if n % d == 0 and d % p != 0)
-
-
 def eisenstein_G(k: int, n_max: int) -> QSeries:
     """Weight-k Eisenstein series G_k = -B_k/2k + sum_n sigma_{k-1}(n) q^n."""
     if k < 2 or k % 2:
@@ -186,22 +180,11 @@ def eisenstein_G(k: int, n_max: int) -> QSeries:
 
 
 def eisenstein_G2_star(p: int, n_max: int) -> QSeries:
-    """The p-stabilized weight-2 Eisenstein series
-
-        G_2*(q) = (p-1)/24 + sum_{n>=1} sigma*(n) q^n,
-
-    equal to G_2(q) - p G_2(q^p) and to the p-adic limit of G_k along
-    weights k = 2 + p^a (p-1).
+    """The p-stabilized weight-2 Eisenstein series G_2*(q) = G_2(q) - p G_2(q^p)
+    = (p-1)/24 + sum_{n>=1} sigma*(n) q^n, sigma*(n) the sum of the divisors
+    of n coprime to p; the p-adic limit of G_k along weights k = 2 + p^a (p-1).
     """
     if p == 2 or not is_prime(p):
         raise ValueError("p must be an odd prime")
-    _require_order(n_max)
-    coeffs = [Fraction(p - 1, 24)]
-    coeffs += [Fraction(coprime_divisor_sum(n, p)) for n in range(1, n_max + 1)]
-    return QSeries(coeffs)
-
-
-def qseries_padic_distance(a: QSeries, b: QSeries, p: int) -> int | float:
-    """log_p of the sup-norm distance between two q-expansions with equal
-    offsets: max over n of -v_p(a_n - b_n); -inf when they agree."""
-    return max((a - b).norm_exponents(p))
+    g2 = eisenstein_G(2, n_max).coeffs
+    return QSeries([c - p * g2[n // p] if n % p == 0 else c for n, c in enumerate(g2)])

@@ -65,6 +65,10 @@ class VirasoroState(GradedState):
         state.algebra = self.algebra
         return state
 
+    @property
+    def central_charge(self) -> Coefficient:
+        return 2 * self.charge
+
     def _generator_mode(self, m: int, key: Word) -> Iterable[tuple[Word, Coefficient]]:
         return _apply(m - 1, key, self.charge)
 

@@ -297,6 +297,9 @@ SWEEP_SHA256 = [
     ("kummer --prime 5 --amax 2", "eec2c8287de6af7bf193adf8daab374e23a1c97fb3010d2df203cff9efea6096"),
     ("kummer --prime 3 --amax 2", "7f28f70c5cb53c94bed24fa5978ce68bf27f2fee6b4a864c24f1341a25170a6c"),
     ("kummer --prime 7 --amax 1 --qmax 6", "33f3c2a77770909b69747a1381a03b6466d16d43e57729fa239d2d438c963916"),
+    ("kummer --prime 7 --amax 2", "d8cc31318e9dee24e7ed28348bcc268eb83e57f51b4ea608504fda69c7381a46"),
+    ("eisenstein --star --prime 3 --qmax 40", "ea385afb3442cab127d333720c2a1e43f857896162d464725f7f37f44de67605"),
+    ("eisenstein --star --prime 7 --qmax 50", "107a1ca1206ed9c17cfdd1e403c3165af23cc5e60cfc2504db41e8ce94b9a052"),
 ]
 
 
@@ -331,6 +334,12 @@ class TestInputValidation:
     def test_kummer_empty_range(self):
         assert run_cli(["kummer", "--prime", "5", "--amax", "-1"]) == (2, "")
         assert run_cli(["kummer", "--prime", "5", "--qmax", "-1"]) == (2, "")
+
+    @pytest.mark.parametrize("argv", [["--prime", "10007", "--amax", "0"], ["--prime", "5", "--amax", "6"]])
+    def test_kummer_index_above_limit(self, argv, capsys):
+        # r = 10007 and r = 62501 used to hang building c_row(r)
+        assert run_cli(["kummer", *argv]) == (2, "")
+        assert "too large for the Kummer family" in capsys.readouterr().err
 
     def test_axioms_empty_range(self):
         assert run_cli(["axioms", "--suite", "isometry", "--count", "0"]) == (2, "")

@@ -5,8 +5,10 @@ from math import factorial, inf
 
 import pytest
 
+from padic_voa import kummer
 from padic_voa.fock import HeisenbergState
 from padic_voa.kummer import (
+    character_row,
     character_verdict,
     kummer_check,
     kummer_index,
@@ -16,7 +18,7 @@ from padic_voa.kummer import (
     u_state,
     v_state,
 )
-from padic_voa.qchar import eisenstein_G, eisenstein_G2_star, normalized_character, qseries_padic_distance
+from padic_voa.qchar import eisenstein_G, normalized_character
 from padic_voa.scalars import bernoulli, c_coefficient
 
 from oracles import square_bracket_state_by_substitution
@@ -117,6 +119,14 @@ class TestKummerCheck:
         assert kummer_index(5, 2) == 101
         assert kummer_index(7, 2) == 295
 
+    def test_index_limit(self):
+        # c_row(r) grows like r^2 log r digits: r above the limit is refused
+        # before any work, and p^a is not computed for a huge depth
+        assert kummer_index(997, 0) == 997
+        for p, a in ((10007, 0), (5, 6), (3, 10**12)):
+            with pytest.raises(ValueError, match="too large for the Kummer family"):
+                kummer_index(p, a)
+
     @pytest.mark.parametrize("p", [5, 7])
     def test_congruence_bound_untwisted_primes(self, p):
         for a in range(3):
@@ -160,17 +170,11 @@ class TestLimitCharacter:
 
 
 class TestVerdicts:
-    @staticmethod
-    def character_row(p, a, n_max=10):
-        """f(u_r) and the norm exponents of f(u_r) - 2 G_2*, as `padic-voa kummer` forms them."""
-        series = normalized_character(u_state(kummer_index(p, a), p), n_max)
-        return series, (series - eisenstein_G2_star(p, n_max).scale(2)).norm_exponents(p)
-
     def test_generic_rows_at_five(self):
         for a in range(3):
             for b in range(a, 3):
                 assert state_verdict(kummer_check(5, a, b)) == ({}, True), (a, b)
-            assert character_verdict(5, a, *self.character_row(5, a)) == ({}, True), a
+            assert character_verdict(5, a, *character_row(5, a, 10)) == ({}, True), a
 
     def test_branch_exponents_at_three(self):
         # the exponents that the p = 3 CLI report pins, each <= -(a+1)
@@ -182,7 +186,7 @@ class TestVerdicts:
             (0, 0): state(-inf, -inf), (0, 1): state(-1, -1), (0, 2): state(-1, -1),
             (1, 1): state(-inf, -inf), (1, 2): state(-2, -2), (2, 2): state(-inf, -inf),
         }
-        characters = [character_verdict(3, a, *self.character_row(3, a)) for a in range(3)]
+        characters = [character_verdict(3, a, *character_row(3, a, 10)) for a in range(3)]
         assert characters == [
             ({"q_coefficient_exponent": e, "regularised_exponent": e}, True) for e in (-1, -2, -3)
         ]
@@ -191,5 +195,17 @@ class TestVerdicts:
     def test_shifted_character_row_fails(self, shift):
         # one power of p more or less in every coefficient: the distance is no longer exactly 1 - a
         for a in range(3):
-            series, exponents = self.character_row(3, a)
+            series, exponents = character_row(3, a, 10)
             assert not character_verdict(3, a, series, [e + shift for e in exponents])[1], a
+
+    def test_state_verdict_builds_no_family_state(self, monkeypatch):
+        # the branch reads z(k) = zeta_p(1-k) directly, not from u_r and u_s
+        report = kummer_check(3, 0, 1)
+
+        def refuse(*args):
+            raise AssertionError("state_verdict built a family state")
+
+        monkeypatch.setattr(kummer, "u_state", refuse)
+        monkeypatch.setattr(kummer, "square_bracket_state", refuse)
+        expected = {"non_vacuum_exponent": -1, "regularised_exponent": -1}
+        assert state_verdict(report) == (expected, True)

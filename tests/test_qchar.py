@@ -14,16 +14,21 @@ from padic_voa.modes import clear_mode_cache, zero_mode
 from padic_voa.qchar import (
     QSeries,
     character,
-    coprime_divisor_sum,
     divisor_power_sum,
     eisenstein_G,
     eisenstein_G2_star,
     eta_series,
     normalized_character,
-    qseries_padic_distance,
 )
+from padic_voa.virasoro import VirasoroState
 
-from oracles import coprime_divisor_sum_brute, divisor_sum_brute, product_coeffs, series_inverse_coeffs
+from oracles import (
+    coprime_divisor_sum_brute,
+    divisor_sum_brute,
+    partition_counts,
+    product_coeffs,
+    series_inverse_coeffs,
+)
 
 VAC = HeisenbergState.vacuum()
 H = HeisenbergState.monomial([1])
@@ -146,6 +151,13 @@ class TestCharacter:
         assert series.offset == Fraction(-1, 24)
         assert [int(c) for c in series.coeffs] == [partition_count(n) for n in range(11)]
 
+    @pytest.mark.parametrize("cprime", [0, 1, 12])
+    def test_virasoro_vacuum_offset_and_counts(self, cprime):
+        # q^(-c/24) with c = 2c', and the PBW words of grade n counted: parts >= 2
+        series = character(VirasoroState.vacuum(cprime), 12)
+        assert series.offset == Fraction(-cprime, 12)
+        assert list(series.coeffs) == partition_counts(12, min_part=2)
+
     def test_square_state(self):
         series = character(HH, 4)
         assert [int(c) for c in series.coeffs] == [
@@ -216,7 +228,6 @@ class TestEisenstein:
             full = eisenstein_G2_star(p, 20)
             for n in range(1, 21):
                 assert full.coeffs[n] == coprime_divisor_sum_brute(n, p)
-                assert coprime_divisor_sum(n, p) == coprime_divisor_sum_brute(n, p)
 
     def test_star_constant_term(self):
         # constant of the p-stabilization G_2(q) - p G_2(q^p)
@@ -241,20 +252,22 @@ class TestEisenstein:
 
 
 class TestPadicDistance:
+    """The distance exponent of two series is max((a - b).norm_exponents(p))."""
+
     def test_identical_series(self):
         a = eisenstein_G(2, 8)
-        assert qseries_padic_distance(a, a, 5) == -inf
+        assert max((a - a).norm_exponents(5)) == -inf
 
     def test_single_term(self):
         a = QSeries([0, 25, 0])
         b = QSeries([0, 0, 0])
-        assert qseries_padic_distance(a, b, 5) == -2
+        assert max((a - b).norm_exponents(5)) == -2
 
     def test_rejects_non_prime_on_identical_series(self):
         a = eisenstein_G(2, 4)
         with pytest.raises(ValueError):
-            qseries_padic_distance(a, a, 4)
+            (a - a).norm_exponents(4)
 
     def test_offset_mismatch(self):
         with pytest.raises(ValueError):
-            qseries_padic_distance(QSeries([1]), QSeries([1], Fraction(1, 24)), 5)
+            (QSeries([1]) - QSeries([1], Fraction(1, 24))).norm_exponents(5)

@@ -15,8 +15,8 @@ from math import inf
 from typing import Any, Iterable, Sequence
 
 from .fock import GradedState, _accumulate_terms, partitions_of
-from .modes import _modes_of, _residue_sum, mode_action
-from .scalars import gen_binomial, is_prime
+from .modes import _modes_of, _monomial_mode, _residue_sum, mode_action
+from .scalars import is_prime
 
 __all__ = [
     "DefectReport",
@@ -49,19 +49,28 @@ class DefectReport:
 
 
 def _jacobi_sides(u: GradedState, v: GradedState, w: GradedState, r: int, s: int, t: int) -> GradedState:
-    """Left minus right side of the Jacobi identity at (r, s, t)."""
+    """Left minus right side of the Jacobi identity at (r, s, t), both summed
+    on the engine's (key, coefficient) pairs without building a state for
+    u(t+i)v."""
     u._check(v)
     u._check(w)
     acc: dict = {}
     if u and v:
         wu, wv = u.max_weight(), v.max_weight()
+        u_modes, v_modes = _modes_of(u), _modes_of(v)
+        binomial = 1  # C(r, i)
         for i in range(max(0, wu + wv - t)):
-            coeff = gen_binomial(r, i)
-            if not coeff:
-                break  # C(r, i) = 0 for 0 <= r < i, and so for every larger i
-            _accumulate_terms(acc, mode_action(mode_action(u, t + i, v), r + s - i, w)._terms.items(), coeff)
+            if i:
+                binomial = binomial * (r - i + 1) // i
+                if not binomial:
+                    break  # C(r, i) = 0 for 0 <= r < i, and so for every larger i
+            for pv, cv in v._terms.items():
+                for pk, ck in u_modes(t + i, pv):  # the terms of u(t+i)v
+                    scale = binomial * cv * ck
+                    for pw, cw in w._terms.items():
+                        _accumulate_terms(acc, _monomial_mode(w, pk, r + s - i, pw), scale * cw)
         for key, c in w._terms.items():
-            _residue_sum(acc, -c, _modes_of(u), wu, _modes_of(v), wv, r, s, t, key)
+            _residue_sum(acc, -c, u_modes, wu, v_modes, wv, r, s, t, key)
     return w._with(acc)
 
 

@@ -304,18 +304,10 @@ def _cmd_kummer(args) -> int:
     """Lay out the state and character rows with their `kummer` verdicts;
     a row on the exceptional branch also reports its branch exponents.  The
     deepest index is checked first, so an r above the family's limit exits 2
-    before any member is built."""
+    before any member is built; the character rows are built before the
+    state rows, so a --qmax above the character limit exits 2 as soon."""
     p = args.prime
     kummer_index(p, args.amax)
-    state_rows = []
-    for a in range(args.amax + 1):
-        for b in range(a, args.amax + 1):
-            report = kummer_check(p, a, b)
-            branch, ok = state_verdict(report)
-            row = {key: value for key, value in report.parameters.items() if key != "p"}
-            row.update(norm_exponent=_exponent_json(report.norm_exponent), ok=ok)
-            row.update((key, _exponent_json(e)) for key, e in branch.items())
-            state_rows.append(row)
     char_rows = []
     for a in range(args.amax + 1):
         series, exponents = character_row(p, a, args.qmax)
@@ -330,6 +322,15 @@ def _cmd_kummer(args) -> int:
         }
         row.update((key, _exponent_json(e)) for key, e in branch.items())
         char_rows.append(row)
+    state_rows = []
+    for a in range(args.amax + 1):
+        for b in range(a, args.amax + 1):
+            report = kummer_check(p, a, b)
+            branch, ok = state_verdict(report)
+            row = {key: value for key, value in report.parameters.items() if key != "p"}
+            row.update(norm_exponent=_exponent_json(report.norm_exponent), ok=ok)
+            row.update((key, _exponent_json(e)) for key, e in branch.items())
+            state_rows.append(row)
     ok = all(row["ok"] for row in state_rows + char_rows)
     payload = {
         "command": "kummer",

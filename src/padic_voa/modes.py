@@ -23,6 +23,7 @@ bounds, never by thresholds, so all results are exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from itertools import islice
 from typing import Callable, Iterable
 
@@ -155,19 +156,6 @@ def zero_mode_trace(proto: GradedState, pv: Partition, n: int) -> Coefficient:
     return trace
 
 
-def _key_mode(v: GradedState, n: int, key: Partition) -> _Pairs:
-    """v(n) applied to one basis key, as (key, coefficient) pairs."""
-    terms = v._terms
-    if len(terms) == 1:
-        ((pv, cv),) = terms.items()
-        if cv == 1:
-            return _monomial_mode(v, pv, n, key)
-    acc: _Terms = {}
-    for pv, cv in terms.items():
-        _accumulate_terms(acc, _monomial_mode(v, pv, n, key), cv)
-    return acc.items()
-
-
 def mode_action(v: GradedState, n: int, b: GradedState) -> GradedState:
     """The mode v(n) of Y(v, z) applied to b, extended bilinearly from the
     basis case.  For homogeneous inputs the result is homogeneous of weight
@@ -204,7 +192,20 @@ def zero_mode(v: GradedState) -> Callable[[GradedState], GradedState]:
 
 
 def _modes_of(v: GradedState) -> _KeyMode:
-    return lambda n, key: _key_mode(v, n, key)
+    """(n, key) -> v(n) key as (key, coefficient) pairs: the cached engine
+    itself when v is one basis vector with coefficient 1."""
+    if len(v) == 1:
+        ((pv, cv),) = v._terms.items()
+        if cv == 1:
+            return partial(_monomial_mode, v, pv)
+
+    def key_mode(n: int, key: Partition) -> _Pairs:
+        acc: _Terms = {}
+        for pv, cv in v._terms.items():
+            _accumulate_terms(acc, _monomial_mode(v, pv, n, key), cv)
+        return acc.items()
+
+    return key_mode
 
 
 def residue_product_mode(a: GradedState, b: GradedState, t: int, n: int, w: GradedState) -> GradedState:

@@ -3,6 +3,8 @@
 Everything here is deliberately implemented by a different route than the
 package code it checks, and works on plain coefficient lists where it can:
 
+* p-adic valuations by dividing out one factor of p at a time, instead of
+  the repeated squaring of the divisor in `scalars.valuation`;
 * Bernoulli numbers by the Akiyama-Tanigawa triangle of rationals, instead
   of the integer tangent numbers of `scalars.bernoulli`;
 * Stirling numbers S(n, k) by the triangle recurrence, instead of the
@@ -36,6 +38,16 @@ from math import comb
 from padic_voa.fock import HeisenbergState
 from padic_voa.modes import h_mode
 from padic_voa.scalars import gen_binomial
+
+
+def valuation_by_loop(q: Fraction, p: int) -> int:
+    """v_p(q) for a nonzero rational q, one division by p at a time."""
+    num, den, v = q.numerator, q.denominator, 0
+    while num % p == 0:
+        num, v = num // p, v + 1
+    while den % p == 0:
+        den, v = den // p, v - 1
+    return v
 
 
 def akiyama_tanigawa_bernoulli(n: int) -> list[Fraction]:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from padic_voa import axioms
 from padic_voa.axioms import (
     associator_defect,
     commutator_defect,
@@ -117,6 +118,47 @@ class TestAssociator:
         v = VAC + HeisenbergState.monomial([2], -2)
         for s, t in itertools.product(range(-2, 3), repeat=2):
             assert associator_defect(u, v, H, s, t).is_zero
+
+
+def mixed_states(algebra):
+    """Multi-term, inhomogeneous states with Fraction coefficients, which take
+    the general key-mode path rather than the engine's unit-basis one."""
+    if algebra == "heisenberg":
+        return (
+            H + HeisenbergState.monomial([2, 1], Fraction(1, 3)),
+            VAC + HeisenbergState.monomial([2], -2) + HeisenbergState.monomial([1, 1], Fraction(-1, 2)),
+            HeisenbergState({(1,): Fraction(2, 5), (3,): 1}),
+        )
+    return (
+        VirasoroState({(2,): Fraction(1, 2), (3,): 1}, algebra),
+        VirasoroState({(): 1, (2,): Fraction(-1, 3)}, algebra),
+        VirasoroState({(2,): 1, (2, 2): Fraction(3, 4)}, algebra),
+    )
+
+
+class TestKeyLevelPath:
+    """The Jacobi family on (key, coefficient) pairs from the engine."""
+
+    @pytest.mark.parametrize("algebra", ["heisenberg", 0, Fraction(1, 2), 12])
+    def test_defects_vanish_on_mixed_states(self, algebra):
+        a, b, w = mixed_states(algebra)
+        unit = a._with({(3,): 1})  # a basis vector of the same algebra
+        for u, v in ((a, b), (b, a), (unit, a), (b, unit)):
+            for r, s in itertools.product(range(-2, 3), repeat=2):
+                assert commutator_defect(u, v, w, r, s).is_zero, (u, v, r, s)
+                for t in range(-2, 3):
+                    assert jacobi_defect(u, v, w, r, s, t).is_zero, (u, v, r, s, t)
+
+    def test_no_intermediate_states(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the Jacobi family must not build mode_action states")
+
+        monkeypatch.setattr(axioms, "mode_action", forbidden)
+        for u, v, w in (mixed_states("heisenberg"), mixed_states(Fraction(1, 2)), (H, H, VAC)):
+            for r, s, t in itertools.product(range(-1, 2), repeat=3):
+                assert jacobi_defect(u, v, w, r, s, t).is_zero
+                assert commutator_defect(u, v, w, r, s).is_zero
+                assert associator_defect(u, v, w, s, t).is_zero
 
 
 class TestLocality:

@@ -300,6 +300,8 @@ SWEEP_SHA256 = [
     ("kummer --prime 7 --amax 2", "d8cc31318e9dee24e7ed28348bcc268eb83e57f51b4ea608504fda69c7381a46"),
     ("eisenstein --star --prime 3 --qmax 40", "ea385afb3442cab127d333720c2a1e43f857896162d464725f7f37f44de67605"),
     ("eisenstein --star --prime 7 --qmax 50", "107a1ca1206ed9c17cfdd1e403c3165af23cc5e60cfc2504db41e8ce94b9a052"),
+    ("axioms --suite jacobi --grade 2 --window 2 --full", "cdf2f630633ba379ad575f31baa69ca9ee2b315320c80fee1a3d72f51ffe5cf7"),
+    ("axioms --suite commutator --grade 3 --window 2 --full", "06d2e82ebb09b803574a055c4f41e1ebd67a8e0cfb1f093db3240e8197d9e078"),
 ]
 
 
@@ -340,6 +342,14 @@ class TestInputValidation:
         # r = 10007 and r = 62501 used to hang building c_row(r)
         assert run_cli(["kummer", *argv]) == (2, "")
         assert "too large for the Kummer family" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv", [["character", "--state", "vac", "--qmax", "41"], ["kummer", "--prime", "5", "--qmax", "41"]]
+    )
+    def test_qmax_above_character_limit(self, argv, capsys):
+        # character --qmax 60 used to run past 20 s summing traces over p(n) keys
+        assert run_cli(argv) == (2, "")
+        assert "too large for a character (limit 40)" in capsys.readouterr().err
 
     def test_axioms_empty_range(self):
         assert run_cli(["axioms", "--suite", "isometry", "--count", "0"]) == (2, "")

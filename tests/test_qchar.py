@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from padic_voa import modes
+from padic_voa import modes, qchar
 from padic_voa.fock import HeisenbergState, grade_basis, partition_count
 from padic_voa.kummer import u_state
 from padic_voa.modes import clear_mode_cache, zero_mode
@@ -197,6 +197,18 @@ class TestCharacter:
     def test_normalized_vacuum_character_is_one(self):
         assert normalized_character(VAC, 12) == QSeries([1] + [0] * 12)
         assert normalized_character(HH, 8).offset == 0
+
+    def test_normalized_character_rejects_virasoro(self):
+        # eta * Z(v0) would sit at offset -1/24, not the promised 0
+        with pytest.raises(ValueError, match="Heisenberg characters only"):
+            normalized_character(VirasoroState.vacuum(1), 4)
+
+    def test_order_limit(self):
+        # the zero state sums no traces, so the largest order is cheap
+        assert character(HeisenbergState.zero(), qchar._MAX_ORDER).order == qchar._MAX_ORDER
+        for v in (VAC, VirasoroState.vacuum(1)):
+            with pytest.raises(ValueError, match="too large for a character"):
+                character(v, qchar._MAX_ORDER + 1)
 
 
 class TestEisenstein:

@@ -17,7 +17,7 @@ from padic_voa.scalars import (
     valuation,
 )
 
-from oracles import akiyama_tanigawa_bernoulli, stirling2
+from oracles import akiyama_tanigawa_bernoulli, stirling2, valuation_by_loop
 
 rationals = st.fractions(
     min_value=Fraction(-10**6), max_value=Fraction(10**6), max_denominator=10**4
@@ -79,6 +79,18 @@ class TestValuation:
         # p = 1 used to loop forever: num % 1 == 0 always holds
         with pytest.raises(ValueError):
             valuation(Fraction(3, 4), p)
+
+    @given(
+        st.integers(-(10**12), 10**12).filter(bool),
+        st.integers(1, 10**12),
+        st.integers(0, 600),
+        st.integers(0, 600),
+        st.sampled_from([2, 3, 5, 7, 101]),
+    )
+    def test_matches_loop_on_large_powers(self, num, den, up, down, p):
+        # multiplicities in the hundreds, as in the Kummer rows at depth
+        q = Fraction(num * p**up, den * p**down)
+        assert valuation(q, p) == valuation_by_loop(q, p)
 
     @given(rationals, rationals, small_primes)
     def test_ultrametric(self, a, b, p):

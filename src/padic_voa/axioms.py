@@ -10,7 +10,7 @@ of the axioms).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import inf
 from typing import Any, Iterable, Sequence
 
@@ -36,8 +36,8 @@ class DefectReport:
 
     defect: Any
     norm_exponent: int | float
-    parameters: dict = field(default_factory=dict)
-    prime: int = 2
+    parameters: dict
+    prime: int
 
     @classmethod
     def from_defect(cls, defect, prime: int, parameters: dict) -> "DefectReport":

@@ -146,15 +146,11 @@ def random_probe_states(
     probes.  Deterministic for a fixed seed."""
     rng = random.Random(seed)
     pool = [parts for g in range(grade + 1) for parts in grade_basis(g)]
+    coefficients = [c for c in range(-9, 10) if c]
     states: list[HeisenbergState] = []
-    while len(states) < count:
+    for _ in range(count):
         support = rng.sample(pool, k=min(len(pool), rng.randint(1, 4)))
-        state = HeisenbergState.zero()
-        for parts in support:
-            coeff = rng.choice([c for c in range(-9, 10) if c])
-            state = state + HeisenbergState.monomial(parts, coeff)
-        if state.is_zero:
-            continue
+        state = HeisenbergState([(parts, rng.choice(coefficients)) for parts in support])
         if rng.random() < 0.5:
             state = state.scale(Fraction(prime) ** rng.randint(-2, 2))
         states.append(state)
@@ -165,7 +161,8 @@ def _axiom_checks(args, grade: int, window: int, prime: int):
     """Jacobi (r, s, t) and commutator (r, s) defects over [-window, window]
     and locality profiles, on every triple of basis states up to `grade`; or
     isometry probes of `args.count` random states.  A locality row fails
-    when a coefficient survives at t >= wt(u) + wt(v)."""
+    when a coefficient survives at t >= wt(u) + wt(v); an isometry row when
+    lhs > rhs, since lhs = rhs needs n = -1 in the window."""
     span = range(-window, window + 1)
     if args.suite == "isometry":
         for state in random_probe_states(grade, prime, args.count, args.seed):
@@ -174,9 +171,9 @@ def _axiom_checks(args, grade: int, window: int, prime: int):
                 "state": render_heisenberg(state),
                 "lhs": _exponent_json(lhs),
                 "rhs": _exponent_json(rhs),
-                "ok": lhs == rhs,
+                "ok": lhs <= rhs,
             }
-            yield row, lhs == rhs
+            yield row, lhs <= rhs
         return
     basis = [HeisenbergState.monomial(parts) for g in range(grade + 1) for parts in grade_basis(g)]
     for u, v, w in product(basis, repeat=3):
@@ -217,10 +214,10 @@ def _virasoro_checks(args, charge: Fraction, payload: dict):
                         yield {"word": name, "n": n, "non_integral": True}, None
 
 
-def _tally(args, payload: dict, checked) -> int:
+def _tally(args, payload: dict, checked) -> tuple[dict, int]:
     """Count a sweep's (row, ok) pairs into `payload`, keep failing rows as
     violations and every counted row under --full (ok None marks an
-    uncounted probe violation), emit it, and return the exit code."""
+    uncounted probe violation); return it with the exit code."""
     checks = 0
     rows, violations = [], []
     for row, ok in checked:
@@ -233,12 +230,11 @@ def _tally(args, payload: dict, checked) -> int:
     payload.update(checks=checks, violations=violations, all_ok=not violations)
     if args.full:
         payload["rows"] = rows
-    _emit(payload, args.out)
-    return 0 if not violations else 1
+    return payload, 0 if not violations else 1
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each returns (payload, exit code), and `main` emits
 
 
 def _exponent_json(value: int | float):
@@ -258,7 +254,7 @@ def _emit(payload: dict, out_path: str | None) -> None:
     print(text)
 
 
-def _cmd_character(args) -> int:
+def _cmd_character(args) -> tuple[dict, int]:
     state = parse_state(args.state)
     series = (
         normalized_character(state, args.qmax)
@@ -277,17 +273,14 @@ def _cmd_character(args) -> int:
         payload["prime"] = args.prime
         payload["coefficient_norm_exponents"] = [_exponent_json(e) for e in exponents]
         payload["sup_norm_exponent"] = _exponent_json(max(exponents))
-    _emit(payload, args.out)
-    return 0
+    return payload, 0
 
 
-def _cmd_eisenstein(args) -> int:
+def _cmd_eisenstein(args) -> tuple[dict, int]:
     if args.star and args.prime is None:
-        print("error: --star requires --prime", file=sys.stderr)
-        return 2
+        raise ValueError("--star requires --prime")
     if not args.star and args.k is None:
-        print("error: provide --k or --star", file=sys.stderr)
-        return 2
+        raise ValueError("provide --k or --star")
     payload = {"command": "eisenstein", "qmax": args.qmax}
     if args.star:
         series = eisenstein_G2_star(args.prime, args.qmax)
@@ -296,11 +289,10 @@ def _cmd_eisenstein(args) -> int:
         series = eisenstein_G(args.k, args.qmax)
         payload.update(kind="G", k=args.k)
     payload["series"] = series.to_json()
-    _emit(payload, args.out)
-    return 0
+    return payload, 0
 
 
-def _cmd_kummer(args) -> int:
+def _cmd_kummer(args) -> tuple[dict, int]:
     """Lay out the state and character rows with their `kummer` verdicts;
     a row on the exceptional branch also reports its branch exponents.  The
     deepest index is checked first, so an r above the family's limit exits 2
@@ -341,23 +333,23 @@ def _cmd_kummer(args) -> int:
         "character_distances": char_rows,
         "all_ok": ok,
     }
-    _emit(payload, args.out)
-    return 0 if ok else 1
+    return payload, 0 if ok else 1
 
 
+# (grade, window, prime) of each suite when not given
 _SUITE_DEFAULTS = {
-    "jacobi": (3, 2),
-    "commutator": (4, 3),
-    "locality": (3, 8),
-    "isometry": (3, 5),
+    "jacobi": (3, 2, 2),
+    "commutator": (4, 3, 2),
+    "locality": (3, 8, 2),
+    "isometry": (3, 5, 3),
 }
 
 
-def _cmd_axioms(args) -> int:
-    default_grade, default_window = _SUITE_DEFAULTS[args.suite]
+def _cmd_axioms(args) -> tuple[dict, int]:
+    default_grade, default_window, default_prime = _SUITE_DEFAULTS[args.suite]
     grade = default_grade if args.grade is None else args.grade
     window = default_window if args.window is None else args.window
-    prime = args.prime if args.prime is not None else (3 if args.suite == "isometry" else 2)
+    prime = default_prime if args.prime is None else args.prime
     payload = {
         "command": "axioms",
         "suite": args.suite,
@@ -368,7 +360,7 @@ def _cmd_axioms(args) -> int:
     return _tally(args, payload, _axiom_checks(args, grade, window, prime))
 
 
-def _cmd_virasoro(args) -> int:
+def _cmd_virasoro(args) -> tuple[dict, int]:
     charge = args.cprime
     payload = {
         "command": "virasoro",
@@ -425,7 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_char.add_argument("--qmax", type=_at_least(0), default=20)
     p_char.add_argument("--eta", action="store_true", help="emit eta * Z instead of Z")
     p_char.add_argument("--prime", type=_prime, default=None)
-    p_char.add_argument("--out", default=None)
     p_char.set_defaults(func=_cmd_character)
 
     p_eis = sub.add_parser("eisenstein", help="Eisenstein series G_k or G_2*")
@@ -433,14 +424,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_eis.add_argument("--star", action="store_true", help="p-stabilized weight-2 series")
     p_eis.add_argument("--prime", type=_prime, default=None)
     p_eis.add_argument("--qmax", type=_at_least(0), default=20)
-    p_eis.add_argument("--out", default=None)
     p_eis.set_defaults(func=_cmd_eisenstein)
 
     p_kum = sub.add_parser("kummer", help="Kummer congruence report")
     p_kum.add_argument("--prime", type=_prime, required=True)
     p_kum.add_argument("--amax", type=_at_least(0), default=2)
     p_kum.add_argument("--qmax", type=_at_least(0), default=10)
-    p_kum.add_argument("--out", default=None)
     p_kum.set_defaults(func=_cmd_kummer)
 
     p_ax = sub.add_parser("axioms", help="axiom defect sweeps")
@@ -451,7 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ax.add_argument("--count", type=_at_least(1), default=50, help="isometry probe count")
     p_ax.add_argument("--seed", type=int, default=20240229)
     p_ax.add_argument("--full", action="store_true", help="emit every row, not only violations")
-    p_ax.add_argument("--out", default=None)
     p_ax.set_defaults(func=_cmd_axioms)
 
     p_vir = sub.add_parser("virasoro", help="Virasoro bracket defect table")
@@ -460,9 +448,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_vir.add_argument("--window", type=_at_least(0), default=4)
     p_vir.add_argument("--prime", type=_prime, default=2)
     p_vir.add_argument("--full", action="store_true")
-    p_vir.add_argument("--out", default=None)
     p_vir.set_defaults(func=_cmd_virasoro)
 
+    for subparser in sub.choices.values():
+        subparser.add_argument("--out", default=None)
     return parser
 
 
@@ -473,10 +462,12 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        payload, code = args.func(args)
+        _emit(payload, args.out)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

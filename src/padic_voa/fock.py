@@ -35,7 +35,6 @@ __all__ = [
     "HeisenbergState",
     "Partition",
     "grade_basis",
-    "partition_count",
     "partitions_of",
 ]
 
@@ -64,10 +63,6 @@ def partitions_of(n: int, min_part: int = 1) -> tuple[Partition, ...]:
 def grade_basis(n: int) -> tuple[Partition, ...]:
     """Monomial basis of the degree-n graded piece; its length is p(n)."""
     return partitions_of(n)
-
-
-def partition_count(n: int) -> int:
-    return len(partitions_of(n))
 
 
 def _exact(c: Coefficient) -> Coefficient:

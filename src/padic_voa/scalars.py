@@ -1,7 +1,7 @@
 """Exact scalar arithmetic: p-adic valuations of rationals, and the
 combinatorial number sequences (Bernoulli numbers from integer tangent
 numbers, the Stirling-type integers c(r, m) from one forward-difference
-table, generalized binomials) that the state and q-series layers consume.
+table) that the state and q-series layers consume.
 
 All state and series construction elsewhere in the package happens over exact
 rationals: states store a coefficient as a plain `int` when it is integral
@@ -16,13 +16,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import pairwise
-from math import factorial
 
 __all__ = [
     "bernoulli",
     "c_coefficient",
     "c_row",
-    "gen_binomial",
     "is_prime",
     "valuation",
 ]
@@ -166,17 +164,3 @@ def c_coefficient(r: int, m: int) -> int:
     if m < 0:
         raise ValueError("m must be >= 0")
     return c_row(r)[m] if m < r else 0
-
-
-def gen_binomial(t: int, i: int) -> int:
-    """Binomial coefficient C(t, i) for arbitrary integer upper index t.
-
-    C(t, i) = t(t-1)...(t-i+1) / i!, so C(-1, i) = (-1)^i and more generally
-    C(t, i) = (-1)^i C(-t+i-1, i) for t < 0.
-    """
-    if i < 0:
-        raise ValueError("lower index must be >= 0")
-    num = 1
-    for j in range(i):
-        num *= t - j
-    return num // factorial(i)

@@ -18,13 +18,11 @@ in one bounded memo keyed on (n, word, c'); `_apply.cache_clear()` empties it.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
 from typing import Iterable
 
 from .axioms import DefectReport
 from .fock import Coefficient, GradedState, _accumulate_terms, _exact, partitions_of
 from .modes import h_mode, mode_action
-from .scalars import gen_binomial
 
 __all__ = [
     "VirasoroState",
@@ -114,7 +112,7 @@ def _apply(n: int, word: Word, charge: Coefficient) -> tuple[tuple[Word, Coeffic
         _accumulate_terms(out, _apply(-head, inner, charge), c)
     _accumulate_terms(out, _apply(n - head, rest, charge), n + head)
     if n == head:
-        _accumulate_terms(out, [(rest, comb(n + 1, 3) * charge)])
+        _accumulate_terms(out, [(rest, (n + 1) * n * (n - 1) // 6 * charge)])
     return tuple(out.items())
 
 
@@ -133,7 +131,7 @@ def vir_bracket_defect(m: int, n: int, state: VirasoroState, prime: int = 2) -> 
     bracket = L_action(m, L_action(n, state)) - L_action(n, L_action(m, state))
     expected = L_action(m + n, state).scale(m - n)
     if m + n == 0:
-        expected = expected + state.scale(gen_binomial(m + 1, 3) * state.charge)
+        expected = expected + state.scale((m + 1) * m * (m - 1) // 6 * state.charge)
     defect = bracket - expected
     params = {"m": m, "n": n, "cprime": str(state.charge)}
     return DefectReport.from_defect(defect, prime, params)

@@ -5,6 +5,9 @@ package code it checks, and works on plain coefficient lists where it can:
 
 * p-adic valuations by dividing out one factor of p at a time, instead of
   the repeated squaring of the divisor in `scalars.valuation`;
+* binomials C(t, i) for any integer t as the falling product
+  t(t-1)...(t-i+1) over i!, instead of the term-by-term recurrence of the
+  residue sums in `modes` and `axioms`;
 * Bernoulli numbers by the Akiyama-Tanigawa triangle of rationals, instead
   of the integer tangent numbers of `scalars.bernoulli`;
 * Stirling numbers S(n, k) by the triangle recurrence, instead of the
@@ -33,11 +36,10 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, prod
 
 from padic_voa.fock import HeisenbergState
 from padic_voa.modes import h_mode
-from padic_voa.scalars import gen_binomial
 
 
 def valuation_by_loop(q: Fraction, p: int) -> int:
@@ -48,6 +50,12 @@ def valuation_by_loop(q: Fraction, p: int) -> int:
     while den % p == 0:
         den, v = den // p, v - 1
     return v
+
+
+def binomial(t: int, i: int) -> int:
+    """C(t, i) for any integer t and i >= 0: the falling product over i!, so
+    C(-1, i) = (-1)^i."""
+    return prod(range(t, t - i, -1)) // factorial(i)
 
 
 def akiyama_tanigawa_bernoulli(n: int) -> list[Fraction]:
@@ -203,7 +211,7 @@ def normal_ordered_mode(parts: tuple[int, ...], n: int, b: HeisenbergState) -> H
             continue
         coeff = 1
         for k, m in zip(parts, assignment):
-            c = gen_binomial(m + k - 1, k - 1)
+            c = binomial(m + k - 1, k - 1)
             if k % 2 == 0:
                 c = -c
             coeff *= c

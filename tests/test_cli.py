@@ -241,6 +241,13 @@ class TestSubcommands:
         payload = json.loads(out)
         assert payload["checks"] == 8
 
+    def test_axioms_isometry_without_n_minus_one(self):
+        # window 0 holds no n = -1, so a(n)b cannot reach |a|: only lhs <= rhs is checked
+        code, out = run_cli(["axioms", "--suite", "isometry", "--window", "0", "--count", "3"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["all_ok"] and payload["checks"] == 3
+
     def test_virasoro_table(self):
         code, out = run_cli(
             ["virasoro", "--cprime", "12", "--grade", "4", "--window", "3"]
@@ -280,6 +287,15 @@ class TestSubcommands:
         assert run_cli(["bogus"])[0] == 2
         assert run_cli(["eisenstein", "--k", "3"])[0] == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["eisenstein", "--star"], "--star requires --prime"), (["eisenstein"], "provide --k or --star")],
+    )
+    def test_eisenstein_usage_error_message(self, argv, message, capsys):
+        # raised like every other usage error, and reported by main alone
+        assert run_cli(argv) == (2, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 # stdout sha256 of small --full sweeps: sweep JSON must stay byte-identical
 SWEEP_SHA256 = [
@@ -302,6 +318,7 @@ SWEEP_SHA256 = [
     ("eisenstein --star --prime 7 --qmax 50", "107a1ca1206ed9c17cfdd1e403c3165af23cc5e60cfc2504db41e8ce94b9a052"),
     ("axioms --suite jacobi --grade 2 --window 2 --full", "cdf2f630633ba379ad575f31baa69ca9ee2b315320c80fee1a3d72f51ffe5cf7"),
     ("axioms --suite commutator --grade 3 --window 2 --full", "06d2e82ebb09b803574a055c4f41e1ebd67a8e0cfb1f093db3240e8197d9e078"),
+    ("axioms --suite isometry", "0c16e899e4dd123638acebd9805c967d7289b6861ddcd1d0876eefbece70c622"),
 ]
 
 
@@ -350,6 +367,12 @@ class TestInputValidation:
         # character --qmax 60 used to run past 20 s summing traces over p(n) keys
         assert run_cli(argv) == (2, "")
         assert "too large for a character (limit 40)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", ["2002", "20000"])
+    def test_eisenstein_weight_above_limit(self, k, capsys):
+        # --k 2100 used to end past Python's int-to-str digit limit, --k 20000 ran past 30 s
+        assert run_cli(["eisenstein", "--k", k, "--qmax", "1"]) == (2, "")
+        assert "too large for an Eisenstein series (limit 2000)" in capsys.readouterr().err
 
     def test_axioms_empty_range(self):
         assert run_cli(["axioms", "--suite", "isometry", "--count", "0"]) == (2, "")

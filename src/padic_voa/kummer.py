@@ -41,11 +41,14 @@ __all__ = [
 def square_bracket_state(r: int) -> HeisenbergState:
     """The state (r-1)! h[-r]h[-1]|0> in the round-bracket monomial basis,
     via the closed-form Stirling/Bernoulli expansion, built in one piece from
-    the row c(r, 0..r-1)."""
+    the row c(r, 0..r-1).  The keys (m+1, 1) are canonical, c(r, m) > 0 for
+    m < r, and 6 divides the denominator of B_{r+1} (von Staudt-Clausen), so
+    the terms are already in stored form and skip the constructor's checks."""
     if r < 1 or r % 2 == 0:
         raise ValueError(f"r must be a positive odd integer, got {r}")
-    terms = [((m + 1, 1), c) for m, c in enumerate(c_row(r))]
-    return HeisenbergState([((), -bernoulli(r + 1) / (r + 1)), *terms])
+    terms = {(): -bernoulli(r + 1) / (r + 1)}
+    terms.update(((m + 1, 1), c) for m, c in enumerate(c_row(r)))
+    return HeisenbergState()._with(terms)
 
 
 def v_state(r: int) -> HeisenbergState:
@@ -57,7 +60,7 @@ def u_state(r: int, p: int) -> HeisenbergState:
     """The p-rescaled family member u_r = 2 (1 - p^r) v_r."""
     if p == 2 or not is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
-    return square_bracket_state(r).scale(1 - Fraction(p) ** r)
+    return square_bracket_state(r).scale(1 - p**r)
 
 
 # `c_row(r)` holds about r^2 log10(r) digits: `padic-voa kummer --prime 997

@@ -144,14 +144,19 @@ def _monomial_mode(proto: GradedState, pv: Partition, n: int, pb: Partition) -> 
 def zero_mode_trace(proto: GradedState, pv: Partition, n: int) -> Coefficient:
     """Tr(o(v) | grade n) for v the basis vector pv of the algebra of `proto`:
     the sum over the grade-n basis keys pb of the pb-coefficient of
-    v(wt v - 1) pb, read off the engine's images without building states.
+    v(wt v - 1) pb, read off the engine's images by a scan for pb, without
+    building states or dicts.
     An integer for Heisenberg; cached on (algebra, pv, n)."""
     cache_key = (proto.algebra, pv, n)
     trace = _TRACE_CACHE.get(cache_key)
     if trace is None:
         k = sum(pv) - 1
-        basis = partitions_of(n, proto.WEIGHT)
-        trace = sum(dict(_monomial_mode(proto, pv, k, pb)).get(pb, 0) for pb in basis)
+        trace = 0
+        for pb in partitions_of(n, proto.WEIGHT):
+            for key, c in _monomial_mode(proto, pv, k, pb):
+                if key == pb:
+                    trace += c
+                    break
         _remember(_TRACE_CACHE, _TRACE_CACHE_SIZE, cache_key, trace)
     return trace
 

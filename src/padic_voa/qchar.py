@@ -9,7 +9,8 @@ symbolically so that eta * Z lands exactly on integer exponents.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf
+from math import inf, lcm
+from typing import Collection
 
 from .fock import GradedState, HeisenbergState
 from .modes import zero_mode_trace
@@ -26,6 +27,14 @@ __all__ = [
 ]
 
 Coefficient = Fraction | int
+
+
+def _common_denominator(coeffs: Collection[Coefficient]) -> tuple[list[int], int]:
+    """(numerators, d) with c = numerator / d for each rational c, d the lcm of
+    the denominators: integer kernels then sum and convolve the numerators,
+    and one Fraction per result divides by d."""
+    d = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
 
 
 class QSeries:
@@ -85,18 +94,20 @@ class QSeries:
         return self.scale(scalar)
 
     def __mul__(self, other) -> "QSeries":
+        """The truncated product, convolved on integer numerators over the
+        two series' common denominators."""
         if not isinstance(other, QSeries):
             return self.scale(other)
         order = min(self.order, other.order)
-        coeffs = [Fraction(0)] * (order + 1)
-        for i, a in enumerate(self.coeffs[: order + 1]):
-            if not a:
-                continue
-            for j in range(order + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    coeffs[i + j] += a * b
-        return QSeries(coeffs, self.offset + other.offset)
+        xs, dx = _common_denominator(self.coeffs[: order + 1])
+        ys, dy = _common_denominator(other.coeffs[: order + 1])
+        sums = [0] * (order + 1)
+        for i, x in enumerate(xs):
+            if x:
+                for j, y in enumerate(ys[: order + 1 - i]):
+                    sums[i + j] += x * y
+        d = dx * dy
+        return QSeries([Fraction(n, d) for n in sums], self.offset + other.offset)
 
     def to_json(self) -> dict:
         return {
@@ -129,14 +140,19 @@ def character(v: GradedState, n_max: int) -> QSeries:
 
     Z is linear in v, so each coefficient is sum_key c_key Tr(o(key) | grade n)
     over the basis keys of v.  Each trace is an integer from
-    `modes.zero_mode_trace`, read off the diagonal of the engine's basis images
-    and cached, so Fractions enter only in this final combination.
+    `modes.zero_mode_trace` (in Z[c'] for Virasoro, so a Fraction at a
+    fractional c'), read off the diagonal of the engine's basis images and
+    cached.  The coefficients c_key are put over one common denominator d,
+    so each q-order sums integer products and makes one Fraction.
     """
     _require_order(n_max)
     if n_max > _MAX_ORDER:
         raise ValueError(f"q-order {n_max} is too large for a character (limit {_MAX_ORDER})")
-    terms = v._terms.items()
-    coeffs = [sum(c * zero_mode_trace(v, key, n) for key, c in terms) for n in range(n_max + 1)]
+    numerators, d = _common_denominator(v._terms.values())
+    coeffs = [
+        Fraction(sum(c * zero_mode_trace(v, key, n) for key, c in zip(v._terms, numerators)), d)
+        for n in range(n_max + 1)
+    ]
     return QSeries(coeffs, -Fraction(v.central_charge) / 24)
 
 
@@ -186,15 +202,27 @@ def divisor_power_sum(n: int, k: int) -> int:
 # int-to-str limit, and --k 20000 does not end within 30 s
 _MAX_WEIGHT = 2000
 
+# the JSON holds every coefficient as a decimal string, and Python converts no
+# int of more than 4,300 digits to str; sigma_{k-1}(n) has about
+# (k-1) log10(n) digits, so at k = 2000 the largest q-order is 141
+_MAX_DIGITS = 4300
+
 
 def eisenstein_G(k: int, n_max: int) -> QSeries:
     """Weight-k Eisenstein series G_k = -B_k/2k + sum_n sigma_{k-1}(n) q^n,
-    for even 2 <= k <= `_MAX_WEIGHT`."""
+    for even 2 <= k <= `_MAX_WEIGHT`, through a q-order n_max with
+    2 n_max^(k-1) < 10^`_MAX_DIGITS`.  For k >= 4 that bound covers every
+    coefficient, since sigma_{k-1}(n) < zeta(k-1) n^(k-1) < 2 n^(k-1)."""
     if k < 2 or k % 2:
         raise ValueError("k must be even and >= 2")
     if k > _MAX_WEIGHT:
         raise ValueError(f"weight {k} is too large for an Eisenstein series (limit {_MAX_WEIGHT})")
     _require_order(n_max)
+    # the bit-length test refuses a huge n_max without raising it to the power
+    if (n_max.bit_length() - 1) * (k - 1) >= 4 * _MAX_DIGITS or 2 * n_max ** (k - 1) >= 10**_MAX_DIGITS:
+        raise ValueError(
+            f"q-order {n_max} is too large for an Eisenstein series of weight {k} (limit {_MAX_DIGITS} digits)"
+        )
     coeffs = [-bernoulli(k) / (2 * k)]
     coeffs += [Fraction(divisor_power_sum(n, k - 1)) for n in range(1, n_max + 1)]
     return QSeries(coeffs)

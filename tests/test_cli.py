@@ -319,6 +319,12 @@ SWEEP_SHA256 = [
     ("axioms --suite jacobi --grade 2 --window 2 --full", "cdf2f630633ba379ad575f31baa69ca9ee2b315320c80fee1a3d72f51ffe5cf7"),
     ("axioms --suite commutator --grade 3 --window 2 --full", "06d2e82ebb09b803574a055c4f41e1ebd67a8e0cfb1f093db3240e8197d9e078"),
     ("axioms --suite isometry", "0c16e899e4dd123638acebd9805c967d7289b6861ddcd1d0876eefbece70c622"),
+    ("kummer --prime 5 --amax 3", "4cee2234bee30c4a1228b938994a4ba0a47bd830d12e6b8c329780600cb872b0"),
+    ("kummer --prime 3 --amax 5", "3c62394359b42bac04874447acf1fd7f9bed788c33cbae23344e4ba8af16cbd0"),
+    (
+        'character --state "3/5 h(-4)h(-2) vac - 7/25 h(-3)^2 vac + 2/3 h(-1)^6 vac" --qmax 12 --eta --prime 5',
+        "c03b7491220083d21b9a61bc0a91046835372090e1d9b20ccf6d25a3e90195b3",
+    ),
 ]
 
 
@@ -373,6 +379,14 @@ class TestInputValidation:
         # --k 2100 used to end past Python's int-to-str digit limit, --k 20000 ran past 30 s
         assert run_cli(["eisenstein", "--k", k, "--qmax", "1"]) == (2, "")
         assert "too large for an Eisenstein series (limit 2000)" in capsys.readouterr().err
+
+    def test_eisenstein_order_above_limit_for_the_weight(self, capsys):
+        # sigma_1999(n) has about 1999 log10(n) digits: --qmax 142 used to pass
+        # Python's 4,300-digit int-to-str limit and exit 2 with its message
+        assert run_cli(["eisenstein", "--k", "2000", "--qmax", "150"]) == (2, "")
+        assert "q-order 150 is too large for an Eisenstein series of weight 2000 (limit 4300 digits)" in capsys.readouterr().err
+        code, out = run_cli(["eisenstein", "--k", "2000", "--qmax", "141"])
+        assert code == 0 and json.loads(out)["series"]["order"] == 141
 
     def test_axioms_empty_range(self):
         assert run_cli(["axioms", "--suite", "isometry", "--count", "0"]) == (2, "")

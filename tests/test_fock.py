@@ -8,9 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from padic_voa.fock import HeisenbergState, grade_basis, partitions_of
+from padic_voa.kummer import kummer_check
 from padic_voa.modes import mode_action
 
-from oracles import partition_counts
+from oracles import partition_counts, valuation_by_loop
 
 partitions = st.integers(0, 6).flatmap(lambda n: st.sampled_from(grade_basis(n)))
 coefficients = st.fractions(
@@ -25,6 +26,20 @@ def states(draw, max_terms: int = 4) -> HeisenbergState:
     for parts, coeff in terms:
         total = total + HeisenbergState.monomial(parts, coeff)
     return total
+
+
+@st.composite
+def padic_states(draw) -> tuple[int, HeisenbergState]:
+    """(p, state) with coefficients p^k * c, so p-powers sit in numerators and
+    denominators alike, over grades 0..6."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    terms = draw(st.dictionaries(partitions, st.tuples(st.integers(-6, 6), coefficients), max_size=8))
+    return p, HeisenbergState({key: Fraction(p) ** k * c for key, (k, c) in terms.items()})
+
+
+def norm_exponent_by_loop(state: HeisenbergState, p: int, e: int) -> int | float:
+    """max over terms of -v_p(coefficient) + e * weight, one valuation per term."""
+    return max((-valuation_by_loop(c, p) + e * sum(key) for key, c in state.items()), default=-inf)
 
 
 class TestGradeBasis:
@@ -179,3 +194,31 @@ class TestNorms:
         # weights are nonnegative, so the norm grows with the radius exponent
         e2 = e1 + gap
         assert a.r_norm_exponent(p, e1) <= a.r_norm_exponent(p, e2)
+
+
+class TestNormsAgainstLoopOracle:
+    """The content kernels (one gcd and one lcm per grade) against one
+    valuation per term, by single divisions."""
+
+    @given(padic_states(), st.sampled_from([-2, 0, 1, 3]))
+    def test_r_norm(self, drawn, e):
+        p, state = drawn
+        assert state.r_norm_exponent(p, e) == norm_exponent_by_loop(state, p, e)
+
+    @given(padic_states())
+    def test_sup_norm(self, drawn):
+        p, state = drawn
+        assert state.sup_norm_exponent(p) == norm_exponent_by_loop(state, p, 0)
+
+    def test_grades_with_different_contents(self):
+        # grade 0 has content 1/5, grade 2 content 25: e = 1 picks grade 0, e = 3 grade 2
+        state = HeisenbergState({(): Fraction(3, 5), (1, 1): 50, (2,): -75})
+        assert state.r_norm_exponent(5, 1) == 1
+        assert state.r_norm_exponent(5, 3) == 4
+        assert state.sup_norm_exponent(5) == 1
+
+    @pytest.mark.parametrize("p, a, b", [(p, a, b) for p in (5, 7) for a in range(3) for b in range(a, 3)])
+    def test_kummer_defects(self, p, a, b):
+        # coefficients of up to ~900 digits, p-adic valuations up to 50
+        report = kummer_check(p, a, b)
+        assert report.norm_exponent == norm_exponent_by_loop(report.defect, p, 0)

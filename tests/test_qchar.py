@@ -8,9 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from padic_voa import modes, qchar
-from padic_voa.fock import HeisenbergState, grade_basis
+from padic_voa.fock import HeisenbergState, grade_basis, partitions_of
 from padic_voa.kummer import u_state
-from padic_voa.modes import clear_mode_cache, zero_mode
+from padic_voa.modes import clear_mode_cache, zero_mode, zero_mode_trace
 from padic_voa.qchar import (
     QSeries,
     character,
@@ -28,11 +28,15 @@ from oracles import (
     partition_counts,
     product_coeffs,
     series_inverse_coeffs,
+    series_product_coeffs,
 )
 
 VAC = HeisenbergState.vacuum()
 H = HeisenbergState.monomial([1])
 HH = HeisenbergState.monomial([1, 1])
+SERIES_COEFFICIENTS = st.one_of(
+    st.just(0), st.integers(-50, 50), st.fractions(min_value=-50, max_value=50, max_denominator=60)
+)
 
 
 @pytest.mark.parametrize(
@@ -86,6 +90,25 @@ class TestQSeries:
         a, b, c = QSeries(xs), QSeries(ys), QSeries(zs)
         # truncation to the smaller order makes both sides comparable as-is
         assert (a + b) * c == a * c + b * c
+
+    @given(
+        st.lists(SERIES_COEFFICIENTS, min_size=1, max_size=9),
+        st.lists(SERIES_COEFFICIENTS, min_size=1, max_size=9),
+        st.fractions(max_denominator=24),
+        st.fractions(max_denominator=24),
+    )
+    def test_product_matches_oracle(self, xs, ys, x_offset, y_offset):
+        product = QSeries(xs, x_offset) * QSeries(ys, y_offset)
+        assert list(product.coeffs) == series_product_coeffs(xs, ys)
+        assert product.offset == x_offset + y_offset
+
+    def test_product_unequal_orders_with_zeros(self):
+        xs = [Fraction(1, 6), 0, Fraction(-25, 4), 3, 0, Fraction(7, 10)]
+        ys = [0, Fraction(5, 9), 0, -2]
+        product = QSeries(xs, Fraction(-1, 24)) * QSeries(ys, Fraction(1, 3))
+        assert list(product.coeffs) == series_product_coeffs(xs, ys)
+        assert product.offset == Fraction(7, 24)
+        assert product.order == 3
 
 
 class TestEta:
@@ -203,6 +226,39 @@ class TestCharacter:
         with pytest.raises(ValueError, match="Heisenberg characters only"):
             normalized_character(VirasoroState.vacuum(1), 4)
 
+    def test_mixed_state_is_the_per_key_trace_sum(self):
+        v = HeisenbergState({(2, 1): 3, (1, 1): Fraction(-5, 6), (3,): Fraction(7, 10), (): 2, (2, 2): Fraction(1, 15)})
+        assert {type(c) for c in v._terms.values()} == {int, Fraction}
+        expected = [sum(c * zero_mode_trace(v, key, n) for key, c in v.items()) for n in range(10)]
+        assert list(character(v, 9).coeffs) == expected
+
+    @pytest.mark.parametrize("cprime", [Fraction(1, 2), Fraction(1, 3)])
+    def test_virasoro_state_is_the_per_key_trace_sum(self, cprime):
+        # at c' = 1/3 the traces themselves are Fractions, e.g. 26/3 for L(-2)^2 v0 at grade 2
+        v = VirasoroState({(2, 2): Fraction(3, 4), (4, 2): -2, (3,): Fraction(5, 9), (): 1}, cprime)
+        expected = [sum(c * zero_mode_trace(v, key, n) for key, c in v.items()) for n in range(9)]
+        series = character(v, 8)
+        assert list(series.coeffs) == expected
+        assert series.offset == -cprime / 12
+
+    @pytest.mark.parametrize(
+        "v",
+        [
+            HeisenbergState({(2, 1, 1): 1, (1, 1, 1, 1): Fraction(2, 3), (2, 2, 1): -3, (3, 1, 1): 5}),
+            VirasoroState({(2, 2): 1, (3, 2): Fraction(-1, 2)}, Fraction(1, 3)),
+        ],
+        ids=["heisenberg_three_and_four_parts", "virasoro_at_one_third"],
+    )
+    def test_trace_reads_the_diagonal_off_the_front(self, v):
+        # in these images the pb entry is not always the first one, so the
+        # trace must scan for it; o(v) applied as a state map reads it by key
+        o_v = zero_mode(v)
+        expected = [
+            sum((o_v(v._with({pb: 1})).coefficient(pb) for pb in partitions_of(n, v.WEIGHT)), Fraction(0))
+            for n in range(8)
+        ]
+        assert list(character(v, 7).coeffs) == expected
+
     def test_order_limit(self):
         # the zero state sums no traces, so the largest order is cheap
         assert character(HeisenbergState.zero(), qchar._MAX_ORDER).order == qchar._MAX_ORDER
@@ -224,6 +280,15 @@ class TestEisenstein:
         for n in range(1, 40):
             for k in (1, 3, 5):
                 assert divisor_power_sum(n, k) == divisor_sum_brute(n, k)
+
+    def test_order_limit_for_the_weight(self):
+        # sigma_1999(142) has 4,303 digits, past the limit of 4,300
+        with pytest.raises(ValueError, match="q-order 142 is too large for an Eisenstein series of weight 2000"):
+            eisenstein_G(2000, 142)
+        # refused by bit length: raising 10^4000 to the power 1999 takes seconds
+        with pytest.raises(ValueError, match="too large for an Eisenstein series of weight 2000"):
+            eisenstein_G(2000, 10**4000)
+        assert eisenstein_G(4, 3).coeffs[3] == 28
 
     def test_rejects_bad_weight(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,12 @@ Virasoro vertex algebra, Virasoro modes at central charge 1 inside the
 Heisenberg algebra (the modes of the conformal vector, through the same
 engine), zero modes and their graded traces, and residue products.
 
+Graded traces of zero modes take two routes.  A Heisenberg trace is a sum
+over pairings of Eisenstein-type divisor-sum series times the partition
+counts (Wick's theorem, `_wick_trace`), with no engine call; a Virasoro
+trace is read off the diagonal of the engine's images of the grade's basis
+keys.
+
 Everything rests on one residue sum, the right side of the Jacobi identity
 (Kac, *Vertex Algebras for Beginners*, the associativity/Borcherds form):
 
@@ -24,10 +30,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from itertools import islice
+from itertools import groupby, islice
+from math import comb
 from typing import Callable, Iterable
 
 from .fock import Coefficient, GradedState, HeisenbergState, Partition, _accumulate_terms, partitions_of
+from .scalars import _partition_counts, _truncated_product
 
 __all__ = [
     "clear_mode_cache",
@@ -91,7 +99,8 @@ def h_mode(m: int, b: GradedState) -> GradedState:
 _MODE_CACHE: dict[tuple[str, Partition, int, Partition], _FrozenTerms] = {}
 _MODE_CACHE_SIZE = 1 << 17
 
-# zero-mode traces derived from _MODE_CACHE, keyed on (algebra, pv, grade)
+# zero-mode traces keyed on (algebra, pv, grade): Wick sums for Heisenberg,
+# diagonals of the engine's images for Virasoro
 _TRACE_CACHE: dict[tuple[str, Partition, int], Coefficient] = {}
 _TRACE_CACHE_SIZE = 8192
 
@@ -141,22 +150,89 @@ def _monomial_mode(proto: GradedState, pv: Partition, n: int, pb: Partition) -> 
     return result
 
 
+def _pair_series(k: int, l: int, n: int) -> list[int]:
+    """[q^0..q^n] of E_{k,l}(q) = sum_{j>=1} (sum_{a | j} a w(a)) q^j, the
+    contraction of two slots d^(k-1)h/(k-1)! and d^(l-1)h/(l-1)! of a
+    normal-ordered zero mode, with
+
+        w(a) = C(-a-1, k-1) C(a-1, l-1) + C(-a-1, l-1) C(a-1, k-1),
+
+    C(-a-1, k-1) = (-1)^(k-1) C(a+k-1, k-1): one slot carries h(-a), the
+    other h(a), and h(-a)h(a) has trace a q^a / (1 - q^a) per q^(L(0))."""
+    series = [0] * (n + 1)
+    k_sign = -1 if k % 2 == 0 else 1
+    l_sign = -1 if l % 2 == 0 else 1
+    for a in range(1, n + 1):
+        w = k_sign * comb(a + k - 1, k - 1) * comb(a - 1, l - 1) + l_sign * comb(a + l - 1, l - 1) * comb(a - 1, k - 1)
+        if w:
+            for j in range(a, n + 1, a):
+                series[j] += a * w
+    return series
+
+
+def _wick_trace(pv: Partition, n: int) -> int:
+    """Tr(o(v) | grade n) for the Heisenberg basis vector v = pv, by Wick's
+    theorem (Mason and Tuite, *Torus chiral n-point functions for free boson
+    and lattice VOAs*, CMP 235, 2003): [q^n] P(q) Haf_pv(q), with
+    P(q) = sum p(n) q^n and Haf_pv the sum over the perfect matchings of
+    the slots of pv of the products of their `_pair_series`.
+
+    Y(v, z) = :d^(k_1-1)h ... d^(k_m-1)h: (divided powers) and h(0) = 0 on
+    the Fock space, so a normal-ordered monomial of o(v) meets the diagonal
+    only when its creation and annihilation indices agree as multisets, and
+    each such agreement is a pairing of slots.  Haf is 1 for m = 0 and 0
+    for odd m; it recurses over the multiplicity vector of pv (the first
+    slot pairs with each part type, weighted by its count), memoised for
+    this call only, so no (m-1)!! matchings are listed."""
+    if len(pv) % 2:
+        return 0
+    pair_series: dict[tuple[int, int], list[int]] = {}
+    hafnians: dict[tuple[tuple[int, int], ...], list[int]] = {}
+
+    def hafnian(counts: tuple[tuple[int, int], ...]) -> list[int]:
+        if counts in hafnians:
+            return hafnians[counts]
+        total = [0] * (n + 1)
+        if not counts:
+            total[0] = 1
+        else:
+            (k, ck), rest = counts[0], counts[1:]
+            if ck > 1:
+                rest = ((k, ck - 1), *rest)
+            for index, (l, cl) in enumerate(rest):
+                if (k, l) not in pair_series:
+                    pair_series[k, l] = _pair_series(k, l, n)
+                remaining = rest[:index] + (((l, cl - 1),) if cl > 1 else ()) + rest[index + 1 :]
+                for j, x in enumerate(_truncated_product(hafnian(remaining), pair_series[k, l])):
+                    total[j] += cl * x
+        hafnians[counts] = total
+        return total
+
+    haf = hafnian(tuple((part, len(list(group))) for part, group in groupby(pv)))
+    partitions = _partition_counts(n)
+    return sum(partitions[n - j] * h for j, h in enumerate(haf) if h)
+
+
 def zero_mode_trace(proto: GradedState, pv: Partition, n: int) -> Coefficient:
-    """Tr(o(v) | grade n) for v the basis vector pv of the algebra of `proto`:
-    the sum over the grade-n basis keys pb of the pb-coefficient of
-    v(wt v - 1) pb, read off the engine's images by a scan for pb, without
-    building states or dicts.
-    An integer for Heisenberg; cached on (algebra, pv, n)."""
+    """Tr(o(v) | grade n) for v the basis vector pv of the algebra of `proto`.
+    A Heisenberg trace is an integer from Wick's theorem (`_wick_trace`),
+    with no engine call; a Virasoro trace is the sum over the grade-n basis
+    keys pb of the pb-coefficient of v(wt v - 1) pb, read off the engine's
+    images by a scan for pb, without building states or dicts.
+    Cached on (algebra, pv, n)."""
     cache_key = (proto.algebra, pv, n)
     trace = _TRACE_CACHE.get(cache_key)
     if trace is None:
-        k = sum(pv) - 1
-        trace = 0
-        for pb in partitions_of(n, proto.WEIGHT):
-            for key, c in _monomial_mode(proto, pv, k, pb):
-                if key == pb:
-                    trace += c
-                    break
+        if isinstance(proto, HeisenbergState):
+            trace = _wick_trace(pv, n)
+        else:
+            k = sum(pv) - 1
+            trace = 0
+            for pb in partitions_of(n, proto.WEIGHT):
+                for key, c in _monomial_mode(proto, pv, k, pb):
+                    if key == pb:
+                        trace += c
+                        break
         _remember(_TRACE_CACHE, _TRACE_CACHE_SIZE, cache_key, trace)
     return trace
 

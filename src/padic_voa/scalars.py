@@ -1,7 +1,8 @@
 """Exact scalar arithmetic: p-adic valuations of rationals, and the
 combinatorial number sequences (Bernoulli numbers from integer tangent
 numbers, the Stirling-type integers c(r, m) from one forward-difference
-table) that the state and q-series layers consume.
+table, partition counts from Euler's pentagonal recurrence) that the state,
+trace and q-series layers consume.
 
 All state and series construction elsewhere in the package happens over exact
 rationals: states store a coefficient as a plain `int` when it is integral
@@ -18,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import pairwise
 from math import gcd, lcm
-from typing import Iterable
+from typing import Iterable, Iterator
 
 __all__ = [
     "bernoulli",
@@ -153,6 +154,48 @@ def _tangent_numbers(n: int) -> list[int]:
         for j in range(k, n + 1):
             t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
     return t
+
+
+def _pentagonal_terms(n_max: int) -> Iterator[tuple[int, int]]:
+    """(g, (-1)^j) for the generalized pentagonal numbers g = j(3j -+ 1)/2 in
+    (0, n_max], j >= 1, in increasing order: Euler's pentagonal number
+    theorem, prod_{n>=1} (1 - q^n) = 1 + sum_{j>=1} (-1)^j (q^(j(3j-1)/2) +
+    q^(j(3j+1)/2))."""
+    j = 1
+    while j * (3 * j - 1) // 2 <= n_max:
+        sign = -1 if j % 2 else 1
+        for g in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2):
+            if g <= n_max:
+                yield g, sign
+        j += 1
+
+
+def _partition_counts(n_max: int) -> list[int]:
+    """[p(0), ..., p(n_max)], the coefficients of 1 / prod (1 - q^n), by
+    Euler's recurrence p(m) = -sum_g (-1)^j p(m - g) over the pentagonal
+    terms g <= m: O(n_max^1.5) integer additions, no partition listed."""
+    terms = list(_pentagonal_terms(n_max))
+    counts = [1] + [0] * n_max
+    for m in range(1, n_max + 1):
+        total = 0
+        for g, sign in terms:
+            if g > m:
+                break
+            total -= sign * counts[m - g]
+        counts[m] = total
+    return counts
+
+
+def _truncated_product(xs: list[int], ys: list[int]) -> list[int]:
+    """The coefficients of the product of two integer series of equal order,
+    truncated there; the zeros of xs are skipped, so a sparse series goes
+    first."""
+    out = [0] * len(xs)
+    for i, x in enumerate(xs):
+        if x:
+            for j, y in enumerate(ys[: len(xs) - i]):
+                out[i + j] += x * y
+    return out
 
 
 @lru_cache(maxsize=32)

@@ -28,8 +28,12 @@ package code it checks, and works on plain coefficient lists where it can:
   `virasoro._apply`.
 
 Graded traces are checked in `tests/test_qchar.py` against o(v) applied as
-a state map to every basis monomial, instead of the cached per-key integer
-traces of `modes.zero_mode_trace` that `qchar.character` combines.
+a state map to every basis monomial, through `modes.mode_action`, instead of
+the cached per-key traces of `modes.zero_mode_trace` that `qchar.character`
+combines: Wick sums over pairings of divisor-sum series times p(n) for
+Heisenberg, the engine's diagonal for Virasoro.  Partition counts come from
+inverting the Euler product, instead of the pentagonal recurrence of
+`scalars._partition_counts`.
 """
 
 from __future__ import annotations

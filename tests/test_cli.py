@@ -388,6 +388,14 @@ class TestInputValidation:
         code, out = run_cli(["eisenstein", "--k", "2000", "--qmax", "141"])
         assert code == 0 and json.loads(out)["series"]["order"] == 141
 
+    @pytest.mark.parametrize(
+        "argv", [["--k", "4", "--qmax", "100000000"], ["--star", "--prime", "5", "--qmax", "100000000"]]
+    )
+    def test_eisenstein_order_above_limit(self, argv, capsys):
+        # one divisor sum per q-order: --qmax 100000000 used to run without end
+        assert run_cli(["eisenstein", *argv]) == (2, "")
+        assert "q-order 100000000 is too large for an Eisenstein series (limit 10000)" in capsys.readouterr().err
+
     def test_axioms_empty_range(self):
         assert run_cli(["axioms", "--suite", "isometry", "--count", "0"]) == (2, "")
         assert run_cli(["axioms", "--suite", "jacobi", "--grade", "-1"]) == (2, "")

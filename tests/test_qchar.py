@@ -259,6 +259,21 @@ class TestCharacter:
         ]
         assert list(character(v, 7).coeffs) == expected
 
+    @pytest.mark.parametrize(
+        "key, n_max",
+        [
+            pytest.param(key, n_max, id="-".join(map(str, key)) or "vac")
+            for key, n_max in [(key, 10) for g in range(8) for key in partitions_of(g)]
+            + [((k, 1), 12) for k in (11, 21, 51, 101)]
+        ],
+    )
+    def test_heisenberg_trace_matches_the_state_map(self, key, n_max):
+        # zero_mode_trace sums Wick pairings; o(v) applied through mode_action
+        # reads each diagonal entry off the engine's image instead
+        clear_mode_cache()
+        v = HeisenbergState.monomial(key)
+        assert [zero_mode_trace(v, key, n) for n in range(n_max + 1)] == matrix_free_character(v, n_max)
+
     def test_order_limit(self):
         # the zero state sums no traces, so the largest order is cheap
         assert character(HeisenbergState.zero(), qchar._MAX_ORDER).order == qchar._MAX_ORDER
@@ -289,6 +304,12 @@ class TestEisenstein:
         with pytest.raises(ValueError, match="too large for an Eisenstein series of weight 2000"):
             eisenstein_G(2000, 10**4000)
         assert eisenstein_G(4, 3).coeffs[3] == 28
+
+    def test_order_limit(self):
+        assert eisenstein_G(4, qchar._MAX_EISENSTEIN_ORDER).order == qchar._MAX_EISENSTEIN_ORDER
+        for build in (lambda n: eisenstein_G(4, n), lambda n: eisenstein_G2_star(5, n)):
+            with pytest.raises(ValueError, match=r"too large for an Eisenstein series \(limit 10000\)"):
+                build(qchar._MAX_EISENSTEIN_ORDER + 1)
 
     def test_rejects_bad_weight(self):
         with pytest.raises(ValueError):

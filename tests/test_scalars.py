@@ -16,7 +16,7 @@ from padic_voa.scalars import (
     valuation,
 )
 
-from oracles import akiyama_tanigawa_bernoulli, binomial, stirling2, valuation_by_loop
+from oracles import akiyama_tanigawa_bernoulli, binomial, partition_counts, stirling2, valuation_by_loop
 
 rationals = st.fractions(
     min_value=Fraction(-10**6), max_value=Fraction(10**6), max_denominator=10**4
@@ -173,6 +173,12 @@ class TestStirling:
                     (-1) ** (k - j) * comb(k, j) * j**n for j in range(k + 1)
                 )
                 assert factorial(k) * stirling2(n, k) == explicit
+
+
+class TestPartitionCounts:
+    def test_pentagonal_recurrence_matches_series_inverse(self):
+        for n_max in (0, 1, 2, 5, 60):
+            assert scalars._partition_counts(n_max) == partition_counts(n_max)
 
 
 class TestGenBinomial:

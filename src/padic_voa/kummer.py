@@ -64,7 +64,7 @@ def u_state(r: int, p: int) -> HeisenbergState:
 
 
 # `c_row(r)` holds about r^2 log10(r) digits: `padic-voa kummer --prime 997
-# --amax 0` takes 3.6 s on 2 vCPUs (Python 3.11), --prime 10007 does not end.
+# --amax 0` takes 1.1 s on 2 vCPUs (Python 3.11), --prime 10007 does not end.
 _MAX_INDEX = 1000
 
 

@@ -4,11 +4,12 @@ Virasoro vertex algebra, Virasoro modes at central charge 1 inside the
 Heisenberg algebra (the modes of the conformal vector, through the same
 engine), zero modes and their graded traces, and residue products.
 
-Graded traces of zero modes take two routes.  A Heisenberg trace is a sum
-over pairings of Eisenstein-type divisor-sum series times the partition
-counts (Wick's theorem, `_wick_trace`), with no engine call; a Virasoro
-trace is read off the diagonal of the engine's images of the grade's basis
-keys.
+The trace of a basis key is a series: Tr(o(key) | grade g) for g = 0..n,
+computed in one pass and cached as one tuple per key.  A Heisenberg series is
+the product of P(q) = sum p(g) q^g with the sum over pairings of
+Eisenstein-type divisor-sum series (Wick's theorem, `_wick_trace`), with no
+engine call; a Virasoro series reads the diagonal of the engine's images of
+each grade's basis keys.
 
 Everything rests on one residue sum, the right side of the Jacobi identity
 (Kac, *Vertex Algebras for Beginners*, the associativity/Borcherds form):
@@ -99,9 +100,10 @@ def h_mode(m: int, b: GradedState) -> GradedState:
 _MODE_CACHE: dict[tuple[str, Partition, int, Partition], _FrozenTerms] = {}
 _MODE_CACHE_SIZE = 1 << 17
 
-# zero-mode traces keyed on (algebra, pv, grade): Wick sums for Heisenberg,
-# diagonals of the engine's images for Virasoro
-_TRACE_CACHE: dict[tuple[str, Partition, int], Coefficient] = {}
+# zero-mode trace series keyed on (algebra, pv): the longest tuple
+# (Tr(o(pv) | grade g) for g = 0..n) asked for so far, which a lower order reads
+# a prefix of and a higher one replaces
+_TRACE_CACHE: dict[tuple[str, Partition], tuple[Coefficient, ...]] = {}
 _TRACE_CACHE_SIZE = 8192
 
 
@@ -116,7 +118,7 @@ def _remember(cache: dict, size: int, key, value) -> None:
 
 def clear_mode_cache() -> None:
     """Empty `_MODE_CACHE` (v(n) on basis keys) and `_TRACE_CACHE` (zero-mode
-    traces); `virasoro._apply.cache_clear()` resets the Virasoro rewrite memo."""
+    trace series); `virasoro._apply.cache_clear()` resets the Virasoro rewrite memo."""
     _MODE_CACHE.clear()
     _TRACE_CACHE.clear()
 
@@ -170,12 +172,13 @@ def _pair_series(k: int, l: int, n: int) -> list[int]:
     return series
 
 
-def _wick_trace(pv: Partition, n: int) -> int:
-    """Tr(o(v) | grade n) for the Heisenberg basis vector v = pv, by Wick's
-    theorem (Mason and Tuite, *Torus chiral n-point functions for free boson
-    and lattice VOAs*, CMP 235, 2003): [q^n] P(q) Haf_pv(q), with
-    P(q) = sum p(n) q^n and Haf_pv the sum over the perfect matchings of
-    the slots of pv of the products of their `_pair_series`.
+def _wick_trace(pv: Partition, n: int) -> list[int]:
+    """[Tr(o(v) | grade g) for g = 0..n] for the Heisenberg basis vector
+    v = pv, by Wick's theorem (Mason and Tuite, *Torus chiral n-point
+    functions for free boson and lattice VOAs*, CMP 235, 2003): the
+    coefficients of P(q) Haf_pv(q) through q^n, with P(q) = sum p(g) q^g and
+    Haf_pv the sum over the perfect matchings of the slots of pv of the
+    products of their `_pair_series`.
 
     Y(v, z) = :d^(k_1-1)h ... d^(k_m-1)h: (divided powers) and h(0) = 0 on
     the Fock space, so a normal-ordered monomial of o(v) meets the diagonal
@@ -183,9 +186,11 @@ def _wick_trace(pv: Partition, n: int) -> int:
     each such agreement is a pairing of slots.  Haf is 1 for m = 0 and 0
     for odd m; it recurses over the multiplicity vector of pv (the first
     slot pairs with each part type, weighted by its count), memoised for
-    this call only, so no (m-1)!! matchings are listed."""
-    if len(pv) % 2:
-        return 0
+    this call only, so no (m-1)!! matchings are listed.  E_{k,l} starts at
+    q^min(k, l), so Haf_pv starts at q^d, d the sum of the smaller half of
+    pv's parts, and the series is zero through q^n when d > n."""
+    if len(pv) % 2 or sum(pv[len(pv) // 2 :]) > n:
+        return [0] * (n + 1)
     pair_series: dict[tuple[int, int], list[int]] = {}
     hafnians: dict[tuple[tuple[int, int], ...], list[int]] = {}
 
@@ -209,32 +214,31 @@ def _wick_trace(pv: Partition, n: int) -> int:
         return total
 
     haf = hafnian(tuple((part, len(list(group))) for part, group in groupby(pv)))
-    partitions = _partition_counts(n)
-    return sum(partitions[n - j] * h for j, h in enumerate(haf) if h)
+    return _truncated_product(haf, _partition_counts(n))
 
 
-def zero_mode_trace(proto: GradedState, pv: Partition, n: int) -> Coefficient:
-    """Tr(o(v) | grade n) for v the basis vector pv of the algebra of `proto`.
-    A Heisenberg trace is an integer from Wick's theorem (`_wick_trace`),
-    with no engine call; a Virasoro trace is the sum over the grade-n basis
-    keys pb of the pb-coefficient of v(wt v - 1) pb, read off the engine's
-    images by a scan for pb, without building states or dicts.
-    Cached on (algebra, pv, n)."""
-    cache_key = (proto.algebra, pv, n)
-    trace = _TRACE_CACHE.get(cache_key)
-    if trace is None:
+def zero_mode_trace(proto: GradedState, pv: Partition, n: int) -> tuple[Coefficient, ...]:
+    """The trace series (Tr(o(v) | grade g) for g = 0..n) of v the basis
+    vector pv of the algebra of `proto`.  A Heisenberg series is integral,
+    from Wick's theorem (`_wick_trace`), with no engine call; a Virasoro
+    trace at grade g is the sum over the grade-g basis keys pb of the
+    pb-coefficient of v(wt v - 1) pb, read off the engine's images by a scan
+    for pb, without building states or dicts.  Cached on (algebra, pv): the
+    entry is the longest series asked for so far, a lower order reads its
+    prefix and a higher one recomputes and replaces it."""
+    cache_key = (proto.algebra, pv)
+    series = _TRACE_CACHE.get(cache_key, ())
+    if len(series) <= n:
         if isinstance(proto, HeisenbergState):
-            trace = _wick_trace(pv, n)
+            series = tuple(_wick_trace(pv, n))
         else:
             k = sum(pv) - 1
-            trace = 0
-            for pb in partitions_of(n, proto.WEIGHT):
-                for key, c in _monomial_mode(proto, pv, k, pb):
-                    if key == pb:
-                        trace += c
-                        break
-        _remember(_TRACE_CACHE, _TRACE_CACHE_SIZE, cache_key, trace)
-    return trace
+            series = tuple(
+                sum(next((c for key, c in _monomial_mode(proto, pv, k, pb) if key == pb), 0) for pb in basis)
+                for basis in (partitions_of(g, proto.WEIGHT) for g in range(n + 1))
+            )
+        _remember(_TRACE_CACHE, _TRACE_CACHE_SIZE, cache_key, series)
+    return series[: n + 1]
 
 
 def mode_action(v: GradedState, n: int, b: GradedState) -> GradedState:

@@ -122,35 +122,39 @@ def _require_order(n_max: int) -> None:
         raise ValueError("n_max must be >= 0")
 
 
-# Heisenberg traces are Wick sums, so `padic-voa character --state vac --qmax
-# 40` takes 0.15 s on 2 vCPUs (Python 3.11); a Virasoro trace still scans the
-# engine's images of the grade's keys, about exp(pi sqrt(2n/3)) of them, and
-# `character(VirasoroState({(2, 2): 1}, 1), 30)` takes 6.8 s
+# a Heisenberg character sums p(n) keys of grade n at q-order n: `padic-voa
+# character --state vac --qmax 40` takes 0.13 s on 2 vCPUs (Python 3.11), and
+# `kummer --prime 997 --amax 0 --qmax 40`, 998 keys of weight 998, 1.7 s
 _MAX_ORDER = 40
+
+# a Virasoro trace scans the engine's images of every basis key of each grade,
+# about exp(pi sqrt(2n/3)) of them: `character(VirasoroState({(2, 2): 1}, 1),
+# n)` takes 1.2 s at n = 25, 1.7 s at 26 and 3.6 s at 28 (same machine)
+_MAX_VIRASORO_ORDER = 25
 
 
 def character(v: GradedState, n_max: int) -> QSeries:
     """Graded trace Z(v, q) = q^(-c/24) sum_n Tr(o(v) on grade n) q^n, with c
     the central charge of v's algebra (1 for Heisenberg, 2c' for Virasoro),
-    through q-order n_max <= `_MAX_ORDER`.
+    through q-order n_max <= `_MAX_ORDER` for a Heisenberg state and
+    n_max <= `_MAX_VIRASORO_ORDER` for a Virasoro one.
 
-    Z is linear in v, so each coefficient is sum_key c_key Tr(o(key) | grade n)
-    over the basis keys of v.  Each trace comes from `modes.zero_mode_trace`
-    and is cached: for Heisenberg an integer, a Wick sum over pairings of
-    divisor-sum series times the partition counts p(n); for Virasoro an
-    element of Z[c'] (so a Fraction at a fractional c'), read off the
-    diagonal of the engine's basis images.  The coefficients c_key are put
-    over one common denominator d, so each q-order sums integer products and
-    makes one Fraction.
+    Z is linear in v, so Z(v) = sum_key c_key Z(key) over the basis keys of
+    v.  Each key's trace series Tr(o(key) | grade n), n = 0..n_max, comes
+    from one cached `modes.zero_mode_trace` call: for Heisenberg integers,
+    Wick sums over pairings of divisor-sum series times the partition counts
+    p(n); for Virasoro elements of Z[c'] (so Fractions at a fractional c'),
+    read off the diagonal of the engine's basis images.  The coefficients
+    c_key are put over one common denominator d, so each q-order sums the
+    integer products of numerator and trace and makes one Fraction.
     """
     _require_order(n_max)
-    if n_max > _MAX_ORDER:
-        raise ValueError(f"q-order {n_max} is too large for a character (limit {_MAX_ORDER})")
+    limit = _MAX_ORDER if isinstance(v, HeisenbergState) else _MAX_VIRASORO_ORDER
+    if n_max > limit:
+        raise ValueError(f"q-order {n_max} is too large for a character (limit {limit})")
     numerators, d = _common_denominator(v._terms.values())
-    coeffs = [
-        Fraction(sum(c * zero_mode_trace(v, key, n) for key, c in zip(v._terms, numerators)), d)
-        for n in range(n_max + 1)
-    ]
+    traces = [zero_mode_trace(v, key, n_max) for key in v._terms]
+    coeffs = [Fraction(sum(c * series[n] for c, series in zip(numerators, traces)), d) for n in range(n_max + 1)]
     return QSeries(coeffs, -Fraction(v.central_charge) / 24)
 
 

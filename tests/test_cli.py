@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from padic_voa import modes
 from padic_voa.cli import ParseError, build_parser, main, parse_state, render_heisenberg
 from padic_voa.fock import HeisenbergState, grade_basis
 
@@ -179,6 +180,18 @@ class TestSubcommands:
         payload = json.loads(out)
         assert payload["series"]["coeffs"] == ["-1/24", "1", "3", "4", "7"]
 
+    def test_character_of_many_distinct_parts_is_cut_at_its_degree(self, monkeypatch):
+        # h(-1)...h(-20): the smaller half of the parts sums to 55 > 40, so the
+        # trace is zero through q^40 with no pairing formed (it ran past 60 s)
+        def no_pairing(*args):
+            raise AssertionError("a pairing was formed")
+
+        monkeypatch.setattr(modes, "_pair_series", no_pairing)
+        state = "".join(f"h(-{k})" for k in range(1, 21)) + " vac"
+        code, out = run_cli(["character", "--state", state, "--qmax", "40"])
+        assert code == 0
+        assert json.loads(out)["series"]["coeffs"] == ["0"] * 41
+
     def test_kummer_report_prime_five(self):
         code, out = run_cli(["kummer", "--prime", "5", "--amax", "1", "--qmax", "10"])
         assert code == 0
@@ -321,6 +334,7 @@ SWEEP_SHA256 = [
     ("axioms --suite isometry", "0c16e899e4dd123638acebd9805c967d7289b6861ddcd1d0876eefbece70c622"),
     ("kummer --prime 5 --amax 3", "4cee2234bee30c4a1228b938994a4ba0a47bd830d12e6b8c329780600cb872b0"),
     ("kummer --prime 3 --amax 5", "3c62394359b42bac04874447acf1fd7f9bed788c33cbae23344e4ba8af16cbd0"),
+    ("kummer --prime 5 --amax 3 --qmax 40", "be1e58060ac188f655e581f4f64eeecce828140fd448346e644506c4d63113f8"),
     (
         'character --state "3/5 h(-4)h(-2) vac - 7/25 h(-3)^2 vac + 2/3 h(-1)^6 vac" --qmax 12 --eta --prime 5',
         "c03b7491220083d21b9a61bc0a91046835372090e1d9b20ccf6d25a3e90195b3",

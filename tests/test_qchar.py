@@ -164,10 +164,36 @@ class TestCharacter:
         assert character(v, 7) == first
 
     def test_trace_cache_drops_its_oldest_entries(self, monkeypatch):
+        # three keys in a cache of two: the third evicts the first
         clear_mode_cache()
-        monkeypatch.setattr(modes, "_TRACE_CACHE_SIZE", 3)
+        monkeypatch.setattr(modes, "_TRACE_CACHE_SIZE", 2)
         assert character(INHOMOGENEOUS, 6) == QSeries(matrix_free_character(INHOMOGENEOUS, 6), Fraction(-1, 24))
-        assert list(modes._TRACE_CACHE) == [(INHOMOGENEOUS.algebra, key, 6) for key in ((1, 1), (3, 1), ())]
+        assert list(modes._TRACE_CACHE) == [(INHOMOGENEOUS.algebra, key) for key in ((3, 1), ())]
+
+    @pytest.mark.parametrize("v", [INHOMOGENEOUS, VirasoroState({(2, 2): 1, (3,): Fraction(1, 2)}, Fraction(1, 3))])
+    def test_lower_order_reads_a_prefix_of_the_cached_series(self, v):
+        clear_mode_cache()
+        character(v, 8)
+        cached = dict(modes._TRACE_CACHE)
+        assert len(cached) == len(v) and all(len(series) == 9 for series in cached.values())
+        lower = character(v, 5)
+        assert lower.coeffs == character(v, 8).coeffs[:6]
+        for key in v._terms:
+            assert zero_mode_trace(v, key, 3) == cached[v.algebra, key][:4]
+        assert modes._TRACE_CACHE.keys() == cached.keys()
+        assert all(modes._TRACE_CACHE[k] is cached[k] for k in cached)
+
+    @pytest.mark.parametrize("v", [INHOMOGENEOUS, VirasoroState({(2, 2): 1, (3,): Fraction(1, 2)}, Fraction(1, 3))])
+    def test_higher_order_replaces_the_cached_series(self, v):
+        clear_mode_cache()
+        character(v, 3)
+        longer = character(v, 9)
+        assert list(modes._TRACE_CACHE) == [(v.algebra, key) for key in v._terms]
+        replaced = dict(modes._TRACE_CACHE)
+        clear_mode_cache()
+        assert character(v, 9) == longer
+        assert modes._TRACE_CACHE == replaced
+        assert all(type(series) is tuple and len(series) == 10 for series in replaced.values())
 
     def test_vacuum_counts_partitions(self):
         series = character(VAC, 10)
@@ -229,14 +255,14 @@ class TestCharacter:
     def test_mixed_state_is_the_per_key_trace_sum(self):
         v = HeisenbergState({(2, 1): 3, (1, 1): Fraction(-5, 6), (3,): Fraction(7, 10), (): 2, (2, 2): Fraction(1, 15)})
         assert {type(c) for c in v._terms.values()} == {int, Fraction}
-        expected = [sum(c * zero_mode_trace(v, key, n) for key, c in v.items()) for n in range(10)]
+        expected = [sum(c * zero_mode_trace(v, key, 9)[n] for key, c in v.items()) for n in range(10)]
         assert list(character(v, 9).coeffs) == expected
 
     @pytest.mark.parametrize("cprime", [Fraction(1, 2), Fraction(1, 3)])
     def test_virasoro_state_is_the_per_key_trace_sum(self, cprime):
         # at c' = 1/3 the traces themselves are Fractions, e.g. 26/3 for L(-2)^2 v0 at grade 2
         v = VirasoroState({(2, 2): Fraction(3, 4), (4, 2): -2, (3,): Fraction(5, 9), (): 1}, cprime)
-        expected = [sum(c * zero_mode_trace(v, key, n) for key, c in v.items()) for n in range(9)]
+        expected = [sum(c * zero_mode_trace(v, key, 8)[n] for key, c in v.items()) for n in range(9)]
         series = character(v, 8)
         assert list(series.coeffs) == expected
         assert series.offset == -cprime / 12
@@ -265,6 +291,8 @@ class TestCharacter:
             pytest.param(key, n_max, id="-".join(map(str, key)) or "vac")
             for key, n_max in [(key, 10) for g in range(8) for key in partitions_of(g)]
             + [((k, 1), 12) for k in (11, 21, 51, 101)]
+            # the smaller half of the parts sums to more than n_max
+            + [((3, 3, 2, 2), 3), ((4, 3, 2, 1), 2)]
         ],
     )
     def test_heisenberg_trace_matches_the_state_map(self, key, n_max):
@@ -272,7 +300,7 @@ class TestCharacter:
         # reads each diagonal entry off the engine's image instead
         clear_mode_cache()
         v = HeisenbergState.monomial(key)
-        assert [zero_mode_trace(v, key, n) for n in range(n_max + 1)] == matrix_free_character(v, n_max)
+        assert list(zero_mode_trace(v, key, n_max)) == matrix_free_character(v, n_max)
 
     def test_order_limit(self):
         # the zero state sums no traces, so the largest order is cheap
@@ -280,6 +308,11 @@ class TestCharacter:
         for v in (VAC, VirasoroState.vacuum(1)):
             with pytest.raises(ValueError, match="too large for a character"):
                 character(v, qchar._MAX_ORDER + 1)
+
+    def test_virasoro_order_limit(self):
+        assert qchar._MAX_VIRASORO_ORDER < qchar._MAX_ORDER
+        with pytest.raises(ValueError, match="too large for a character"):
+            character(VirasoroState({(2, 2): 1}, 1), qchar._MAX_VIRASORO_ORDER + 1)
 
 
 class TestEisenstein:

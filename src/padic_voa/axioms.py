@@ -16,7 +16,7 @@ from typing import Any, Iterable, Sequence
 
 from .fock import GradedState, _accumulate_terms, partitions_of
 from .modes import _modes_of, _monomial_mode, _residue_sum, mode_action
-from .scalars import is_prime
+from .scalars import _content_valuation, is_prime
 
 __all__ = [
     "DefectReport",
@@ -140,6 +140,10 @@ def locality_profile(
 
         R_t(r, s) = R_{t-1}(r+1, s) - R_{t-1}(r, s+1).
 
+    Row t's exponent, the max over cells of each cell's sup norm, is one
+    content: -min v_p over every coefficient of every cell in the window
+    (Gauss's lemma), and -inf when every cell is empty.
+
     Every coefficient lands in grade W - r - s - t - 2, with
     W = wt(u) + wt(v) + wt(w), so pairs with r + s > W - t - 2 vanish by
     grading and are skipped.  The clamp |r|, |s| <= W + 2 is a chosen
@@ -176,11 +180,8 @@ def locality_profile(
                 if r + s <= total_weight - t - 2 and max(r, s) <= span + t_max - t:
                     terms = grid[r, s] = dict(previous[r + 1, s])
                     _accumulate_terms(terms, previous[r, s + 1].items(), -1)
-        best = max(
-            (w._with(terms).sup_norm_exponent(prime) for (r, s), terms in grid.items() if max(r, s) <= span),
-            default=-inf,
-        )
-        profile.append((t, best))
+        coefficients = [c for (r, s), terms in grid.items() if max(r, s) <= span for c in terms.values()]
+        profile.append((t, -_content_valuation(coefficients, prime) if coefficients else -inf))
     return profile
 
 

@@ -38,8 +38,8 @@ from .axioms import (
 from .fock import HeisenbergState, grade_basis
 from .kummer import character_row, character_verdict, kummer_check, kummer_index, state_verdict
 from .qchar import character, eisenstein_G, eisenstein_G2_star, normalized_character
-from .scalars import is_prime
-from .virasoro import VirasoroState, L_action, vir_bracket_defect, vir_grade_basis
+from .scalars import _partition_counts, is_prime
+from .virasoro import VirasoroState, L_action, vir_bracket_defects, vir_grade_basis
 
 __all__ = [
     "ParseError",
@@ -203,8 +203,7 @@ def _virasoro_checks(args, charge: Fraction, payload: dict):
         for word in vir_grade_basis(g):
             state = VirasoroState.word(word, charge)
             name = state.render()
-            for m, n in product(span, repeat=2):
-                report = vir_bracket_defect(m, n, state, args.prime)
+            for _, _, report in vir_bracket_defects(state, span, args.prime):
                 row = {"word": name, "norm_exponent": _exponent_json(report.norm_exponent), **report.parameters}
                 yield row, report.is_zero
             if payload["integral_charge"]:
@@ -345,11 +344,41 @@ _SUITE_DEFAULTS = {
 }
 
 
+# the largest sweep of each suite, in basis triples x window points per
+# triple (isometry: probe states x basis states x window points), and the
+# largest grade and window of any suite; timings in the README
+_SWEEP_LIMITS = {"jacobi": 300_000, "commutator": 200_000, "locality": 15_000, "isometry": 250_000}
+_MAX_SWEEP_GRADE = 6
+_MAX_SWEEP_WINDOW = 16
+
+
+def _sweep_size(suite: str, grade: int, window: int, count: int) -> int:
+    """The size that `_SWEEP_LIMITS` bounds.  A triple has (2w+1)^3 Jacobi
+    points (r, s, t), (2w+1)^2 commutator points (r, s) and at most
+    max(w, 2 grade + 1) + 1 locality rows t; an isometry probe state is
+    read at 2w+1 modes on every basis state."""
+    states = sum(_partition_counts(grade))
+    points = 2 * window + 1
+    if suite == "isometry":
+        return count * states * points
+    per_triple = {"jacobi": points**3, "commutator": points**2, "locality": max(window, 2 * grade + 1) + 1}
+    return states**3 * per_triple[suite]
+
+
 def _cmd_axioms(args) -> tuple[dict, int]:
+    """Resolve the suite's defaults, and refuse a grade, window or sweep
+    size above its limit before any work."""
     default_grade, default_window, default_prime = _SUITE_DEFAULTS[args.suite]
     grade = default_grade if args.grade is None else args.grade
     window = default_window if args.window is None else args.window
     prime = default_prime if args.prime is None else args.prime
+    # the grade first: `_sweep_size` lists the partition counts up to it
+    for name, value, limit in (("grade", grade, _MAX_SWEEP_GRADE), ("window", window, _MAX_SWEEP_WINDOW)):
+        if value > limit:
+            raise ValueError(f"{name} {value} is too large for an axioms sweep (limit {limit})")
+    size, limit = _sweep_size(args.suite, grade, window, args.count), _SWEEP_LIMITS[args.suite]
+    if size > limit:
+        raise ValueError(f"sweep size {size} is too large for the {args.suite} suite (limit {limit})")
     payload = {
         "command": "axioms",
         "suite": args.suite,

@@ -13,12 +13,18 @@ Applied modes are rewritten to PBW normal form by bubbling rightward with the
 bracket; normal-form words containing a part 1 span the quotient ideal and
 are dropped.  Each rewrite of L(n) on a word is kept, as an immutable tuple,
 in one bounded memo keyed on (n, word, c'); `_apply.cache_clear()` empties it.
+
+The bracket defect at (m, n) is summed into one dict from images L(k)s of
+the state: L(m) on the terms of L(n)s, minus L(n) on the terms of L(m)s,
+minus (m-n) L(m+n)s and the central term.  `vir_bracket_defects` computes
+each image L(k)s of a window once, for every pair (m, n) of the window.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable
+from itertools import product
+from typing import Iterable, Iterator
 
 from .axioms import DefectReport
 from .fock import Coefficient, GradedState, _accumulate_terms, _exact, partitions_of
@@ -28,6 +34,7 @@ __all__ = [
     "VirasoroState",
     "L_action",
     "vir_bracket_defect",
+    "vir_bracket_defects",
     "vir_grade_basis",
     "vir_mode_action",
 ]
@@ -123,18 +130,42 @@ def L_action(n: int, state: VirasoroState) -> VirasoroState:
     return h_mode(n + 1, state)
 
 
+def _bracket_defect(m: int, n: int, state: VirasoroState, images: dict, prime: int) -> DefectReport:
+    """The bracket defect at (m, n), summed into one dict from the images
+    L(k)s of `images`: L(m) on the terms of L(n)s, minus L(n) on the terms of
+    L(m)s, minus (m-n) L(m+n)s, minus the central term when m + n = 0."""
+    charge = state.charge
+    acc: dict[Word, Coefficient] = {}
+    for key, c in images[n]._terms.items():
+        _accumulate_terms(acc, _apply(m, key, charge), c)
+    for key, c in images[m]._terms.items():
+        _accumulate_terms(acc, _apply(n, key, charge), -c)
+    _accumulate_terms(acc, images[m + n]._terms.items(), n - m)
+    if m + n == 0:
+        _accumulate_terms(acc, state._terms.items(), -((m + 1) * m * (m - 1) // 6) * charge)
+    params = {"m": m, "n": n, "cprime": str(charge)}
+    return DefectReport.from_defect(state._with(acc), prime, params)
+
+
 def vir_bracket_defect(m: int, n: int, state: VirasoroState, prime: int = 2) -> DefectReport:
     """Defect of the integral-form bracket relation on a state:
 
         [L(m), L(n)] s - (m-n) L(m+n) s - delta_{m+n,0} C(m+1, 3) c' s.
     """
-    bracket = L_action(m, L_action(n, state)) - L_action(n, L_action(m, state))
-    expected = L_action(m + n, state).scale(m - n)
-    if m + n == 0:
-        expected = expected + state.scale((m + 1) * m * (m - 1) // 6 * state.charge)
-    defect = bracket - expected
-    params = {"m": m, "n": n, "cprime": str(state.charge)}
-    return DefectReport.from_defect(defect, prime, params)
+    images = {k: L_action(k, state) for k in {m, n, m + n}}
+    return _bracket_defect(m, n, state, images, prime)
+
+
+def vir_bracket_defects(
+    state: VirasoroState, span: Iterable[int], prime: int = 2
+) -> Iterator[tuple[int, int, DefectReport]]:
+    """(m, n, `vir_bracket_defect(m, n, state, prime)`) for every (m, n) in
+    span x span, in `itertools.product` order.  Each image L(k)s with
+    2 min(span) <= k <= 2 max(span) is computed once, for all pairs."""
+    span = tuple(span)
+    images = {k: L_action(k, state) for k in range(2 * min(span, default=0), 2 * max(span, default=-1) + 1)}
+    for m, n in product(span, span):
+        yield m, n, _bracket_defect(m, n, state, images, prime)
 
 
 def vir_mode_action(v: VirasoroState, n: int, b: VirasoroState) -> VirasoroState:

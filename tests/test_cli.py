@@ -13,7 +13,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from padic_voa import modes
-from padic_voa.cli import ParseError, build_parser, main, parse_state, render_heisenberg
+from padic_voa.cli import (
+    _SUITE_DEFAULTS,
+    _SWEEP_LIMITS,
+    ParseError,
+    _sweep_size,
+    build_parser,
+    main,
+    parse_state,
+    render_heisenberg,
+)
 from padic_voa.fock import HeisenbergState, grade_basis
 
 
@@ -414,6 +423,32 @@ class TestInputValidation:
         assert run_cli(["axioms", "--suite", "isometry", "--count", "0"]) == (2, "")
         assert run_cli(["axioms", "--suite", "jacobi", "--grade", "-1"]) == (2, "")
         assert run_cli(["axioms", "--suite", "commutator", "--window", "-1"]) == (2, "")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--suite", "jacobi", "--grade", "6"], "sweep size 3375000 is too large for the jacobi suite (limit 300000)"),
+            (["--suite", "commutator", "--window", "10"], "sweep size 762048 is too large for the commutator suite"),
+            (["--suite", "locality", "--grade", "4"], "sweep size 17280 is too large for the locality suite"),
+            (["--suite", "isometry", "--count", "100000"], "sweep size 7700000 is too large for the isometry suite"),
+            (["--suite", "jacobi", "--grade", "7", "--window", "0"], "grade 7 is too large for an axioms sweep (limit 6)"),
+            (["--suite", "isometry", "--window", "300"], "window 300 is too large for an axioms sweep (limit 16)"),
+        ],
+    )
+    def test_axioms_sweep_above_limit(self, argv, message, monkeypatch, capsys):
+        # each of these used to run past 60 s; now no check starts
+        def refuse(*args):
+            raise AssertionError("a sweep above its limit started")
+
+        for name in ("jacobi_defect", "commutator_defect", "locality_profile", "isometry_probe"):
+            monkeypatch.setattr(f"padic_voa.cli.{name}", refuse)
+        assert run_cli(["axioms", *argv]) == (2, "")
+        assert message in capsys.readouterr().err
+
+    def test_axioms_defaults_within_limits(self):
+        sizes = {suite: _sweep_size(suite, grade, window, 50) for suite, (grade, window, _) in _SUITE_DEFAULTS.items()}
+        assert sizes == {"jacobi": 42875, "commutator": 84672, "locality": 3087, "isometry": 3850}
+        assert all(sizes[suite] <= _SWEEP_LIMITS[suite] for suite in sizes)
 
     def test_virasoro_empty_range(self):
         assert run_cli(["virasoro", "--grade", "-1"]) == (2, "")

@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import io
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from padic_voa.virasoro import (
     VirasoroState,
     L_action,
     vir_bracket_defect,
+    vir_bracket_defects,
     vir_grade_basis,
     vir_mode_action,
 )
@@ -194,6 +196,61 @@ class TestBracketDefect:
     def test_half_integer_charge_stays_rational(self):
         state = L_action(2, L_action(-2, VirasoroState.vacuum(Fraction(1, 2))))
         assert state.coefficient([]) == Fraction(1, 2)
+
+
+class TestBracketDefects:
+    """`vir_bracket_defects` (one image table per word) against the one-pair
+    `vir_bracket_defect` and against the bracket composed on states."""
+
+    SPAN = range(-4, 5)
+    WORDS = [word for grade in range(7) for word in vir_grade_basis(grade)]
+
+    @staticmethod
+    def composed(m, n, state):
+        defect = L_action(m, L_action(n, state)) - L_action(n, L_action(m, state))
+        defect = defect - L_action(m + n, state).scale(m - n)
+        if m + n == 0:
+            defect = defect - state.scale((m + 1) * m * (m - 1) // 6 * state.charge)
+        return defect
+
+    @pytest.mark.parametrize("charge", [0, 1, 12, Fraction(1, 2), Fraction(1, 3)], ids=str)
+    def test_rows_match_single_pairs(self, charge):
+        for word in self.WORDS:
+            state = VirasoroState.word(word, charge)
+            rows = list(vir_bracket_defects(state, self.SPAN))
+            assert [(m, n) for m, n, _ in rows] == list(itertools.product(self.SPAN, self.SPAN))
+            for m, n, report in rows:
+                single = vir_bracket_defect(m, n, state)
+                assert report == single, (charge, word, m, n)
+                assert report.parameters == {"m": m, "n": n, "cprime": str(state.charge)}
+                assert single.defect == self.composed(m, n, state), (charge, word, m, n)
+
+    def test_a_broken_relation_is_reported(self, monkeypatch):
+        # L(2) L(-2) v0 rewritten to (c' + 1) v0 instead of c' v0 leaves the
+        # (2, -2) defect v0 on the vacuum: every route must report it
+        rewrite = virasoro._apply
+
+        def broken(n, word, charge):
+            if (n, word) == (2, (2,)):
+                return (((), charge + 1),)
+            return rewrite(n, word, charge)
+
+        rewrite.cache_clear()
+        monkeypatch.setattr(virasoro, "_apply", broken)
+        try:
+            v0 = VirasoroState.vacuum(1)
+            report = vir_bracket_defect(2, -2, v0)
+            assert report.defect == v0 and report.norm_exponent == 0
+            rows = {(m, n): row for m, n, row in vir_bracket_defects(v0, range(-2, 3))}
+            assert rows[2, -2] == report
+            buffer = io.StringIO()
+            with contextlib.redirect_stdout(buffer):
+                assert main(["virasoro", "--grade", "2", "--window", "2"]) == 1
+            payload = json.loads(buffer.getvalue())
+            row = {"word": "1 v0", "m": 2, "n": -2, "cprime": "1", "norm_exponent": 0}
+            assert row in payload["violations"] and not payload["all_ok"]
+        finally:
+            rewrite.cache_clear()  # the memo holds rewrites made through `broken`
 
 
 class TestVirModeAction:

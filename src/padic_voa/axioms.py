@@ -15,7 +15,7 @@ from math import inf
 from typing import Any, Iterable, Sequence
 
 from .fock import GradedState, _accumulate_terms, partitions_of
-from .modes import _modes_of, _monomial_mode, _residue_sum, mode_action
+from .modes import _modes_of, _monomial_mode, _residue_sum
 from .scalars import _content_valuation, is_prime
 
 __all__ = [
@@ -199,13 +199,13 @@ def isometry_probe(
 
     lhs <= rhs always holds; equality holds whenever the window contains
     n = -1 and the grade bound admits the vacuum, since a(-1)|0> = a.
+    lhs, the max of the images' sup norms, is one content: -min v_p over
+    every coefficient of every image (Gauss's lemma), -inf if all are empty.
     """
     if a.is_zero:
         raise ValueError("isometry probe needs a nonzero state")
-    lhs: int | float = -inf
-    for n in index_window:
-        for grade in range(grade_bound + 1):
-            for key in partitions_of(grade, a.WEIGHT):
-                image = mode_action(a, n, a._with({key: 1}))
-                lhs = max(lhs, image.sup_norm_exponent(p))
-    return lhs, a.sup_norm_exponent(p)
+    rhs = a.sup_norm_exponent(p)
+    modes = _modes_of(a)
+    keys = [key for grade in range(grade_bound + 1) for key in partitions_of(grade, a.WEIGHT)]
+    coefficients = [c for n in index_window for key in keys for _, c in modes(n, key)]
+    return (-_content_valuation(coefficients, p) if coefficients else -inf), rhs

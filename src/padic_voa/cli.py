@@ -139,9 +139,7 @@ def render_heisenberg(state: HeisenbergState) -> str:
 # sweeps: each yields a (row, ok) pair per check, for `_tally`
 
 
-def random_probe_states(
-    grade: int, prime: int, count: int, seed: int = 20240229
-) -> list[HeisenbergState]:
+def random_probe_states(grade: int, prime: int, count: int, seed: int) -> list[HeisenbergState]:
     """Pseudo-random integral states plus p-power rescalings, for isometry
     probes.  Deterministic for a fixed seed."""
     rng = random.Random(seed)
@@ -404,7 +402,10 @@ def _cmd_virasoro(args) -> tuple[dict, int]:
 
 def _prime(text: str) -> int:
     """argparse type: a prime number within the range of `is_prime`."""
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0  # not an integer, so not a prime
     try:
         if is_prime(value):
             return value

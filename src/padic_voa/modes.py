@@ -7,9 +7,10 @@ engine), zero modes and their graded traces, and residue products.
 The trace of a basis key is a series: Tr(o(key) | grade g) for g = 0..n,
 computed in one pass and cached as one tuple per key.  A Heisenberg series is
 the product of P(q) = sum p(g) q^g with the sum over pairings of
-Eisenstein-type divisor-sum series (Wick's theorem, `_wick_trace`), with no
-engine call; a Virasoro series reads the diagonal of the engine's images of
-each grade's basis keys.
+Eisenstein-type divisor-sum series (Wick's theorem, `_wick_trace`), each
+from the sieve `scalars._divisor_sums` that `qchar.eisenstein_G` reads too,
+with no engine call; a Virasoro series reads the diagonal of the engine's
+images of each grade's basis keys.
 
 Everything rests on one residue sum, the right side of the Jacobi identity
 (Kac, *Vertex Algebras for Beginners*, the associativity/Borcherds form):
@@ -36,7 +37,7 @@ from math import comb
 from typing import Callable, Iterable
 
 from .fock import Coefficient, GradedState, HeisenbergState, Partition, _accumulate_terms, partitions_of
-from .scalars import _partition_counts, _truncated_product
+from .scalars import _divisor_sums, _partition_counts, _truncated_product
 
 __all__ = [
     "clear_mode_cache",
@@ -160,16 +161,14 @@ def _pair_series(k: int, l: int, n: int) -> list[int]:
         w(a) = C(-a-1, k-1) C(a-1, l-1) + C(-a-1, l-1) C(a-1, k-1),
 
     C(-a-1, k-1) = (-1)^(k-1) C(a+k-1, k-1): one slot carries h(-a), the
-    other h(a), and h(-a)h(a) has trace a q^a / (1 - q^a) per q^(L(0))."""
-    series = [0] * (n + 1)
-    k_sign = -1 if k % 2 == 0 else 1
-    l_sign = -1 if l % 2 == 0 else 1
-    for a in range(1, n + 1):
-        w = k_sign * comb(a + k - 1, k - 1) * comb(a - 1, l - 1) + l_sign * comb(a + l - 1, l - 1) * comb(a - 1, k - 1)
-        if w:
-            for j in range(a, n + 1, a):
-                series[j] += a * w
-    return series
+    other h(a), and h(-a)h(a) has trace a q^a / (1 - q^a) per q^(L(0)).
+    The divisor sums come from the sieve `_divisor_sums`, which also builds
+    `qchar.eisenstein_G`: E_{1,1} = 2 (G_2 - G_2(0)), G_2(0) = -1/24."""
+    return _divisor_sums([
+        a * ((-1) ** (k - 1) * comb(a + k - 1, k - 1) * comb(a - 1, l - 1)
+             + (-1) ** (l - 1) * comb(a + l - 1, l - 1) * comb(a - 1, k - 1))
+        for a in range(1, n + 1)
+    ])
 
 
 def _wick_trace(pv: Partition, n: int) -> list[int]:

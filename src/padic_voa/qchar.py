@@ -1,5 +1,6 @@
 """q-series arithmetic and the character map: graded traces Z(v, q), the eta
-normalization, and classical and p-stabilized Eisenstein series.
+normalization, and classical and p-stabilized Eisenstein series (their
+divisor sums from the sieve `scalars._divisor_sums`).
 
 A QSeries is a dense truncated expansion sum_n a_n q^(offset+n) with exact
 rational coefficients and a rational exponent offset (e.g. -1/24), carried
@@ -14,12 +15,11 @@ from typing import Collection
 
 from .fock import GradedState, HeisenbergState
 from .modes import zero_mode_trace
-from .scalars import _pentagonal_terms, _truncated_product, bernoulli, is_prime, valuation
+from .scalars import _divisor_sums, _pentagonal_terms, _truncated_product, bernoulli, is_prime, valuation
 
 __all__ = [
     "QSeries",
     "character",
-    "divisor_power_sum",
     "eisenstein_G",
     "eisenstein_G2_star",
     "eta_series",
@@ -178,22 +178,6 @@ def normalized_character(v: HeisenbergState, n_max: int) -> QSeries:
     return eta_series(n_max) * character(v, n_max)
 
 
-def divisor_power_sum(n: int, k: int) -> int:
-    """sigma_k(n) = sum of d^k over divisors d of n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    total = 0
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            total += d**k
-            e = n // d
-            if e != d:
-                total += e**k
-        d += 1
-    return total
-
-
 # B_k grows like k^k: `padic-voa eisenstein --k 2000 --qmax 2` takes about 1 s
 # on 2 vCPUs (Python 3.11), the numerator of B_2100 is past Python's 4,300-digit
 # int-to-str limit, and --k 20000 does not end within 30 s
@@ -204,9 +188,10 @@ _MAX_WEIGHT = 2000
 # (k-1) log10(n) digits, so at k = 2000 the largest q-order is 141
 _MAX_DIGITS = 4300
 
-# each sigma_{k-1}(n) takes O(sqrt n) trial divisions: `padic-voa eisenstein
-# --k 4 --qmax 10000` takes 0.32 s on 2 vCPUs (Python 3.11) and writes 0.2 MB
-# of JSON, --qmax 50000 takes 1.1 s, and --qmax 100000000 does not end
+# time, memory and output grow with the q-order, as each coefficient becomes a
+# Fraction and a JSON string: in a fresh process (2 vCPUs, Python 3.11)
+# `padic-voa eisenstein --k 4 --qmax 10000` takes 0.17 s and writes 0.2 MB,
+# --qmax 50000 0.43 s and 1.2 MB, and --qmax 100000000 would write gigabytes
 _MAX_EISENSTEIN_ORDER = 10000
 
 
@@ -215,7 +200,9 @@ def eisenstein_G(k: int, n_max: int) -> QSeries:
     for even 2 <= k <= `_MAX_WEIGHT`, through a q-order
     n_max <= `_MAX_EISENSTEIN_ORDER` with 2 n_max^(k-1) < 10^`_MAX_DIGITS`.
     For k >= 4 that bound covers every coefficient, since
-    sigma_{k-1}(n) < zeta(k-1) n^(k-1) < 2 n^(k-1)."""
+    sigma_{k-1}(n) < zeta(k-1) n^(k-1) < 2 n^(k-1).  The divisor sums
+    sigma_{k-1}(1..n_max) come from one sieve, `scalars._divisor_sums`, the
+    kernel of the Wick pair series too."""
     if k < 2 or k % 2:
         raise ValueError("k must be even and >= 2")
     if k > _MAX_WEIGHT:
@@ -228,9 +215,8 @@ def eisenstein_G(k: int, n_max: int) -> QSeries:
         )
     if n_max > _MAX_EISENSTEIN_ORDER:
         raise ValueError(f"q-order {n_max} is too large for an Eisenstein series (limit {_MAX_EISENSTEIN_ORDER})")
-    coeffs = [-bernoulli(k) / (2 * k)]
-    coeffs += [Fraction(divisor_power_sum(n, k - 1)) for n in range(1, n_max + 1)]
-    return QSeries(coeffs)
+    sigma = _divisor_sums([a ** (k - 1) for a in range(1, n_max + 1)])
+    return QSeries([-bernoulli(k) / (2 * k)] + sigma[1:])
 
 
 def eisenstein_G2_star(p: int, n_max: int) -> QSeries:

@@ -1,8 +1,8 @@
 """Exact scalar arithmetic: p-adic valuations of rationals, and the
 combinatorial number sequences (Bernoulli numbers from integer tangent
 numbers, the Stirling-type integers c(r, m) from one forward-difference
-table, partition counts from Euler's pentagonal recurrence) that the state,
-trace and q-series layers consume.
+table, partition counts from Euler's pentagonal recurrence, divisor sums
+from one sieve) that the state, trace and q-series layers consume.
 
 All state and series construction elsewhere in the package happens over exact
 rationals: states store a coefficient as a plain `int` when it is integral
@@ -196,6 +196,18 @@ def _truncated_product(xs: list[int], ys: list[int]) -> list[int]:
             for j, y in enumerate(ys[: len(xs) - i]):
                 out[i + j] += x * y
     return out
+
+
+def _divisor_sums(weights: list[int]) -> list[int]:
+    """[0, s(1), ..., s(n)] for weights [f(1), ..., f(n)], with
+    s(j) = sum_{a | j} f(a): a sieve that adds each nonzero f(a) to the
+    slots of its multiples, O(n log n) integer additions and no division."""
+    sums = [0] * (len(weights) + 1)
+    for a, f in enumerate(weights, 1):
+        if f:
+            for j in range(a, len(sums), a):
+                sums[j] += f
+    return sums
 
 
 @lru_cache(maxsize=32)

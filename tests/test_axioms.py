@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from padic_voa import axioms
+from padic_voa import axioms, modes
 from padic_voa.axioms import (
     associator_defect,
     commutator_defect,
@@ -153,7 +153,10 @@ class TestKeyLevelPath:
         def forbidden(*args):
             raise AssertionError("the Jacobi family must not build mode_action states")
 
-        monkeypatch.setattr(axioms, "mode_action", forbidden)
+        # axioms holds no name for the state builder, so the one route to it
+        # is through modes
+        assert not hasattr(axioms, "mode_action")
+        monkeypatch.setattr(modes, "mode_action", forbidden)
         for u, v, w in (mixed_states("heisenberg"), mixed_states(Fraction(1, 2)), (H, H, VAC)):
             for r, s, t in itertools.product(range(-1, 2), repeat=3):
                 assert jacobi_defect(u, v, w, r, s, t).is_zero
@@ -295,6 +298,40 @@ class TestIsometry:
         state = state.scale(Fraction(p) ** power)
         lhs, rhs = isometry_probe(state, p, 3, range(-4, 4))
         assert lhs == rhs
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_content_equals_the_largest_image_norm(self, p):
+        def two_squares_plus(y):
+            # a = h(-2)^2|0> + y h(-3)h(-1)|0>: a(2) h(-1)|0> = (3y - 4) h(-2)|0>
+            # and a(0) h(-1)|0> = (6y - 12) h(-4)|0>
+            return HeisenbergState([((2, 2), 1), ((3, 1), y)])
+
+        cancelling = HeisenbergState.monomial([1, 1, 1]) - HeisenbergState.monomial([3])
+        assert mode_action(cancelling, 3, HeisenbergState.monomial([1, 1])).is_zero  # 6 h(-1) - 6 h(-1)
+        assert mode_action(two_squares_plus(Fraction(4, 3)), 2, H).is_zero
+        states = [
+            cancelling,
+            cancelling.scale(Fraction(1, p)) + HeisenbergState.monomial([2], p**2),
+            two_squares_plus(Fraction(4, 3)),
+            two_squares_plus(-12),  # -40 h(-2): v_2 and v_5 rise past those of -4 and -36
+            two_squares_plus(-4),  # -36 h(-4): v_3 rises past those of -12 and -24
+            HeisenbergState.monomial([2, 1], Fraction(3, 4)) + HeisenbergState.monomial([1], 10) - VAC.scale(Fraction(2, 15)),
+        ]
+        # the last window admits no nonzero image: a(n) vanishes on grade <= 1 for n >= 5
+        windows = [(2, range(-3, 4)), (1, range(2, 3)), (1, range(0, 1)), (3, range(3, 4)), (1, range(5, 7))]
+        for a in states:
+            for grade_bound, window in windows:
+                per_image = max(
+                    (
+                        mode_action(a, n, HeisenbergState.monomial(key)).sup_norm_exponent(p)
+                        for n in window
+                        for grade in range(grade_bound + 1)
+                        for key in grade_basis(grade)
+                    ),
+                    default=-inf,
+                )
+                assert isometry_probe(a, p, grade_bound, window) == (per_image, a.sup_norm_exponent(p)), (a, window)
+        assert isometry_probe(cancelling, p, 1, range(5, 7))[0] == -inf
 
     def test_upper_bound_without_window(self):
         # Lemma direction: |a(n)b| <= |a| |b| holds for every window

@@ -344,6 +344,8 @@ SWEEP_SHA256 = [
     ("kummer --prime 5 --amax 3", "4cee2234bee30c4a1228b938994a4ba0a47bd830d12e6b8c329780600cb872b0"),
     ("kummer --prime 3 --amax 5", "3c62394359b42bac04874447acf1fd7f9bed788c33cbae23344e4ba8af16cbd0"),
     ("kummer --prime 5 --amax 3 --qmax 40", "be1e58060ac188f655e581f4f64eeecce828140fd448346e644506c4d63113f8"),
+    ("eisenstein --k 4 --qmax 200", "72d15e934e2e6961b3de3aeb296d283c708caf2b3e81c91cb909633f96881b00"),
+    ("eisenstein --k 2000 --qmax 141", "6a0e8a492cf13d401d4c37701aa46cb7a051f5f6df20de0e444f12b0f36b9d6f"),
     (
         'character --state "3/5 h(-4)h(-2) vac - 7/25 h(-3)^2 vac + 2/3 h(-1)^6 vac" --qmax 12 --eta --prime 5',
         "c03b7491220083d21b9a61bc0a91046835372090e1d9b20ccf6d25a3e90195b3",
@@ -372,6 +374,13 @@ class TestInputValidation:
         # --prime 1 used to hang, --prime 0 read as "no prime", 4 as "4-adic"
         for argv in self.SUBCOMMANDS:
             assert run_cli(argv + ["--prime", prime]) == (2, ""), argv
+
+    @pytest.mark.parametrize("argv", [["kummer", "--prime", "abc"], ["character", "--state", "vac", "--prime", "2.5"]])
+    def test_non_integer_prime_rejected(self, argv, capsys):
+        # int() ran outside the type's try, so argparse named the private function
+        assert run_cli(argv) == (2, "")
+        err = capsys.readouterr().err
+        assert f"argument --prime: {argv[-1]} is not a prime" in err and "_prime" not in err
 
     def test_character_empty_range(self):
         assert run_cli(["character", "--state", "h(-1) vac", "--qmax", "-1"]) == (2, "")

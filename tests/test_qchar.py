@@ -14,7 +14,6 @@ from padic_voa.modes import clear_mode_cache, zero_mode, zero_mode_trace
 from padic_voa.qchar import (
     QSeries,
     character,
-    divisor_power_sum,
     eisenstein_G,
     eisenstein_G2_star,
     eta_series,
@@ -324,10 +323,17 @@ class TestEisenstein:
         assert eisenstein_G(4, 0).coeffs[0] == Fraction(1, 240)
 
     def test_divisor_sums(self):
-        assert divisor_power_sum(6, 3) == 252
-        for n in range(1, 40):
-            for k in (1, 3, 5):
-                assert divisor_power_sum(n, k) == divisor_sum_brute(n, k)
+        assert eisenstein_G(4, 39).coeffs[6] == 252
+        for k in (1, 3, 5):
+            series = eisenstein_G(k + 1, 39)
+            for n in range(1, 40):
+                assert series.coeffs[n] == divisor_sum_brute(n, k)
+
+    def test_pair_series_is_the_weight_two_series(self):
+        # the contraction of two h(-1) slots is E_{1,1} = 2 (G_2 - G_2(0)), G_2(0) = -1/24
+        for n in (0, 1, 30):
+            g2 = eisenstein_G(2, n) - QSeries([-Fraction(1, 24)] + [0] * n)
+            assert modes._pair_series(1, 1, n) == [2 * c for c in g2.coeffs]
 
     def test_order_limit_for_the_weight(self):
         # sigma_1999(142) has 4,303 digits, past the limit of 4,300

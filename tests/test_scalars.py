@@ -16,7 +16,15 @@ from padic_voa.scalars import (
     valuation,
 )
 
-from oracles import akiyama_tanigawa_bernoulli, binomial, partition_counts, stirling2, valuation_by_loop
+from oracles import (
+    akiyama_tanigawa_bernoulli,
+    binomial,
+    coprime_divisor_sum_brute,
+    divisor_sum_brute,
+    partition_counts,
+    stirling2,
+    valuation_by_loop,
+)
 
 rationals = st.fractions(
     min_value=Fraction(-10**6), max_value=Fraction(10**6), max_denominator=10**4
@@ -179,6 +187,20 @@ class TestPartitionCounts:
     def test_pentagonal_recurrence_matches_series_inverse(self):
         for n_max in (0, 1, 2, 5, 60):
             assert scalars._partition_counts(n_max) == partition_counts(n_max)
+
+
+class TestDivisorSums:
+    def test_power_weights(self):
+        for n in (0, 1, 2, 12, 60):
+            for k in (0, 1, 3, 5):
+                sums = scalars._divisor_sums([a**k for a in range(1, n + 1)])
+                assert sums == [0] + [divisor_sum_brute(j, k) for j in range(1, n + 1)]
+
+    def test_zero_weights_skipped(self):
+        # f(a) = a off the multiples of p, so s(j) sums the divisors of j prime to p
+        for p in (2, 3, 5, 7):
+            sums = scalars._divisor_sums([a if a % p else 0 for a in range(1, 61)])
+            assert sums == [0] + [coprime_divisor_sum_brute(j, p) for j in range(1, 61)]
 
 
 class TestGenBinomial:

@@ -15,7 +15,7 @@ from math import inf
 from typing import Any, Iterable, Sequence
 
 from .fock import GradedState, _accumulate_terms, partitions_of
-from .modes import _modes_of, _monomial_mode, _residue_sum
+from .modes import _mode_table, _modes_of, _residue_sum
 from .scalars import _content_valuation, is_prime
 
 __all__ = [
@@ -65,10 +65,10 @@ def _jacobi_sides(u: GradedState, v: GradedState, w: GradedState, r: int, s: int
                 if not binomial:
                     break  # C(r, i) = 0 for 0 <= r < i, and so for every larger i
             for pv, cv in v._terms.items():
-                for pk, ck in u_modes(t + i, pv):  # the terms of u(t+i)v
-                    scale = binomial * cv * ck
+                for pk, ck in u_modes[t + i, pv]:  # the terms of u(t+i)v
+                    scale, table = binomial * cv * ck, _mode_table(w, pk)
                     for pw, cw in w._terms.items():
-                        _accumulate_terms(acc, _monomial_mode(w, pk, r + s - i, pw), scale * cw)
+                        _accumulate_terms(acc, table[r + s - i, pw], scale * cw)
         for key, c in w._terms.items():
             _residue_sum(acc, -c, u_modes, wu, v_modes, wv, r, s, t, key)
     return w._with(acc)
@@ -207,5 +207,5 @@ def isometry_probe(
     rhs = a.sup_norm_exponent(p)
     modes = _modes_of(a)
     keys = [key for grade in range(grade_bound + 1) for key in partitions_of(grade, a.WEIGHT)]
-    coefficients = [c for n in index_window for key in keys for _, c in modes(n, key)]
+    coefficients = [c for n in index_window for key in keys for _, c in modes[n, key]]
     return (-_content_valuation(coefficients, p) if coefficients else -inf), rhs

@@ -19,22 +19,23 @@ Everything rests on one residue sum, the right side of the Jacobi identity
                         { a(r+t-i) b(s+i) w - (-1)^t b(s+t-i) a(r+i) w },
 
 written once, in `_residue_sum`.  At r = 0 it is the mode (a(t)b)(s) w of a
-residue product.  The engine
-expands Y(v, z) = sum_n v(n) z^(-n-1) by peeling the top part k off each
-basis vector, v = g(t)u with g the generator and t = wt g - 1 - k, and
-evaluating this sum with a = g and b = u.  Both i-sums terminate: b(j)w
-vanishes once j >= wt(b) + wt(w) because the grading is nonnegative, and
-likewise for a.  Every infinite sum is truncated by these proven grading
-bounds, never by thresholds, so all results are exact.
+residue product.  The engine expands Y(v, z) = sum_n v(n) z^(-n-1) by
+peeling the top part k off each basis vector, v = g(t)u with g the
+generator and t = wt g - 1 - k, and evaluating this sum with a = g and
+b = u.  Each basis vector v has one table, a dict keyed on (n, b) that
+computes a missing image v(n)b once, so a known image is one subscript.
+Both i-sums terminate: b(j)w vanishes once j >= wt(b) + wt(w)
+because the grading is nonnegative, and likewise for a.  Every infinite sum
+is truncated by these proven grading bounds, never by thresholds, so all
+results are exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 from itertools import groupby, islice
-from math import comb
-from typing import Callable, Iterable
+from math import comb, prod
+from typing import Callable, Mapping
 
 from .fock import Coefficient, GradedState, HeisenbergState, Partition, _accumulate_terms, partitions_of
 from .scalars import _divisor_sums, _partition_counts, _truncated_product
@@ -50,9 +51,8 @@ __all__ = [
 ]
 
 _Terms = dict[Partition, Coefficient]
-_Pairs = Iterable[tuple[Partition, Coefficient]]
 _FrozenTerms = tuple[tuple[Partition, Coefficient], ...]
-_KeyMode = Callable[[int, Partition], _Pairs]
+_KeyMode = Mapping[tuple[int, Partition], _FrozenTerms]
 
 
 def _residue_sum(
@@ -62,9 +62,9 @@ def _residue_sum(
 
         sum_{i>=0} (-1)^i C(t, i) { a(r+t-i) b(s+i) key - (-1)^t b(s+t-i) a(r+i) key }.
 
-    a and b map (mode index, basis key) to (key, coefficient) pairs, for
-    states of largest weight wa and wb; b(s+i) key vanishes once
-    s + i >= wb + wt key, and a(r+i) key once r + i >= wa + wt key."""
+    a[m, key] and b[m, key] are the (key, coefficient) pairs of a(m) key and
+    b(m) key, for states of largest weight wa and wb; b(s+i) key vanishes
+    once s + i >= wb + wt key, and a(r+i) key once r + i >= wa + wt key."""
     wk = sum(key)
     first_bound = wb + wk - s
     second_bound = wa + wk - r
@@ -77,12 +77,12 @@ def _residue_sum(
                 break  # C(t, i) = 0 for 0 <= t < i, and so for every larger i
         coeff = scalar * signed_binomial
         if i < first_bound:
-            for inner, c in b(s + i, key):
-                _accumulate_terms(acc, a(r + t - i, inner), coeff * c)
+            for inner, c in b[s + i, key]:
+                _accumulate_terms(acc, a[r + t - i, inner], coeff * c)
         if i < second_bound:
             coeff *= -t_sign
-            for inner, c in a(r + i, key):
-                _accumulate_terms(acc, b(s + t - i, inner), coeff * c)
+            for inner, c in a[r + i, key]:
+                _accumulate_terms(acc, b[s + t - i, inner], coeff * c)
 
 
 def h_mode(m: int, b: GradedState) -> GradedState:
@@ -96,10 +96,13 @@ def h_mode(m: int, b: GradedState) -> GradedState:
     return b._with(acc)
 
 
-# v(n) on basis keys, keyed on (algebra, pv, n, pb); the default commutator
-# and locality sweeps together leave 105,327 entries, below the bound
-_MODE_CACHE: dict[tuple[str, Partition, int, Partition], _FrozenTerms] = {}
+# one `_ModeTable` per (algebra, pv), at most 2^17 entries over all tables:
+# the default commutator and locality sweeps make 141,288 (35,961 of them
+# h(n)b), so the oldest tables are dropped once and 33,156 entries recomputed;
+# the count is a list, so that restoring the module's lists restores it too
+_MODE_CACHE: dict[tuple[str, Partition], "_ModeTable"] = {}
 _MODE_CACHE_SIZE = 1 << 17
+_MODE_CACHE_ENTRIES = [0]
 
 # zero-mode trace series keyed on (algebra, pv): the longest tuple
 # (Tr(o(pv) | grade g) for g = 0..n) asked for so far, which a lower order reads
@@ -108,49 +111,59 @@ _TRACE_CACHE: dict[tuple[str, Partition], tuple[Coefficient, ...]] = {}
 _TRACE_CACHE_SIZE = 8192
 
 
-def _remember(cache: dict, size: int, key, value) -> None:
-    """cache[key] = value, first dropping the oldest half of a full cache (one
-    at a time, each drop would rescan the freed slots at the dict's front)."""
-    if len(cache) >= size:
-        for old in list(islice(cache, size // 2)):
-            del cache[old]
-    cache[key] = value
-
-
 def clear_mode_cache() -> None:
-    """Empty `_MODE_CACHE` (v(n) on basis keys) and `_TRACE_CACHE` (zero-mode
-    trace series); `virasoro._apply.cache_clear()` resets the Virasoro rewrite memo."""
+    """Empty `_MODE_CACHE` (the mode tables, with their entry count) and
+    `_TRACE_CACHE` (zero-mode trace series); `virasoro._apply.cache_clear()`
+    resets the Virasoro rewrite memo."""
     _MODE_CACHE.clear()
+    _MODE_CACHE_ENTRIES[0] = 0
     _TRACE_CACHE.clear()
 
 
-def _monomial_mode(proto: GradedState, pv: Partition, n: int, pb: Partition) -> _FrozenTerms:
-    """v(n) applied to a basis key pb, for v the basis vector pv of the
-    algebra of `proto`, as an immutable tuple of (key, coefficient) pairs.
-    Cached on (algebra, pv, n, pb)."""
-    cache_key = (proto.algebra, pv, n, pb)
-    cached = _MODE_CACHE.get(cache_key)
-    if cached is not None:
-        return cached
+class _ModeTable(dict):
+    """v(n) pb for v the basis vector pv of `proto`'s algebra, keyed on
+    (n, pb), as immutable tuples of (key, coefficient) pairs.  A missing
+    image is computed once, by the residue sum on pv = g(t)u reading the
+    tables of g = (WEIGHT,) and u = pv[1:], and counted while the table is
+    cached; at `_MODE_CACHE_SIZE` entries the oldest tables go until half
+    remain."""
 
-    wg = proto.WEIGHT
-    if not pv:
-        result = ((pb, 1),) if n == -1 else ()
-    elif pv == (wg,):
-        result = tuple(proto._generator_mode(n, pb))
-    else:
-        u = pv[1:]
-        acc: _Terms = {}
-        _residue_sum(
-            acc, 1,
-            proto._generator_mode, wg,
-            lambda j, key: _monomial_mode(proto, u, j, key), sum(u),
-            0, n, wg - 1 - pv[0], pb,
-        )
-        result = tuple(acc.items())
+    __slots__ = ("proto", "pv", "cache_key")
 
-    _remember(_MODE_CACHE, _MODE_CACHE_SIZE, cache_key, result)
-    return result
+    def __init__(self, proto: GradedState, pv: Partition) -> None:
+        # an empty state of the algebra, so that the cache keeps no caller's state alive
+        self.proto, self.pv, self.cache_key = proto._with({}), pv, (proto.algebra, pv)
+
+    def __missing__(self, index: tuple[int, Partition]) -> _FrozenTerms:
+        (n, pb), proto, pv = index, self.proto, self.pv
+        wg = proto.WEIGHT
+        if not pv:
+            result = ((pb, 1),) if n == -1 else ()
+        elif pv == (wg,):
+            result = tuple(proto._generator_mode(n, pb))
+        else:
+            g, u = _mode_table(proto, (wg,)), pv[1:]
+            acc: _Terms = {}
+            _residue_sum(acc, 1, g, wg, _mode_table(proto, u), sum(u), 0, n, wg - 1 - pv[0], pb)
+            result = tuple(acc.items())
+        self[index] = result
+        if _MODE_CACHE.get(self.cache_key) is self:
+            _MODE_CACHE_ENTRIES[0] += 1
+            if _MODE_CACHE_ENTRIES[0] >= _MODE_CACHE_SIZE:
+                for key in list(_MODE_CACHE):
+                    if _MODE_CACHE_ENTRIES[0] <= _MODE_CACHE_SIZE // 2:
+                        break
+                    _MODE_CACHE_ENTRIES[0] -= len(_MODE_CACHE.pop(key))
+        return result
+
+
+def _mode_table(proto: GradedState, pv: Partition) -> _ModeTable:
+    """The cached table of the basis vector pv of `proto`'s algebra."""
+    table = _MODE_CACHE.get((proto.algebra, pv))
+    if table is None:
+        table = _ModeTable(proto, pv)
+        _MODE_CACHE[table.cache_key] = table
+    return table
 
 
 def _pair_series(k: int, l: int, n: int) -> list[int]:
@@ -171,6 +184,12 @@ def _pair_series(k: int, l: int, n: int) -> list[int]:
     ])
 
 
+# the hafnian visits up to prod(c + 1) multiplicity vectors: `character --state
+# "h(-1)^m h(-2m)...h(-(m+1)) vac" --qmax 40`, 2^m (m + 1) of them, takes 2.6 s
+# at m = 16 (1,114,112), 4.0 s at 17 and 7.6 s at 18 (fresh process, 2 vCPUs)
+_MAX_WICK_VECTORS = 2_000_000
+
+
 def _wick_trace(pv: Partition, n: int) -> list[int]:
     """[Tr(o(v) | grade g) for g = 0..n] for the Heisenberg basis vector
     v = pv, by Wick's theorem (Mason and Tuite, *Torus chiral n-point
@@ -187,9 +206,15 @@ def _wick_trace(pv: Partition, n: int) -> list[int]:
     slot pairs with each part type, weighted by its count), memoised for
     this call only, so no (m-1)!! matchings are listed.  E_{k,l} starts at
     q^min(k, l), so Haf_pv starts at q^d, d the sum of the smaller half of
-    pv's parts, and the series is zero through q^n when d > n."""
+    pv's parts, and the series is zero through q^n when d > n.  Otherwise
+    the multiplicity vectors, at most prod(c + 1) over pv's part counts c,
+    must number at most `_MAX_WICK_VECTORS`, or ValueError is raised."""
     if len(pv) % 2 or sum(pv[len(pv) // 2 :]) > n:
         return [0] * (n + 1)
+    counts = tuple((part, len(list(group))) for part, group in groupby(pv))
+    vectors = prod(c + 1 for _, c in counts)
+    if vectors > _MAX_WICK_VECTORS:
+        raise ValueError(f"{vectors} multiplicity vectors are too many for a Wick trace (limit {_MAX_WICK_VECTORS})")
     pair_series: dict[tuple[int, int], list[int]] = {}
     hafnians: dict[tuple[tuple[int, int], ...], list[int]] = {}
 
@@ -212,8 +237,7 @@ def _wick_trace(pv: Partition, n: int) -> list[int]:
         hafnians[counts] = total
         return total
 
-    haf = hafnian(tuple((part, len(list(group))) for part, group in groupby(pv)))
-    return _truncated_product(haf, _partition_counts(n))
+    return _truncated_product(hafnian(counts), _partition_counts(n))
 
 
 def zero_mode_trace(proto: GradedState, pv: Partition, n: int) -> tuple[Coefficient, ...]:
@@ -231,12 +255,15 @@ def zero_mode_trace(proto: GradedState, pv: Partition, n: int) -> tuple[Coeffici
         if isinstance(proto, HeisenbergState):
             series = tuple(_wick_trace(pv, n))
         else:
-            k = sum(pv) - 1
+            k, table = sum(pv) - 1, _mode_table(proto, pv)
             series = tuple(
-                sum(next((c for key, c in _monomial_mode(proto, pv, k, pb) if key == pb), 0) for pb in basis)
+                sum(next((c for key, c in table[k, pb] if key == pb), 0) for pb in basis)
                 for basis in (partitions_of(g, proto.WEIGHT) for g in range(n + 1))
             )
-        _remember(_TRACE_CACHE, _TRACE_CACHE_SIZE, cache_key, series)
+        if len(_TRACE_CACHE) >= _TRACE_CACHE_SIZE:  # drop the oldest half
+            for old in list(islice(_TRACE_CACHE, _TRACE_CACHE_SIZE // 2)):
+                del _TRACE_CACHE[old]
+        _TRACE_CACHE[cache_key] = series
     return series[: n + 1]
 
 
@@ -247,8 +274,9 @@ def mode_action(v: GradedState, n: int, b: GradedState) -> GradedState:
     v._check(b)
     acc: _Terms = {}
     for pv, cv in v._terms.items():
+        table = _mode_table(v, pv)
         for pb, cb in b._terms.items():
-            _accumulate_terms(acc, _monomial_mode(v, pv, n, pb), cv * cb)
+            _accumulate_terms(acc, table[n, pb], cv * cb)
     return b._with(acc)
 
 
@@ -275,21 +303,30 @@ def zero_mode(v: GradedState) -> Callable[[GradedState], GradedState]:
     return apply
 
 
+class _TermSum(dict):
+    """v(n) key for a state v, keyed on (n, key): its terms' tables summed."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: list[tuple[_ModeTable, Coefficient]]) -> None:
+        self.terms = terms
+
+    def __missing__(self, index: tuple[int, Partition]) -> _FrozenTerms:
+        acc: _Terms = {}
+        for table, cv in self.terms:
+            _accumulate_terms(acc, table[index], cv)
+        result = self[index] = tuple(acc.items())
+        return result
+
+
 def _modes_of(v: GradedState) -> _KeyMode:
-    """(n, key) -> v(n) key as (key, coefficient) pairs: the cached engine
-    itself when v is one basis vector with coefficient 1."""
+    """(n, key) -> v(n) key as (key, coefficient) pairs, read by subscript:
+    the cached table itself when v is one basis vector with coefficient 1."""
     if len(v) == 1:
         ((pv, cv),) = v._terms.items()
         if cv == 1:
-            return partial(_monomial_mode, v, pv)
-
-    def key_mode(n: int, key: Partition) -> _Pairs:
-        acc: _Terms = {}
-        for pv, cv in v._terms.items():
-            _accumulate_terms(acc, _monomial_mode(v, pv, n, key), cv)
-        return acc.items()
-
-    return key_mode
+            return _mode_table(v, pv)
+    return _TermSum([(_mode_table(v, pv), cv) for pv, cv in v._terms.items()])
 
 
 def residue_product_mode(a: GradedState, b: GradedState, t: int, n: int, w: GradedState) -> GradedState:

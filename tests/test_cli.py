@@ -428,6 +428,17 @@ class TestInputValidation:
         assert run_cli(["eisenstein", *argv]) == (2, "")
         assert "q-order 100000000 is too large for an Eisenstein series (limit 10000)" in capsys.readouterr().err
 
+    def test_wick_trace_above_limit(self, monkeypatch, capsys):
+        # h(-1)^20 h(-40)...h(-21) has 21 * 2^20 multiplicity vectors: its
+        # hafnian ran for 18.4 s; now no pairing is formed
+        def no_pairing(*args):
+            raise AssertionError("a pairing was formed")
+
+        monkeypatch.setattr(modes, "_pair_series", no_pairing)
+        state = "h(-1)^20 " + "".join(f"h(-{k})" for k in range(40, 20, -1)) + " vac"
+        assert run_cli(["character", "--state", state, "--qmax", "40"]) == (2, "")
+        assert "22020096 multiplicity vectors are too many for a Wick trace (limit 2000000)" in capsys.readouterr().err
+
     def test_axioms_empty_range(self):
         assert run_cli(["axioms", "--suite", "isometry", "--count", "0"]) == (2, "")
         assert run_cli(["axioms", "--suite", "jacobi", "--grade", "-1"]) == (2, "")

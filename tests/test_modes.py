@@ -244,18 +244,37 @@ class TestBoundedCaches:
         ]
         return images, [(d.defect, d.norm_exponent) for d in defects], character(v_state(5), 10)
 
+    @staticmethod
+    def watch_entries(monkeypatch) -> list[int]:
+        """After each image stored into a mode table, the total of entries over
+        the tables of `_MODE_CACHE`, recorded before any eviction it causes."""
+        totals: list[int] = []
+
+        def store(table, index, value):
+            dict.__setitem__(table, index, value)
+            totals.append(sum(map(len, modes._MODE_CACHE.values())))
+
+        monkeypatch.setattr(modes._ModeTable, "__setitem__", store, raising=False)
+        return totals
+
     def test_small_bound_gives_the_same_results(self, monkeypatch):
         expected = self.sweep()
-
-        class Watched(dict):
-            peak = 0
-
-            def __setitem__(self, key, value):
-                super().__setitem__(key, value)
-                Watched.peak = max(Watched.peak, len(self))
-
-        monkeypatch.setattr(modes, "_MODE_CACHE", Watched())
+        totals = self.watch_entries(monkeypatch)
         monkeypatch.setattr(modes, "_MODE_CACHE_SIZE", 64)
         monkeypatch.setattr(modes, "_TRACE_CACHE_SIZE", 4)
         assert self.sweep() == expected
-        assert 0 < Watched.peak <= 64 and len(modes._TRACE_CACHE) <= 4
+        assert 0 < max(totals) <= 64 and len(modes._TRACE_CACHE) <= 4
+        # tables were dropped: some store saw fewer entries than the one before
+        assert any(later < earlier for earlier, later in zip(totals, totals[1:]))
+        assert modes._MODE_CACHE_ENTRIES == [sum(map(len, modes._MODE_CACHE.values()))]
+
+    def test_clear_resets_the_entry_count(self, monkeypatch):
+        totals = self.watch_entries(monkeypatch)
+        monkeypatch.setattr(modes, "_MODE_CACHE_SIZE", 64)
+        first = self.sweep()  # sweep() starts from clear_mode_cache()
+        first_totals = totals[:]
+        del totals[:]
+        assert self.sweep() == first
+        assert totals == first_totals and max(totals) <= 64
+        modes.clear_mode_cache()
+        assert not modes._MODE_CACHE and modes._MODE_CACHE_ENTRIES == [0]

@@ -308,6 +308,22 @@ class TestCharacter:
             with pytest.raises(ValueError, match="too large for a character"):
                 character(v, qchar._MAX_ORDER + 1)
 
+    def test_wick_vector_limit(self, monkeypatch):
+        # (6, 5, 4, 1, 1, 1) has 2 * 2 * 2 * 4 = 32 multiplicity vectors; keys
+        # whose trace is zero by degree (odd length, or d > n) are not counted
+        v = HeisenbergState.monomial([6, 5, 4, 1, 1, 1])
+        clear_mode_cache()
+        expected = character(v, 8)
+        monkeypatch.setattr(modes, "_MAX_WICK_VECTORS", 32)
+        clear_mode_cache()
+        assert character(v, 8) == expected
+        monkeypatch.setattr(modes, "_MAX_WICK_VECTORS", 31)
+        clear_mode_cache()
+        with pytest.raises(ValueError, match="32 multiplicity vectors are too many for a Wick trace"):
+            character(v, 8)
+        assert list(character(v, 2).coeffs) == [0, 0, 0]
+        assert list(character(HeisenbergState.monomial([6, 5, 4, 1, 1]), 8).coeffs) == [0] * 9
+
     def test_virasoro_order_limit(self):
         assert qchar._MAX_VIRASORO_ORDER < qchar._MAX_ORDER
         with pytest.raises(ValueError, match="too large for a character"):

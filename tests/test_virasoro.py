@@ -62,9 +62,9 @@ class TestStateBasics:
         assert a == b and a.render() == b.render() and repr(a) == repr(b)
         clear_mode_cache()
         first = [mode_action(a, n, a) for n in range(-2, 6)]
-        entries = len(_MODE_CACHE)
+        entries = sum(map(len, _MODE_CACHE.values()))
         assert [mode_action(b, n, b) for n in range(-2, 6)] == first
-        assert len(_MODE_CACHE) == entries
+        assert sum(map(len, _MODE_CACHE.values())) == entries
 
 
 class TestGradedBasis:
@@ -355,12 +355,11 @@ class TestSharedEngine:
 
     def test_cache_keyed_by_algebra(self):
         # the basis key (2,) is L(-2)v0 at each charge and h(-2)|0> in the
-        # Heisenberg algebra; one cache must keep the three apart
+        # Heisenberg algebra; each algebra must get its own mode table for it,
+        # whichever algebra filled the cache first
         cases = [
-            (VirasoroState.word([2], 1), VirasoroState.word([3, 2], 1)),
-            (VirasoroState.word([2], 12), VirasoroState.word([3, 2], 12)),
-            (HeisenbergState.monomial([2]), HeisenbergState.monomial([3, 2])),
-        ]
+            (VirasoroState.word([2], c), VirasoroState.word([3, 2], c)) for c in (1, 12, 0, Fraction(1, 2))
+        ] + [(HeisenbergState.monomial([2]), HeisenbergState.monomial([3, 2]))]
 
         def modes(v, b):
             return [mode_action(v, n, b) for n in range(-2, 5)]
@@ -373,7 +372,7 @@ class TestSharedEngine:
             clear_mode_cache()
             got = [modes(v, b) for v, b in order]
             assert got == [fresh[cases.index(case)] for case in order]
-        assert _MODE_CACHE
+        assert len({id(_MODE_CACHE[v.algebra, (2,)]) for v, _ in cases}) == len(cases)
 
     def test_mixed_algebras_rejected(self):
         vir1, vir2 = VirasoroState.word([2], 1), VirasoroState.word([2], 2)

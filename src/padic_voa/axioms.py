@@ -56,10 +56,9 @@ def _jacobi_sides(u: GradedState, v: GradedState, w: GradedState, r: int, s: int
     u._check(w)
     acc: dict = {}
     if u and v:
-        wu, wv = u.max_weight(), v.max_weight()
         u_modes, v_modes = _modes_of(u), _modes_of(v)
         binomial = 1  # C(r, i)
-        for i in range(max(0, wu + wv - t)):
+        for i in range(max(0, u_modes.weight + v_modes.weight - t)):
             if i:
                 binomial = binomial * (r - i + 1) // i
                 if not binomial:
@@ -70,7 +69,7 @@ def _jacobi_sides(u: GradedState, v: GradedState, w: GradedState, r: int, s: int
                     for pw, cw in w._terms.items():
                         _accumulate_terms(acc, table[r + s - i, pw], scale * cw)
         for key, c in w._terms.items():
-            _residue_sum(acc, -c, u_modes, wu, v_modes, wv, r, s, t, key)
+            _residue_sum(acc, -c, u_modes, v_modes, r, s, t, key)
     return w._with(acc)
 
 
@@ -161,9 +160,8 @@ def locality_profile(
     u._check(w)
     if u.is_zero or v.is_zero or w.is_zero:
         return [(t, -inf) for t in range(t_max + 1)]
-    wu, wv = u.max_weight(), v.max_weight()
     u_modes, v_modes = _modes_of(u), _modes_of(v)
-    total_weight = wu + wv + w.max_weight()
+    total_weight = u_modes.weight + v_modes.weight + w.max_weight()
     span = total_weight + 2
     # R_0 on every (r, s) that the t_max steps below read
     grid: dict[tuple[int, int], dict] = {}
@@ -171,7 +169,7 @@ def locality_profile(
         for s in range(-span, min(span + t_max, total_weight - 2 - r) + 1):
             terms = grid[r, s] = {}
             for key, c in w._terms.items():
-                _residue_sum(terms, c, u_modes, wu, v_modes, wv, r, s, 0, key)
+                _residue_sum(terms, c, u_modes, v_modes, r, s, 0, key)
     profile: list[tuple[int, int | float]] = []
     for t in range(t_max + 1):
         if t:

@@ -342,25 +342,42 @@ _SUITE_DEFAULTS = {
 }
 
 
-# the largest sweep of each suite, in basis triples x window points per
-# triple (isometry: probe states x basis states x window points), and the
-# largest grade and window of any suite; timings in the README
-_SWEEP_LIMITS = {"jacobi": 300_000, "commutator": 200_000, "locality": 15_000, "isometry": 250_000}
-_MAX_SWEEP_GRADE = 6
-_MAX_SWEEP_WINDOW = 16
+# the largest sweep of each axioms suite and of `virasoro`, in basis
+# triples x window points per triple (isometry: probe states x basis states
+# x window points; virasoro: PBW words x window points), and the largest
+# grade and window of each command's sweeps, keyed on the sweep's name in
+# the refusal; timings in the README
+_SWEEP_LIMITS = {"jacobi": 300_000, "commutator": 200_000, "locality": 15_000, "isometry": 250_000, "virasoro": 200_000}
+_MAX_GRADE_WINDOW = {"an axioms sweep": (6, 16), "a virasoro sweep": (20, 40)}
 
 
 def _sweep_size(suite: str, grade: int, window: int, count: int) -> int:
     """The size that `_SWEEP_LIMITS` bounds.  A triple has (2w+1)^3 Jacobi
     points (r, s, t), (2w+1)^2 commutator points (r, s) and at most
     max(w, 2 grade + 1) + 1 locality rows t; an isometry probe state is
-    read at 2w+1 modes on every basis state."""
-    states = sum(_partition_counts(grade))
-    points = 2 * window + 1
+    read at 2w+1 modes on every basis state; a virasoro sweep has (2w+1)^2
+    bracket points (m, n) on each of its p(grade) PBW words (the words of
+    grade k <= g, parts >= 2, number p(k) - p(k-1))."""
+    counts = _partition_counts(grade)
+    states, points = sum(counts), 2 * window + 1
     if suite == "isometry":
         return count * states * points
+    if suite == "virasoro":
+        return counts[-1] * points**2
     per_triple = {"jacobi": points**3, "commutator": points**2, "locality": max(window, 2 * grade + 1) + 1}
     return states**3 * per_triple[suite]
+
+
+def _check_sweep(sweep: str, suite: str, grade: int, window: int, count: int) -> None:
+    """Refuse a grade or window above the limits of `sweep` (a key of
+    `_MAX_GRADE_WINDOW`), or a sweep size above the suite's, before any work."""
+    # the grade first: `_sweep_size` lists the partition counts up to it
+    for name, value, limit in zip(("grade", "window"), (grade, window), _MAX_GRADE_WINDOW[sweep]):
+        if value > limit:
+            raise ValueError(f"{name} {value} is too large for {sweep} (limit {limit})")
+    size, limit = _sweep_size(suite, grade, window, count), _SWEEP_LIMITS[suite]
+    if size > limit:
+        raise ValueError(f"sweep size {size} is too large for the {suite} suite (limit {limit})")
 
 
 def _cmd_axioms(args) -> tuple[dict, int]:
@@ -370,13 +387,7 @@ def _cmd_axioms(args) -> tuple[dict, int]:
     grade = default_grade if args.grade is None else args.grade
     window = default_window if args.window is None else args.window
     prime = default_prime if args.prime is None else args.prime
-    # the grade first: `_sweep_size` lists the partition counts up to it
-    for name, value, limit in (("grade", grade, _MAX_SWEEP_GRADE), ("window", window, _MAX_SWEEP_WINDOW)):
-        if value > limit:
-            raise ValueError(f"{name} {value} is too large for an axioms sweep (limit {limit})")
-    size, limit = _sweep_size(args.suite, grade, window, args.count), _SWEEP_LIMITS[args.suite]
-    if size > limit:
-        raise ValueError(f"sweep size {size} is too large for the {args.suite} suite (limit {limit})")
+    _check_sweep("an axioms sweep", args.suite, grade, window, args.count)
     payload = {
         "command": "axioms",
         "suite": args.suite,
@@ -388,6 +399,8 @@ def _cmd_axioms(args) -> tuple[dict, int]:
 
 
 def _cmd_virasoro(args) -> tuple[dict, int]:
+    """Refuse a grade, window or sweep size above its limit before any work."""
+    _check_sweep("a virasoro sweep", "virasoro", args.grade, args.window, 0)
     charge = args.cprime
     payload = {
         "command": "virasoro",

@@ -23,11 +23,12 @@ residue product.  The engine expands Y(v, z) = sum_n v(n) z^(-n-1) by
 peeling the top part k off each basis vector, v = g(t)u with g the
 generator and t = wt g - 1 - k, and evaluating this sum with a = g and
 b = u.  Each basis vector v has one table, a dict keyed on (n, b) that
-computes a missing image v(n)b once, so a known image is one subscript.
-Both i-sums terminate: b(j)w vanishes once j >= wt(b) + wt(w)
-because the grading is nonnegative, and likewise for a.  Every infinite sum
-is truncated by these proven grading bounds, never by thresholds, so all
-results are exact.
+computes a missing image v(n)b once, so a known image is one subscript; a
+state's map (`_modes_of`) is its table or a sum of tables.  Each map
+carries the weight it truncates at: b(j)w vanishes once j >= b.weight +
+wt(w), the grading being nonnegative, and likewise for a.  So every
+infinite sum is truncated by proven grading bounds, never by thresholds,
+and all results are exact.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import groupby, islice
 from math import comb, prod
-from typing import Callable, Mapping
+from typing import Callable
 
 from .fock import Coefficient, GradedState, HeisenbergState, Partition, _accumulate_terms, partitions_of
 from .scalars import _divisor_sums, _partition_counts, _truncated_product
@@ -52,22 +53,21 @@ __all__ = [
 
 _Terms = dict[Partition, Coefficient]
 _FrozenTerms = tuple[tuple[Partition, Coefficient], ...]
-_KeyMode = Mapping[tuple[int, Partition], _FrozenTerms]
 
 
 def _residue_sum(
-    acc: _Terms, scalar, a: _KeyMode, wa: int, b: _KeyMode, wb: int, r: int, s: int, t: int, key: Partition
+    acc: _Terms, scalar, a: _ModeTable | _TermSum, b: _ModeTable | _TermSum, r: int, s: int, t: int, key: Partition
 ) -> None:
     """acc += scalar * R_t(a, b; r, s) key, i.e. scalar times
 
         sum_{i>=0} (-1)^i C(t, i) { a(r+t-i) b(s+i) key - (-1)^t b(s+t-i) a(r+i) key }.
 
     a[m, key] and b[m, key] are the (key, coefficient) pairs of a(m) key and
-    b(m) key, for states of largest weight wa and wb; b(s+i) key vanishes
-    once s + i >= wb + wt key, and a(r+i) key once r + i >= wa + wt key."""
+    b(m) key; b(s+i) key vanishes once s + i >= b.weight + wt key, and
+    a(r+i) key once r + i >= a.weight + wt key."""
     wk = sum(key)
-    first_bound = wb + wk - s
-    second_bound = wa + wk - r
+    first_bound = b.weight + wk - s
+    second_bound = a.weight + wk - r
     t_sign = -1 if t % 2 else 1
     signed_binomial = 1  # (-1)^i C(t, i)
     for i in range(max(0, first_bound, second_bound)):
@@ -121,18 +121,18 @@ def clear_mode_cache() -> None:
 
 
 class _ModeTable(dict):
-    """v(n) pb for v the basis vector pv of `proto`'s algebra, keyed on
-    (n, pb), as immutable tuples of (key, coefficient) pairs.  A missing
-    image is computed once, by the residue sum on pv = g(t)u reading the
-    tables of g = (WEIGHT,) and u = pv[1:], and counted while the table is
-    cached; at `_MODE_CACHE_SIZE` entries the oldest tables go until half
-    remain."""
+    """v(n) pb for v the basis vector pv of `proto`'s algebra, of weight
+    `weight`, keyed on (n, pb), as immutable tuples of (key, coefficient)
+    pairs.  A missing image is computed once, by the residue sum on
+    pv = g(t)u reading the tables of g = (WEIGHT,) and u = pv[1:], and
+    counted while the table is cached; at `_MODE_CACHE_SIZE` entries the
+    oldest tables go until half remain."""
 
-    __slots__ = ("proto", "pv", "cache_key")
+    __slots__ = ("proto", "pv", "cache_key", "weight")
 
     def __init__(self, proto: GradedState, pv: Partition) -> None:
         # an empty state of the algebra, so that the cache keeps no caller's state alive
-        self.proto, self.pv, self.cache_key = proto._with({}), pv, (proto.algebra, pv)
+        self.proto, self.pv, self.cache_key, self.weight = proto._with({}), pv, (proto.algebra, pv), sum(pv)
 
     def __missing__(self, index: tuple[int, Partition]) -> _FrozenTerms:
         (n, pb), proto, pv = index, self.proto, self.pv
@@ -142,9 +142,8 @@ class _ModeTable(dict):
         elif pv == (wg,):
             result = tuple(proto._generator_mode(n, pb))
         else:
-            g, u = _mode_table(proto, (wg,)), pv[1:]
             acc: _Terms = {}
-            _residue_sum(acc, 1, g, wg, _mode_table(proto, u), sum(u), 0, n, wg - 1 - pv[0], pb)
+            _residue_sum(acc, 1, _mode_table(proto, (wg,)), _mode_table(proto, pv[1:]), 0, n, wg - 1 - pv[0], pb)
             result = tuple(acc.items())
         self[index] = result
         if _MODE_CACHE.get(self.cache_key) is self:
@@ -273,10 +272,9 @@ def mode_action(v: GradedState, n: int, b: GradedState) -> GradedState:
     wt(v) + wt(b) - n - 1, and vanishes once n >= wt(v) + wt(b)."""
     v._check(b)
     acc: _Terms = {}
-    for pv, cv in v._terms.items():
-        table = _mode_table(v, pv)
-        for pb, cb in b._terms.items():
-            _accumulate_terms(acc, table[n, pb], cv * cb)
+    modes = _modes_of(v)
+    for pb, cb in b._terms.items():
+        _accumulate_terms(acc, modes[n, pb], cb)
     return b._with(acc)
 
 
@@ -304,12 +302,13 @@ def zero_mode(v: GradedState) -> Callable[[GradedState], GradedState]:
 
 
 class _TermSum(dict):
-    """v(n) key for a state v, keyed on (n, key): its terms' tables summed."""
+    """v(n) key for a state v, keyed on (n, key): its terms' tables summed;
+    `weight` is the largest of their weights, 0 when there are none."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "weight")
 
     def __init__(self, terms: list[tuple[_ModeTable, Coefficient]]) -> None:
-        self.terms = terms
+        self.terms, self.weight = terms, max((table.weight for table, _ in terms), default=0)
 
     def __missing__(self, index: tuple[int, Partition]) -> _FrozenTerms:
         acc: _Terms = {}
@@ -319,9 +318,10 @@ class _TermSum(dict):
         return result
 
 
-def _modes_of(v: GradedState) -> _KeyMode:
-    """(n, key) -> v(n) key as (key, coefficient) pairs, read by subscript:
-    the cached table itself when v is one basis vector with coefficient 1."""
+def _modes_of(v: GradedState) -> _ModeTable | _TermSum:
+    """(n, key) -> v(n) key as (key, coefficient) pairs, read by subscript,
+    with `weight` = v.max_weight(): the cached table itself when v is one
+    basis vector with coefficient 1."""
     if len(v) == 1:
         ((pv, cv),) = v._terms.items()
         if cv == 1:
@@ -338,7 +338,8 @@ def residue_product_mode(a: GradedState, b: GradedState, t: int, n: int, w: Grad
     a._check(w)
     acc: _Terms = {}
     if a and b:
+        a_modes, b_modes = _modes_of(a), _modes_of(b)
         for key, c in w._terms.items():
-            _residue_sum(acc, c, _modes_of(a), a.max_weight(), _modes_of(b), b.max_weight(), 0, n, t, key)
+            _residue_sum(acc, c, a_modes, b_modes, 0, n, t, key)
     return w._with(acc)
 

@@ -16,8 +16,8 @@ from padic_voa.axioms import (
     jacobi_defect,
     locality_profile,
 )
-from padic_voa.fock import HeisenbergState, grade_basis
-from padic_voa.modes import mode_action
+from padic_voa.fock import GradedState, HeisenbergState, grade_basis
+from padic_voa.modes import mode_action, residue_product_mode
 from padic_voa.virasoro import VirasoroState, vir_grade_basis
 
 VAC = HeisenbergState.vacuum()
@@ -162,6 +162,32 @@ class TestKeyLevelPath:
                 assert jacobi_defect(u, v, w, r, s, t).is_zero
                 assert commutator_defect(u, v, w, r, s).is_zero
                 assert associator_defect(u, v, w, s, t).is_zero
+
+    def test_mode_maps_carry_the_largest_weight(self):
+        # the first term of each mixed `a` has the lowest weight, so a map
+        # that took its first table's weight would read too small a bound
+        a_h, a_v = mixed_states("heisenberg")[0], mixed_states(Fraction(1, 2))[0]
+        assert next(iter(a_h._terms)) == (1,) and next(iter(a_v._terms)) == (2,)
+        states = (HeisenbergState.zero(), H, HeisenbergState.monomial([2, 1], Fraction(-3, 7)), a_h, a_v)
+        for v in states:
+            assert modes._modes_of(v).weight == v.max_weight(), v
+        assert [modes._modes_of(v).weight for v in states] == [0, 1, 3, 3, 3]
+
+    @pytest.mark.parametrize("algebra", ["heisenberg", Fraction(1, 2)])
+    def test_defects_read_no_max_weight(self, algebra, monkeypatch):
+        def forbidden(self):
+            raise AssertionError("the engine must read the weight off the mode maps")
+
+        a, b, w = mixed_states(algebra)
+        composed = {(s, t): mode_action(mode_action(a, t, b), s, w) for s, t in itertools.product(range(-1, 2), repeat=2)}
+        monkeypatch.setattr(GradedState, "max_weight", forbidden)
+        for u, v in ((a, b), (b, a)):
+            for r, s, t in itertools.product(range(-1, 2), repeat=3):
+                assert jacobi_defect(u, v, w, r, s, t).is_zero, (u, v, r, s, t)
+                assert commutator_defect(u, v, w, r, s).is_zero, (u, v, r, s)
+                assert associator_defect(u, v, w, s, t).is_zero, (u, v, s, t)
+        for (s, t), expected in composed.items():
+            assert residue_product_mode(a, b, t, s, w) == expected, (s, t)
 
 
 class TestLocality:

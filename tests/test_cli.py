@@ -469,10 +469,30 @@ class TestInputValidation:
         sizes = {suite: _sweep_size(suite, grade, window, 50) for suite, (grade, window, _) in _SUITE_DEFAULTS.items()}
         assert sizes == {"jacobi": 42875, "commutator": 84672, "locality": 3087, "isometry": 3850}
         assert all(sizes[suite] <= _SWEEP_LIMITS[suite] for suite in sizes)
+        # the default virasoro sweep: 11 PBW words of grade <= 6, 81 points (m, n) each
+        assert _sweep_size("virasoro", 6, 4, 0) == 891 <= _SWEEP_LIMITS["virasoro"]
 
     def test_virasoro_empty_range(self):
         assert run_cli(["virasoro", "--grade", "-1"]) == (2, "")
         assert run_cli(["virasoro", "--window", "-1"]) == (2, "")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--grade", "30"], "grade 30 is too large for a virasoro sweep (limit 20)"),
+            (["--window", "200"], "window 200 is too large for a virasoro sweep (limit 40)"),
+            (["--grade", "20", "--window", "9"], "sweep size 226347 is too large for the virasoro suite (limit 200000)"),
+        ],
+    )
+    def test_virasoro_sweep_above_limit(self, argv, message, monkeypatch, capsys):
+        # --grade 30 used to take 41 s and --window 200 18.6 s; now no word is built
+        def refuse(*args):
+            raise AssertionError("a sweep above its limit started")
+
+        for name in ("VirasoroState", "vir_bracket_defects", "L_action", "vir_grade_basis"):
+            monkeypatch.setattr(f"padic_voa.cli.{name}", refuse)
+        assert run_cli(["virasoro", *argv]) == (2, "")
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("cprime", ["1/0", "abc"])
     def test_virasoro_charge_not_rational(self, cprime):

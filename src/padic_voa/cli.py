@@ -26,7 +26,8 @@ import random
 import re
 import sys
 from fractions import Fraction
-from itertools import product
+from functools import lru_cache
+from itertools import chain, product
 from math import inf
 
 from .axioms import (
@@ -238,14 +239,42 @@ def _exponent_json(value: int | float):
     return None if value == -inf else value
 
 
+@lru_cache(maxsize=16)
+def _encoder(indent: str):
+    """The C encoder, with sorted keys and ',' + `indent` between items."""
+    return json.JSONEncoder(sort_keys=True, separators=("," + indent, ": ")).encode
+
+
+def _json_chunks(value, pad: str = "\n"):
+    """`json.dumps(value, sort_keys=True, indent=2)` in pieces, keys str,
+    `pad` a newline and the indent of `value`.  The C encoder writes each
+    container of scalars, and each list of dicts of scalars (rows), whole:
+    no encoded string holds a newline, so rows meet only at '}' + sep + '{'."""
+    inner, cell = pad + "  ", pad + "    "
+    is_dict, scalars = isinstance(value, dict), {str, int, float, bool, type(None)}
+    items = value.values() if is_dict else value if isinstance(value, (list, tuple)) else ()
+    if set(map(type, items)) <= scalars:  # a scalar, or a container of scalars
+        text = _encoder(inner)(value)
+        yield from (text[0] + inner, text[1:-1], pad + text[-1]) if items else (text,)
+    elif set(map(type, value)) == {dict} and all(value) and set(map(type, chain(*map(dict.values, value)))) <= scalars:
+        text = _encoder(cell)(value).replace("}," + cell + "{", inner + "}," + inner + "{" + cell)
+        yield from ("[" + inner + "{" + cell, text[2:-2], inner + "}" + pad + "]")
+    else:
+        yield "{" if is_dict else "["
+        for index, (key, item) in enumerate(sorted(value.items()) if is_dict else enumerate(value)):
+            yield ("," if index else "") + inner + (_encoder(inner)(key) + ": " if is_dict else "")
+            yield from _json_chunks(item, inner)
+        yield pad + ("}" if is_dict else "]")
+
+
 def _emit(payload: dict, out_path: str | None) -> None:
     """Write the payload to `out_path` (if given), then to stdout, so that a
     file that cannot be written leaves stdout empty."""
-    text = json.dumps(payload, sort_keys=True, indent=2)
+    text = "".join(_json_chunks(payload))
     if out_path:
         try:
             with open(out_path, "w", encoding="utf-8") as handle:
-                handle.write(text + "\n")
+                print(text, file=handle)
         except OSError as exc:
             raise ValueError(f"cannot write {out_path}: {exc.strerror}") from exc
     print(text)

@@ -272,9 +272,10 @@ def mode_action(v: GradedState, n: int, b: GradedState) -> GradedState:
     wt(v) + wt(b) - n - 1, and vanishes once n >= wt(v) + wt(b)."""
     v._check(b)
     acc: _Terms = {}
-    modes = _modes_of(v)
-    for pb, cb in b._terms.items():
-        _accumulate_terms(acc, modes[n, pb], cb)
+    for pv, cv in v._terms.items():  # each image once, straight into the result
+        table = _mode_table(v, pv)
+        for pb, cb in b._terms.items():
+            _accumulate_terms(acc, table[n, pb], cv * cb)
     return b._with(acc)
 
 

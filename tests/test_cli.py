@@ -9,7 +9,7 @@ import shlex
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from padic_voa import modes
@@ -17,6 +17,7 @@ from padic_voa.cli import (
     _SUITE_DEFAULTS,
     _SWEEP_LIMITS,
     ParseError,
+    _json_chunks,
     _sweep_size,
     build_parser,
     main,
@@ -300,6 +301,12 @@ class TestSubcommands:
         assert code == 0
         assert json.loads(target.read_text()) == json.loads(out)
 
+    def test_out_file_holds_the_stdout_bytes(self, tmp_path):
+        target = tmp_path / "report.json"
+        code, out = run_cli(["virasoro", "--grade", "4", "--window", "2", "--full", "--out", str(target)])
+        assert code == 0
+        assert target.read_bytes().decode("utf-8") == out
+
     def test_usage_errors_exit_two(self):
         assert run_cli(["character", "--state", "h(-1 vac"])[0] == 2
         assert run_cli(["character", "--state", "h(2) vac"])[0] == 2
@@ -358,6 +365,41 @@ def test_sweep_output_unchanged(command, digest):
     code, out = run_cli(shlex.split(command))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# strings built to look like the writer's row seams, brackets and escapes
+_TRICKY = ['"},\n      {"', "},\n    {", "}", "{", "]", "[", '"', "\\", ": ", ",\n  ", "\x00", "\x1f", "\n", "é", "∞", "😀"]
+json_strings = st.lists(st.sampled_from(_TRICKY) | st.text(max_size=3), max_size=4).map("".join)
+json_scalars = (
+    json_strings
+    | st.integers()
+    | st.sampled_from([10**40, -(10**40)])
+    | st.floats()
+    | st.sampled_from([float("inf"), float("-inf"), -0.0])
+    | st.booleans()
+    | st.none()
+)
+json_empties = st.builds(dict) | st.builds(list)
+flat_dicts = st.dictionaries(json_strings, json_scalars | json_empties, min_size=1, max_size=4)
+json_values = st.recursive(
+    json_scalars | json_empties | st.lists(flat_dicts, min_size=1, max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(json_strings, inner, max_size=4)
+    | st.lists(flat_dicts | st.dictionaries(json_strings, inner, min_size=1, max_size=3) | json_empties, max_size=5),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=200)
+@given(json_values)
+@example([{"a": '"},\n    {"', "b": 1}, {"c": "},\n    {"}])
+@example({"rows": [{"a": 1}, {}, {"b": {"c": [1, {}]}}], "x": [[], {}, [[]]]})
+@example([{"a": {}, "b": []}, {"c": []}])
+@example([{"a": 1}, {"b": [1, 2]}])
+@example(({"a": (1,)},))
+def test_writer_matches_json_dumps(value):
+    assert "".join(_json_chunks(value)) == json.dumps(value, sort_keys=True, indent=2)
 
 
 class TestInputValidation:

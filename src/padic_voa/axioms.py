@@ -10,9 +10,8 @@ of the axioms).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import inf
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
 from .fock import GradedState, _accumulate_terms, partitions_of
 from .modes import _mode_table, _modes_of, _residue_sum
@@ -28,11 +27,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DefectReport:
+class DefectReport(NamedTuple):
     """An exact defect state, its sup-norm exponent at the reporting prime,
     and the parameters that produced it.  The exponent is -inf exactly when
-    the defect vanishes."""
+    the defect vanishes.  An immutable tuple with no per-instance dict."""
 
     defect: Any
     norm_exponent: int | float
@@ -41,7 +39,8 @@ class DefectReport:
 
     @classmethod
     def from_defect(cls, defect, prime: int, parameters: dict) -> "DefectReport":
-        return cls(defect, defect.sup_norm_exponent(prime), dict(parameters), prime)
+        # tuple.__new__ skips the generated __new__ and its Python frame
+        return tuple.__new__(cls, (defect, defect.sup_norm_exponent(prime), dict(parameters), prime))
 
     @property
     def is_zero(self) -> bool:

@@ -46,6 +46,8 @@ Partition = tuple[int, ...]
 
 Coefficient = Fraction | int
 
+_NEG_INF = -inf  # the norm exponent of every zero state, one float for all
+
 
 @lru_cache(maxsize=None)
 def partitions_of(n: int, min_part: int = 1) -> tuple[Partition, ...]:
@@ -126,7 +128,7 @@ class GradedState:
         """Trusted constructor: a state of this algebra with canonical terms
         (weakly decreasing keys, nonzero coefficients); skips the checks."""
         state = object.__new__(type(self))
-        state._terms = terms
+        state._terms = terms or {}  # a zero result keeps no emptied hash table
         return state
 
     def _generator_mode(self, m: int, key: Partition) -> Iterable[tuple[Partition, Coefficient]]:
@@ -230,7 +232,7 @@ class GradedState:
         if not is_prime(p):
             raise ValueError(f"prime required, got {p}")
         if not self._terms:
-            return -inf
+            return _NEG_INF
         if not e:
             return -_content_valuation(self._terms.values(), p)
         grades: dict[int, list[Coefficient]] = {}

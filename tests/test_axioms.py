@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import sys
 from fractions import Fraction
 from math import comb, inf
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from padic_voa import axioms, modes
 from padic_voa.axioms import (
+    DefectReport,
     associator_defect,
     commutator_defect,
     isometry_probe,
@@ -17,8 +19,9 @@ from padic_voa.axioms import (
     locality_profile,
 )
 from padic_voa.fock import GradedState, HeisenbergState, grade_basis
+from padic_voa.kummer import kummer_check
 from padic_voa.modes import mode_action, residue_product_mode
-from padic_voa.virasoro import VirasoroState, vir_grade_basis
+from padic_voa.virasoro import VirasoroState, vir_bracket_defect, vir_grade_basis
 
 VAC = HeisenbergState.vacuum()
 H = HeisenbergState.monomial([1])
@@ -118,6 +121,74 @@ class TestAssociator:
         v = VAC + HeisenbergState.monomial([2], -2)
         for s, t in itertools.product(range(-2, 3), repeat=2):
             assert associator_defect(u, v, H, s, t).is_zero
+
+
+# one report of each kind; every defect is zero but the Kummer difference
+REPORTS = {
+    "jacobi": lambda: jacobi_defect(H, H, VAC, 1, -1, 0),
+    "commutator": lambda: commutator_defect(H, H, VAC, 1, -1),
+    "associator": lambda: associator_defect(H, H, VAC, 0, 0),
+    "virasoro": lambda: vir_bracket_defect(1, 1, VirasoroState.word([2, 2], 7)),
+    "kummer": lambda: kummer_check(5, 0, 1),
+}
+
+
+class TestReportRecord:
+    def test_fields_in_order(self):
+        assert DefectReport._fields == ("defect", "norm_exponent", "parameters", "prime")
+
+    @pytest.mark.parametrize("kind", sorted(REPORTS))
+    def test_immutable(self, kind):
+        report = REPORTS[kind]()
+        with pytest.raises(AttributeError):
+            report.norm_exponent = 0
+        assert report.is_zero == (kind != "kummer")
+
+    @pytest.mark.parametrize("kind", sorted(REPORTS))
+    def test_no_instance_dict(self, kind):
+        assert not hasattr(REPORTS[kind](), "__dict__")
+
+    @pytest.mark.parametrize("kind", sorted(REPORTS))
+    def test_parameters_are_copied(self, kind):
+        report = REPORTS[kind]()
+        parameters = dict(report.parameters)
+        copy = DefectReport.from_defect(report.defect, report.prime, parameters)
+        parameters["r"] = "changed"
+        parameters["extra"] = 0
+        assert type(copy) is DefectReport
+        assert copy == report
+        assert copy.parameters == report.parameters
+
+
+class TestZeroStorage:
+    """A zero result holds a fresh empty dict, not the table its accumulator
+    grew before the terms cancelled."""
+
+    EMPTY = sys.getsizeof({})
+
+    def test_cancelled_jacobi_defect(self):
+        # the accumulator holds |0> before it cancels
+        report = jacobi_defect(H, H, VAC, 1, -1, 0)
+        assert report.is_zero
+        assert sys.getsizeof(report.defect._terms) == self.EMPTY
+
+    def test_other_zero_results(self):
+        zeros = [
+            commutator_defect(H, H, VAC, 1, -1).defect,
+            vir_bracket_defect(1, 1, VirasoroState.word([2, 2], 7)).defect,
+            mode_action(H, 1, HeisenbergState.monomial([2])),
+            H - H,
+        ]
+        for state in zeros:
+            assert state.is_zero
+            assert sys.getsizeof(state._terms) == self.EMPTY, state
+
+    def test_nonzero_result_keeps_its_terms(self):
+        terms = {(2, 1): Fraction(1, 3)}
+        assert VAC._with(terms)._terms is terms
+        assert mode_action(H, -1, H)._terms == {(1, 1): 1}
+        report = kummer_check(5, 0, 1)
+        assert not report.is_zero and report.defect._terms
 
 
 def mixed_states(algebra):

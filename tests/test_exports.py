@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 from types import ModuleType
 
 import pytest
@@ -32,3 +36,19 @@ def test_package_exports_the_library_modules():
     library = [name for name in MODULES[1:] if name != "padic_voa.cli"]
     union = {export for name in library for export in importlib.import_module(name).__all__}
     assert sorted(padic_voa.__all__) == sorted(union)
+
+
+def test_cli_imports_no_dataclasses():
+    # dataclasses pulls in inspect, ast, dis and tokenize at every start
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import padic_voa.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    src = str(Path(padic_voa.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    new = set(result.stdout.split())
+    assert "padic_voa.cli" in new
+    assert new.isdisjoint({"dataclasses", "inspect"})

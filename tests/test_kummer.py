@@ -209,3 +209,20 @@ class TestVerdicts:
         monkeypatch.setattr(kummer, "square_bracket_state", refuse)
         expected = {"non_vacuum_exponent": -1, "regularised_exponent": -1}
         assert state_verdict(report) == (expected, True)
+
+
+# p = 3 with a <= b <= 3 (the exceptional branch) and p = 5, 7 with a <= b <= 2
+CONTRACTION_ROWS = [(3, a, b) for b in range(4) for a in range(b + 1)] + [
+    (p, a, b) for p in (5, 7) for b in range(3) for a in range(b + 1)
+]
+
+
+@pytest.mark.parametrize("p, a, b", CONTRACTION_ROWS)
+def test_state_row_bounds_the_character_difference(p, a, b):
+    # |f(u_r) - f(u_s)|_p <= |u_r - u_s|_p, with equality on the family through q^20
+    report = kummer_check(p, a, b)
+    r, s = report.parameters["r"], report.parameters["s"]
+    difference = normalized_character(u_state(r, p), 20) - normalized_character(u_state(s, p), 20)
+    exponent = max(difference.norm_exponents(p))
+    assert exponent <= report.norm_exponent
+    assert exponent == report.norm_exponent

@@ -2,20 +2,19 @@
 associator, locality decay, and isometry of the state-field correspondence.
 
 Each check returns the exact defect state together with its p-adic sup-norm
-exponent rather than a boolean: on the algebraic sublattice the defects are
-exactly zero, and a nonzero defect's norm exponent makes near-misses
-diagnosable (this is the quantitative epsilon-form of the congruence reading
-of the axioms).
+exponent (read by `scalars._norm_exponent`) rather than a boolean: on the
+algebraic sublattice the defects are exactly zero, and a nonzero defect's
+norm exponent makes near-misses diagnosable (this is the quantitative
+epsilon-form of the congruence reading of the axioms).
 """
 
 from __future__ import annotations
 
-from math import inf
 from typing import Any, Iterable, NamedTuple, Sequence
 
 from .fock import GradedState, _accumulate_terms, partitions_of
 from .modes import _mode_table, _modes_of, _residue_sum
-from .scalars import _content_valuation, is_prime
+from .scalars import _NEG_INF, _norm_exponent, is_prime
 
 __all__ = [
     "DefectReport",
@@ -44,7 +43,7 @@ class DefectReport(NamedTuple):
 
     @property
     def is_zero(self) -> bool:
-        return self.norm_exponent == -inf
+        return self.norm_exponent == _NEG_INF
 
 
 def _jacobi_sides(u: GradedState, v: GradedState, w: GradedState, r: int, s: int, t: int) -> GradedState:
@@ -139,8 +138,8 @@ def locality_profile(
         R_t(r, s) = R_{t-1}(r+1, s) - R_{t-1}(r, s+1).
 
     Row t's exponent, the max over cells of each cell's sup norm, is one
-    content: -min v_p over every coefficient of every cell in the window
-    (Gauss's lemma), and -inf when every cell is empty.
+    `scalars._norm_exponent` of every coefficient of every cell in the
+    window, -inf when every cell is empty.
 
     Every coefficient lands in grade W - r - s - t - 2, with
     W = wt(u) + wt(v) + wt(w), so pairs with r + s > W - t - 2 vanish by
@@ -158,7 +157,7 @@ def locality_profile(
     u._check(v)
     u._check(w)
     if u.is_zero or v.is_zero or w.is_zero:
-        return [(t, -inf) for t in range(t_max + 1)]
+        return [(t, _NEG_INF) for t in range(t_max + 1)]
     u_modes, v_modes = _modes_of(u), _modes_of(v)
     total_weight = u_modes.weight + v_modes.weight + w.max_weight()
     span = total_weight + 2
@@ -177,8 +176,8 @@ def locality_profile(
                 if r + s <= total_weight - t - 2 and max(r, s) <= span + t_max - t:
                     terms = grid[r, s] = dict(previous[r + 1, s])
                     _accumulate_terms(terms, previous[r, s + 1].items(), -1)
-        coefficients = [c for (r, s), terms in grid.items() if max(r, s) <= span for c in terms.values()]
-        profile.append((t, -_content_valuation(coefficients, prime) if coefficients else -inf))
+        coefficients = (c for (r, s), terms in grid.items() if max(r, s) <= span for c in terms.values())
+        profile.append((t, _norm_exponent(coefficients, prime)))
     return profile
 
 
@@ -196,13 +195,13 @@ def isometry_probe(
 
     lhs <= rhs always holds; equality holds whenever the window contains
     n = -1 and the grade bound admits the vacuum, since a(-1)|0> = a.
-    lhs, the max of the images' sup norms, is one content: -min v_p over
-    every coefficient of every image (Gauss's lemma), -inf if all are empty.
+    lhs, the max of the images' sup norms, is one `scalars._norm_exponent`
+    of every coefficient of every image, -inf if all are empty.
     """
     if a.is_zero:
         raise ValueError("isometry probe needs a nonzero state")
     rhs = a.sup_norm_exponent(p)
     modes = _modes_of(a)
     keys = [key for grade in range(grade_bound + 1) for key in partitions_of(grade, a.WEIGHT)]
-    coefficients = [c for n in index_window for key in keys for _, c in modes[n, key]]
-    return (-_content_valuation(coefficients, p) if coefficients else -inf), rhs
+    coefficients = (c for n in index_window for key in keys for _, c in modes[n, key])
+    return _norm_exponent(coefficients, p), rhs

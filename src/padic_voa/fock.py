@@ -10,11 +10,8 @@ that does not depend on the generator; a subclass fixes the generator's
 label, its weight (which is also the minimum part) and the action of its
 modes on a basis key.  The family of norms |.|_r with r = p^e restricted to
 the value group of Q_p is carried on the exponent scale: sup over terms of
-(-v_p(coefficient) + e * weight).  That sup is read from contents, as in
-Gauss's lemma: for fractions n_i/d_i in lowest terms,
-min_i v_p(n_i/d_i) = v_p(gcd n_i) - v_p(lcm d_i), so a norm takes one gcd,
-one lcm and one valuation per grade (one in all for the sup norm, e = 0),
-never one valuation per term.
+(-v_p(coefficient) + e * weight), read per grade by `scalars._norm_exponent`
+(once in all for the sup norm, e = 0), never one valuation per term.
 
 Coefficients are stored exactly, as a plain `int` when integral and as a
 `Fraction` only otherwise (`_exact`).  The mode structure constants of both
@@ -29,10 +26,9 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import inf
 from typing import Iterable, Iterator, Mapping
 
-from .scalars import _content_valuation, is_prime
+from .scalars import _NEG_INF, _norm_exponent, is_prime
 
 __all__ = [
     "GradedState",
@@ -46,10 +42,9 @@ Partition = tuple[int, ...]
 
 Coefficient = Fraction | int
 
-_NEG_INF = -inf  # the norm exponent of every zero state, one float for all
 
-
-@lru_cache(maxsize=None)
+# bounded like every cache; the whole test suite in one process asks for 54 keys
+@lru_cache(maxsize=128)
 def partitions_of(n: int, min_part: int = 1) -> tuple[Partition, ...]:
     """All partitions of n into parts >= min_part, in lexicographic order."""
     if n < 0:
@@ -228,17 +223,15 @@ class GradedState:
     def r_norm_exponent(self, p: int, e: int) -> int | float:
         """log_p of |.|_r at r = p^e: max over terms of
         (-v_p(coefficient) + e * weight), taken per grade w as
-        e * w - v_p(content of grade w)."""
+        e * w - v_p(content of grade w); -inf for the zero state."""
         if not is_prime(p):
             raise ValueError(f"prime required, got {p}")
-        if not self._terms:
-            return _NEG_INF
         if not e:
-            return -_content_valuation(self._terms.values(), p)
+            return _norm_exponent(self._terms.values(), p)
         grades: dict[int, list[Coefficient]] = {}
         for key, c in self._terms.items():
             grades.setdefault(sum(key), []).append(c)
-        return max(e * w - _content_valuation(cs, p) for w, cs in grades.items())
+        return max((e * w + _norm_exponent(cs, p) for w, cs in grades.items()), default=_NEG_INF)
 
     def render(self, vacuum: str | None = None) -> str:
         """Canonical text form, e.g. '1/2 h(-2)^2 h(-1) |0> - 1/12 |0>'."""

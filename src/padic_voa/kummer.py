@@ -17,12 +17,11 @@ rationals first; p-adic reduction happens only at the reporting boundary
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf
 
 from .axioms import DefectReport
 from .fock import HeisenbergState
 from .qchar import QSeries, eisenstein_G2_star, normalized_character
-from .scalars import bernoulli, c_row, is_prime, valuation
+from .scalars import _NEG_INF, _norm_exponent, bernoulli, c_row, is_prime
 
 __all__ = [
     "character_row",
@@ -129,7 +128,7 @@ def _regularised_exponent(p: int, k: int, z: Fraction, k2: int) -> int | float:
     """Exponent of E(k) z - E(k2) z(k2) with E(k) = 1 - (1+p)^k.  E(k) cancels
     the pole: E(k) zeta_p(1-k) is an Iwasawa power series in (1+p)^(1-k) - 1."""
     x = (1 - (1 + p) ** k) * z - (1 - (1 + p) ** k2) * _zeta(p, k2)
-    return -valuation(x, p) if x else -inf
+    return _norm_exponent((x,), p)
 
 
 def state_verdict(report: DefectReport) -> tuple[dict, bool]:
@@ -142,12 +141,11 @@ def state_verdict(report: DefectReport) -> tuple[dict, bool]:
     p, a, b, r, s = (report.parameters[key] for key in ("p", "a", "b", "r", "s"))
     if not on_exceptional_branch(p, r):
         return {}, report.norm_exponent <= -(a + 1)
-    vacuum = HeisenbergState.vacuum(report.defect.coefficient(()))
     branch = {
-        "non_vacuum_exponent": (report.defect - vacuum).sup_norm_exponent(p),
+        "non_vacuum_exponent": _norm_exponent((c for key, c in report.defect._terms.items() if key), p),
         "regularised_exponent": _regularised_exponent(p, r + 1, _zeta(p, r + 1), s + 1),
     }
-    return branch, report.norm_exponent == (-inf if a == b else 1 - a) and max(branch.values()) <= -(a + 1)
+    return branch, report.norm_exponent == (_NEG_INF if a == b else 1 - a) and max(branch.values()) <= -(a + 1)
 
 
 def character_verdict(p: int, a: int, series: QSeries, exponents: list) -> tuple[dict, bool]:
@@ -159,7 +157,7 @@ def character_verdict(p: int, a: int, series: QSeries, exponents: list) -> tuple
     if not on_exceptional_branch(p, r):
         return {}, max(exponents) <= -(a + 1)
     branch = {
-        "q_coefficient_exponent": max(exponents[1:], default=-inf),
+        "q_coefficient_exponent": max(exponents[1:], default=_NEG_INF),
         "regularised_exponent": _regularised_exponent(p, r + 1, series.coefficient(0), 2),
     }
     return branch, max(exponents) == 1 - a and max(branch.values()) <= -(a + 1)

@@ -10,12 +10,12 @@ symbolically so that eta * Z lands exactly on integer exponents.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf, lcm
+from math import lcm
 from typing import Collection
 
 from .fock import GradedState, HeisenbergState
 from .modes import zero_mode_trace
-from .scalars import _divisor_sums, _pentagonal_terms, _truncated_product, bernoulli, is_prime, valuation
+from .scalars import _divisor_sums, _norm_exponent, _pentagonal_terms, _truncated_product, bernoulli, is_prime
 
 __all__ = [
     "QSeries",
@@ -63,7 +63,7 @@ class QSeries:
         """-v_p of each coefficient, -inf for a zero one."""
         if not is_prime(p):
             raise ValueError(f"prime required, got {p}")
-        return [-valuation(c, p) if c else -inf for c in self.coeffs]
+        return [_norm_exponent((c,), p) for c in self.coeffs]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QSeries):

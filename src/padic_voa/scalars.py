@@ -7,10 +7,10 @@ from one sieve) that the state, trace and q-series layers consume.
 All state and series construction elsewhere in the package happens over exact
 rationals: states store a coefficient as a plain `int` when it is integral
 and as a `fractions.Fraction` otherwise, and q-series hold `Fraction`s.
-p-adic information enters only at reporting boundaries, as norm exponents
--v_p(q) from `valuation` (which takes either type), or, for a whole set of
-coefficients, from `_content_valuation`, so no precision bookkeeping enters
-the recursive mode engine.
+p-adic information enters only at reporting boundaries, as norm exponents:
+every one, of a single coefficient or of a whole state, is read by
+`_norm_exponent` (which takes either type and reads zero as `_NEG_INF`), so no
+precision bookkeeping enters the recursive mode engine.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import pairwise
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -76,11 +76,16 @@ def valuation(q: Fraction | int, p: int) -> int:
     return _multiplicity(q.numerator, p) - _multiplicity(q.denominator, p)
 
 
-def _content_valuation(coefficients: Iterable[Fraction | int], p: int) -> int:
-    """min of v_p(c) over nonzero rationals c, for a prime p the caller has
-    checked: v_p of the content, v_p(gcd of numerators) - v_p(lcm of
-    denominators) (Gauss's lemma; each c is in lowest terms, so p divides at
-    most one of its numerator and denominator), in two multiplicities.
+_NEG_INF = -inf  # the norm exponent of every zero state and coefficient, one float for all
+
+
+def _norm_exponent(coefficients: Iterable[Fraction | int], p: int) -> int | float:
+    """log_p of the sup norm of rationals, for a prime p the caller has
+    checked: max of -v_p(c) over the nonzero c, and `_NEG_INF` when there is
+    none.  By Gauss's lemma that is -v_p of the content, v_p(lcm of
+    denominators) - v_p(gcd of numerators) (each c is in lowest terms, so p
+    divides at most one of its numerator and denominator; a zero adds
+    nothing to either), in two multiplicities and never one per coefficient.
 
     The gcd and lcm are folded in one loop: the star-call `gcd(*numerators)`
     builds an argument tuple per call, whose memory stays on CPython's tuple
@@ -90,7 +95,9 @@ def _content_valuation(coefficients: Iterable[Fraction | int], p: int) -> int:
     for c in coefficients:
         numerators = gcd(numerators, c.numerator)
         denominators = lcm(denominators, c.denominator)
-    return _multiplicity(numerators, p) - _multiplicity(denominators, p)
+    if not numerators:
+        return _NEG_INF
+    return _multiplicity(denominators, p) - _multiplicity(numerators, p)
 
 
 def _multiplicity(n: int, p: int) -> int:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from padic_voa import axioms, modes
+from padic_voa import axioms, modes, scalars
 from padic_voa.axioms import (
     DefectReport,
     associator_defect,
@@ -268,6 +268,11 @@ class TestLocality:
         assert profile[1] != -inf
         assert profile[2] == -inf
         assert profile[3] == -inf
+
+    def test_empty_rows_read_the_shared_negative_infinity(self):
+        rows = locality_profile(H, H, VAC, 3) + locality_profile(HeisenbergState.zero(), H, VAC, 1)
+        assert [t for t, exponent in rows if exponent is scalars._NEG_INF] == [2, 3, 0, 1]
+        assert isometry_probe(H, 5, 1, range(5, 7))[0] is scalars._NEG_INF
 
     def test_zero_state_checks_prime(self):
         zero = HeisenbergState.zero()

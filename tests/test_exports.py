@@ -52,3 +52,11 @@ def test_cli_imports_no_dataclasses():
     new = set(result.stdout.split())
     assert "padic_voa.cli" in new
     assert new.isdisjoint({"dataclasses", "inspect"})
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_cache_is_bounded(name):
+    # an unbounded memo grows with every new input of a long-lived process
+    module = importlib.import_module(name)
+    caches = {attr: value.cache_info() for attr, value in vars(module).items() if hasattr(value, "cache_info")}
+    assert {attr: info.maxsize for attr, info in caches.items() if info.maxsize is None} == {}

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from padic_voa import scalars
 from padic_voa.fock import HeisenbergState, grade_basis, partitions_of
 from padic_voa.kummer import kummer_check
 from padic_voa.modes import mode_action
@@ -159,6 +160,10 @@ class TestNorms:
         assert HeisenbergState.monomial([2]).r_norm_exponent(p, 1) == 2
         assert HeisenbergState.vacuum().r_norm_exponent(p, -3) == 0
         assert HeisenbergState.monomial([1], p).r_norm_exponent(p, 0) == -1
+
+    def test_zero_state_reads_the_shared_negative_infinity(self):
+        for e in (0, 2, -1):
+            assert HeisenbergState.zero().r_norm_exponent(5, e) is scalars._NEG_INF
 
     def test_rejects_non_prime_on_zero_state(self):
         for state in (HeisenbergState.zero(), HeisenbergState.vacuum()):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import inf
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from padic_voa import modes, qchar
+from padic_voa import modes, qchar, scalars
 from padic_voa.fock import HeisenbergState, grade_basis, partitions_of
 from padic_voa.kummer import u_state
 from padic_voa.modes import clear_mode_cache, zero_mode, zero_mode_trace
@@ -67,6 +68,10 @@ class TestQSeries:
 
     def test_norm_exponents(self):
         assert QSeries([0, 25, Fraction(1, 5), 3]).norm_exponents(5) == [-inf, -2, 1, 0]
+
+    def test_zero_coefficients_read_the_shared_negative_infinity(self):
+        exponents = QSeries([0, 3, Fraction(0)]).norm_exponents(3)
+        assert exponents[0] is exponents[2] is scalars._NEG_INF
 
     def test_norm_exponents_reject_non_prime_on_zero_series(self):
         with pytest.raises(ValueError):
@@ -402,6 +407,46 @@ class TestEisenstein:
             eisenstein_G2_star(2, 5)
         with pytest.raises(ValueError):
             eisenstein_G2_star(9, 5)
+
+
+def random_states(cls, grades, p, count, seed, *args):
+    """`count` seeded nonzero states of 1-4 basis keys of grade <= grades,
+    each coefficient an integer in [-30, 30] times a power p^j, -3 <= j <= 2."""
+    rng = random.Random(seed)
+    keys = [key for n in range(grades + 1) for key in partitions_of(n, cls.WEIGHT)]
+    states = []
+    while len(states) < count:
+        terms = {
+            key: Fraction(rng.randint(-30, 30)) * Fraction(p) ** rng.randint(-3, 2)
+            for key in rng.sample(keys, rng.randint(1, 4))
+        }
+        state = cls(terms, *args)
+        if state:
+            states.append(state)
+    return states
+
+
+class TestContraction:
+    """The character map does not increase the sup norm: Wick traces are
+    integer products times p(n), eta has integer coefficients, and Virasoro
+    traces lie in Z[c'].  So |f(v)|_p <= |v|_p at every q-order."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_heisenberg_normalized_character(self, p):
+        for v in random_states(HeisenbergState, 8, p, 75, 100 + p):
+            assert max(normalized_character(v, 20).norm_exponents(p)) <= v.sup_norm_exponent(p), v
+
+    @pytest.mark.parametrize("cprime", [0, 1, 12, -3])
+    def test_virasoro_character_at_integral_charge(self, cprime):
+        for i, p in enumerate([2, 3, 5, 7]):
+            for v in random_states(VirasoroState, 6, p, 4 if i else 3, 200 + 10 * p + cprime, cprime):
+                assert max(character(v, 12).norm_exponents(p)) <= v.sup_norm_exponent(p), v
+
+    def test_bound_is_met_with_equality(self):
+        # the vacuum's character is eta / eta = 1, with the vacuum's norm
+        for p in (2, 3, 5, 7):
+            v = VAC.scale(Fraction(1, p**2))
+            assert max(normalized_character(v, 20).norm_exponents(p)) == v.sup_norm_exponent(p) == 2
 
 
 class TestPadicDistance:

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, inf
 
 import pytest
 from hypothesis import given
@@ -104,6 +104,37 @@ class TestValuation:
         if a == 0 or b == 0 or a + b == 0:
             return
         assert valuation(a + b, p) >= min(valuation(a, p), valuation(b, p))
+
+
+def p_adic_rationals(p):
+    """Rationals with p-power parts, including zeros and ints past a machine
+    word, in the two stored types: a plain int when integral, else a Fraction."""
+    unit = st.integers(-(10**30), 10**30)
+    return st.builds(
+        lambda u, d, up, down: Fraction(u * p**up, d * p**down),
+        unit,
+        st.integers(1, 10**6),
+        st.integers(0, 40),
+        st.integers(0, 40),
+    ).map(lambda q: q.numerator if q.denominator == 1 else q)
+
+
+class TestNormExponent:
+    @pytest.mark.parametrize("coefficients", [(), (0, Fraction(0)), [0], iter(())])
+    def test_zero_is_the_shared_negative_infinity(self, coefficients):
+        # _multiplicity(0, p) never returns, so no nonzero coefficient must read -inf first
+        assert scalars._norm_exponent(coefficients, 3) is scalars._NEG_INF
+
+    @given(st.data(), st.sampled_from([2, 3, 5, 7, 997]))
+    def test_max_of_per_coefficient_exponents(self, data, p):
+        cs = data.draw(st.lists(p_adic_rationals(p) | st.just(0), max_size=8))
+        expected = max((-valuation(c, p) for c in cs if c), default=-inf)
+        assert scalars._norm_exponent(cs, p) == expected
+
+    def test_lcm_of_denominators(self):
+        # the first denominator alone would read 0 and 2
+        assert scalars._norm_exponent([Fraction(1, 2), Fraction(1, 18)], 3) == 2
+        assert scalars._norm_exponent([Fraction(1, 9), Fraction(1, 27)], 3) == 3
 
 
 class TestBernoulli:

@@ -12,7 +12,7 @@ from padic_voa import virasoro
 from padic_voa.axioms import associator_defect, commutator_defect, jacobi_defect
 from padic_voa.cli import main
 from padic_voa.fock import HeisenbergState
-from padic_voa.modes import _MODE_CACHE, clear_mode_cache, mode_action, residue_product_mode
+from padic_voa.modes import _MODE_CACHE, clear_mode_cache, mode_action, residue_product_mode, virasoro_mode
 from padic_voa.virasoro import (
     VirasoroState,
     L_action,
@@ -386,3 +386,47 @@ class TestSharedEngine:
                 jacobi_defect(a, b, b, 0, 0, 0)
             with pytest.raises(ValueError):
                 residue_product_mode(a, a, 0, 0, b)
+
+
+def phi(state: VirasoroState) -> HeisenbergState:
+    """L(-n1)...L(-nk)v0 -> L_H(-n1)...L_H(-nk)|0>, with L_H = `virasoro_mode`
+    the modes of the Heisenberg conformal vector 1/2 h(-1)^2|0>, extended
+    linearly.  At c' = 1/2 (central charge 1) this is a map of vertex
+    algebras."""
+    out = HeisenbergState.zero()
+    for word, c in state.items():
+        image = HeisenbergState.vacuum()
+        for n in reversed(word):
+            image = virasoro_mode(-n, image)
+        out = out + image.scale(c)
+    return out
+
+
+def phi_failures(charge, grade: int) -> tuple[int, int]:
+    """(checks, failures) of phi(u(n)v) == phi(u)(n) phi(v) over every pair of
+    PBW words u, v of grade <= `grade` and -3 <= n < wt u + wt v."""
+    words = vir_basis(charge, grade)
+    images = [phi(u) for u in words]
+    checks = failures = 0
+    for (u, phi_u), (v, phi_v) in itertools.product(zip(words, images), repeat=2):
+        for n in range(-3, u.weight() + v.weight()):
+            checks += 1
+            failures += phi(mode_action(u, n, v)) != mode_action(phi_u, n, phi_v)
+    return checks, failures
+
+
+class TestHeisenbergEmbedding:
+    """The Virasoro algebra at c' = 1/2 inside the Heisenberg algebra: one
+    oracle for both engines, which sees a change that keeps either one a
+    vertex algebra, such as a scaled central term (only another c')."""
+
+    def test_modes_commute_with_phi(self):
+        assert phi_failures(Fraction(1, 2), 6) == (1397, 0)
+
+    def test_doubled_central_charge_is_caught(self):
+        assert phi_failures(1, 4) == (205, 52)
+
+    @pytest.mark.parametrize("p, exponent", [(2, 4), (3, 0), (5, 0)])
+    def test_largest_image_norm(self, p, exponent):
+        # phi is a contraction for odd p; at p = 2 the 1/2 in the conformal vector shows
+        assert max(phi(u).sup_norm_exponent(p) for u in vir_basis(Fraction(1, 2), 8)) == exponent

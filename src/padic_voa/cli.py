@@ -60,19 +60,25 @@ class ParseError(ValueError):
 
 _TOKEN = re.compile(r"\s*(\d+|vac|\S)")
 
+# a key of more than 81 parts has a zero trace through q^40 (`modes._wick_trace`
+# cuts by degree), and h(-1)^1000000000 would build a list of 10^9 parts
+_MAX_PARTS = 100_000
+
 
 def parse_state(text: str) -> HeisenbergState:
     """Parse a state expression into a Fock state; raises ParseError with the
     input offset.  The rules below read one list of (token, offset) pairs,
     last token first, whose bottom is an end marker ("", len(text))."""
     tokens = [("", len(text))] + [(match[1], match.start(1)) for match in _TOKEN.finditer(text)][::-1]
-    state = _parse_term(tokens, -1 if _take(tokens, "-") else 1)
+    terms = [_parse_term(tokens, -1 if _take(tokens, "-") else 1, 0)]
+    parts = len(terms[0][0])
     while tokens[-1][0]:
         token, offset = tokens.pop()
         if token not in ("+", "-"):
             raise ParseError("expected '+', '-', or end of input", offset)
-        state = state + _parse_term(tokens, 1 if token == "+" else -1)
-    return state
+        terms.append(_parse_term(tokens, 1 if token == "+" else -1, parts))
+        parts += len(terms[-1][0])
+    return HeisenbergState(terms)
 
 
 def _take(tokens: list[tuple[str, int]], token: str) -> bool:
@@ -95,7 +101,8 @@ def _integer(tokens: list[tuple[str, int]]) -> int:
     return int(token)
 
 
-def _parse_term(tokens: list[tuple[str, int]], sign: int) -> HeisenbergState:
+def _parse_term(tokens: list[tuple[str, int]], sign: int, used: int) -> tuple[tuple[int, ...], Fraction]:
+    """One term as its (basis key, coefficient) pair."""
     coeff = Fraction(sign)
     if tokens[-1][0].isdecimal():
         coeff *= _integer(tokens)
@@ -107,17 +114,18 @@ def _parse_term(tokens: list[tuple[str, int]], sign: int) -> HeisenbergState:
             coeff /= denominator
     parts: list[int] = []
     while _take(tokens, "h"):
-        parts.extend(_parse_factor(tokens))
+        parts.extend(_parse_factor(tokens, used + len(parts)))
     token, offset = tokens.pop()
     if token != "vac":
         raise ParseError("expected a factor h(-n) or 'vac'", offset)
-    return HeisenbergState.monomial(parts, coeff)
+    return tuple(sorted(parts, reverse=True)), coeff
 
 
-def _parse_factor(tokens: list[tuple[str, int]]) -> list[int]:
-    """A factor h(-n)^e after its 'h', as e copies of the part n."""
+def _parse_factor(tokens: list[tuple[str, int]], used: int) -> list[int]:
+    """A factor h(-n)^e after its 'h', as e copies of the part n; `used`
+    counts the parts of the expression before it."""
     _expect(tokens, "(")
-    index_pos = tokens[-1][1]
+    index_pos = exponent_pos = tokens[-1][1]
     index = -_integer(tokens) if _take(tokens, "-") else _integer(tokens)
     _expect(tokens, ")")
     exponent = 1
@@ -128,6 +136,8 @@ def _parse_factor(tokens: list[tuple[str, int]]) -> list[int]:
             raise ParseError("exponent must be >= 1", exponent_pos)
     if index >= 0:
         raise ParseError(f"h({index}) is not a creation index h(-n) with n >= 1", index_pos)
+    if used + exponent > _MAX_PARTS:
+        raise ParseError(f"{used + exponent} parts are too many for a state expression (limit {_MAX_PARTS})", exponent_pos)
     return [-index] * exponent
 
 

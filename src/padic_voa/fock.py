@@ -43,7 +43,7 @@ Partition = tuple[int, ...]
 Coefficient = Fraction | int
 
 
-# bounded like every cache; the whole test suite in one process asks for 54 keys
+# bounded like every cache; the whole test suite in one process asks for 43 keys
 @lru_cache(maxsize=128)
 def partitions_of(n: int, min_part: int = 1) -> tuple[Partition, ...]:
     """All partitions of n into parts >= min_part, in lexicographic order."""
@@ -63,7 +63,7 @@ def partitions_of(n: int, min_part: int = 1) -> tuple[Partition, ...]:
 
 def grade_basis(n: int) -> tuple[Partition, ...]:
     """Monomial basis of the degree-n graded piece; its length is p(n)."""
-    return partitions_of(n)
+    return partitions_of(n, 1)
 
 
 def _exact(c: Coefficient) -> Coefficient:
@@ -88,6 +88,10 @@ def _accumulate_terms(acc: dict, pairs: Iterable[tuple[Partition, Coefficient]],
 
 class GradedState:
     """A finite rational linear combination of basis keys of one algebra.
+
+    The constructor checks each (key, coefficient) pair it is given and adds
+    it with `_accumulate_terms`, so repeated keys are summed and a key whose
+    sum is zero is dropped.
 
     Instances are treated as immutable values: all arithmetic returns fresh
     states of the same algebra, and combining states of different algebras
@@ -114,9 +118,7 @@ class GradedState:
             key = tuple(key)
             if any(part < self.WEIGHT for part in key) or list(key) != sorted(key, reverse=True):
                 raise ValueError(f"not a basis key of {type(self).__name__}: {key}")
-            coeff = _exact(coeff)
-            if coeff:
-                out[key] = coeff
+            _accumulate_terms(out, ((key, _exact(coeff)),))
         self._terms = out
 
     def _with(self, terms: dict[Partition, Coefficient]) -> "GradedState":

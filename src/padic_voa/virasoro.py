@@ -44,7 +44,7 @@ Word = tuple[int, ...]
 
 def vir_grade_basis(n: int) -> tuple[Word, ...]:
     """PBW words of grade n: partitions of n into parts >= 2, lex order."""
-    return partitions_of(n, min_part=2)
+    return partitions_of(n, 2)
 
 
 class VirasoroState(GradedState):

@@ -25,7 +25,9 @@ package code it checks, and works on plain coefficient lists where it can:
   recursion of `modes.mode_action`;
 * L(n) on a Virasoro PBW word by straightening unsorted mode sequences on
   v0 with the bracket alone, instead of the memoised head-peeling rewrite
-  `virasoro._apply`.
+  `virasoro._apply`;
+* the rank of a list of rational vectors by exact Fraction elimination, with
+  no computer-algebra package.
 
 Graded traces are checked in `tests/test_qchar.py` against o(v) applied as
 a state map to every basis monomial of each grade, through
@@ -114,6 +116,23 @@ def partition_counts(order: int, min_part: int = 1) -> list[int]:
     inv = series_inverse_coeffs(product_coeffs(order, min_part), order)
     assert all(c.denominator == 1 for c in inv)
     return [int(c) for c in inv]
+
+
+def rank(rows: list[list]) -> int:
+    """Rank over Q of a list of equal-length rational rows, by exact Fraction
+    elimination: each row is reduced by the pivots found so far, and kept as
+    a pivot when a nonzero entry remains."""
+    pivots: list[tuple[int, list[Fraction]]] = []
+    for row in rows:
+        row = [Fraction(c) for c in row]
+        for col, pivot in pivots:
+            if row[col]:
+                factor = row[col] / pivot[col]
+                row = [a - factor * b for a, b in zip(row, pivot)]
+        col = next((i for i, c in enumerate(row) if c), None)
+        if col is not None:
+            pivots.append((col, row))
+    return len(pivots)
 
 
 def stirling2(n: int, k: int) -> int:

@@ -24,7 +24,7 @@ from padic_voa.cli import (
     parse_state,
     render_heisenberg,
 )
-from padic_voa.fock import HeisenbergState, grade_basis
+from padic_voa.fock import GradedState, HeisenbergState, grade_basis
 
 
 def run_cli(argv: list[str]) -> tuple[int, str]:
@@ -65,6 +65,19 @@ class TestParser:
     def test_zero_exponent_rejected(self):
         with pytest.raises(ParseError):
             parse_state("h(-1)^0 vac")
+
+    def test_one_state_from_its_terms(self, monkeypatch):
+        # the terms are collected and summed by the constructor, not state by state
+        def add(self, other):
+            raise AssertionError("parse_state added two states")
+
+        monkeypatch.setattr(GradedState, "__add__", add)
+        state = parse_state("h(-1) h(-2) vac - 1/3 vac + h(-2)h(-1) vac")
+        assert state == HeisenbergState({(2, 1): 2, (): Fraction(-1, 3)})
+
+    def test_repeated_terms_sum(self):
+        assert parse_state("h(-1) vac - h(-1) vac").is_zero
+        assert parse_state("1/2 h(-2) vac + h(-1) vac + 1/2 h(-2) vac") == HeisenbergState({(2,): 1, (1,): 1})
 
     def test_leading_minus(self):
         state = parse_state("-1/12 vac + h(-1) vac")
@@ -423,6 +436,26 @@ class TestInputValidation:
         assert run_cli(argv) == (2, "")
         err = capsys.readouterr().err
         assert f"argument --prime: {argv[-1]} is not a prime" in err and "_prime" not in err
+
+    @pytest.mark.parametrize(
+        "text, parts, offset",
+        [
+            ("h(-1)^100001 vac", 100001, 6),
+            ("h(-1)^60000 h(-1)^60000 vac", 120000, 18),
+            ("h(-1)^60000 vac + h(-2)^60000 vac", 120000, 24),
+        ],
+    )
+    def test_parts_above_limit(self, text, parts, offset, capsys):
+        # each factor adds its exponent before any list of parts is built, so
+        # h(-1)^1000000000 no longer asks for a list of 10^9 parts (MemoryError)
+        assert run_cli(["character", "--state", text, "--qmax", "2"]) == (2, "")
+        message = f"{parts} parts are too many for a state expression (limit 100000) (at offset {offset})"
+        assert message in capsys.readouterr().err
+
+    def test_parts_at_limit(self):
+        code, out = run_cli(["character", "--state", "h(-1)^99999 h(-2) vac", "--qmax", "2"])
+        assert code == 0 and json.loads(out)["state"] == "h(-2) h(-1)^99999 vac"
+        assert run_cli(["character", "--state", "h(-1)^100000 vac", "--qmax", "2"])[0] == 0
 
     def test_character_empty_range(self):
         assert run_cli(["character", "--state", "h(-1) vac", "--qmax", "-1"]) == (2, "")

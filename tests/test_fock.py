@@ -67,8 +67,18 @@ class TestGradeBasis:
     def test_min_part_variant(self):
         assert partitions_of(6, min_part=2) == ((2, 2, 2), (3, 3), (4, 2), (6,))
 
+    def test_one_cache_entry_per_partition_set(self):
+        # the engine asks for partitions_of(g, WEIGHT) positionally
+        assert grade_basis(4) is partitions_of(4, 1)
+
 
 class TestStateBasics:
+    def test_repeated_keys_sum(self):
+        assert HeisenbergState([((1,), 1), ((1,), -1)]).is_zero
+        assert HeisenbergState([((1,), 1), ((1,), 2)]) == HeisenbergState.monomial([1], 3)
+        state = HeisenbergState([((2, 1), Fraction(1, 3)), ((), 5), ((2, 1), Fraction(-1, 3)), ((2, 1), 4), ((), 0)])
+        assert state == HeisenbergState({(2, 1): 4, (): 5})
+
     def test_add_cancels(self):
         x = HeisenbergState.monomial([2, 1], Fraction(3, 7))
         assert (x - x).is_zero

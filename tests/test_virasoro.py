@@ -5,14 +5,16 @@ import io
 import itertools
 import json
 from fractions import Fraction
+from math import inf
 
 import pytest
 
 from padic_voa import virasoro
 from padic_voa.axioms import associator_defect, commutator_defect, jacobi_defect
 from padic_voa.cli import main
-from padic_voa.fock import HeisenbergState
+from padic_voa.fock import HeisenbergState, grade_basis, partitions_of
 from padic_voa.modes import _MODE_CACHE, clear_mode_cache, mode_action, residue_product_mode, virasoro_mode
+from padic_voa.qchar import character
 from padic_voa.virasoro import (
     VirasoroState,
     L_action,
@@ -22,7 +24,7 @@ from padic_voa.virasoro import (
     vir_mode_action,
 )
 
-from oracles import binomial, partition_counts, virasoro_straighten
+from oracles import binomial, partition_counts, rank, valuation_by_loop, virasoro_straighten
 
 CHARGES = (0, 1, 12, Fraction(1, 2))
 
@@ -36,6 +38,11 @@ class TestStateBasics:
 
     def test_word_constructor_sorts(self):
         assert VirasoroState.word([2, 3], 1) == VirasoroState.word([3, 2], 1)
+
+    def test_repeated_words_sum(self):
+        assert VirasoroState([((3, 2), 1), ((3, 2), -1)], 1).is_zero
+        assert VirasoroState([((2,), 1), ((2,), 2)], 1) == VirasoroState.word([2], 1, 3)
+        assert VirasoroState([((2,), Fraction(1, 2)), ((), 1), ((2,), Fraction(-1, 2))], 1) == VirasoroState.vacuum(1)
 
     def test_charge_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -77,6 +84,11 @@ class TestGradedBasis:
 
     def test_grade_one_is_empty(self):
         assert vir_grade_basis(1) == ()
+
+    def test_one_cache_entry_per_word_set(self):
+        # the engine's trace and isometry loops ask for partitions_of(g, 2)
+        # positionally; a keyword call would be a second cache key
+        assert vir_grade_basis(4) is partitions_of(4, 2)
 
 
 class TestLAction:
@@ -430,3 +442,34 @@ class TestHeisenbergEmbedding:
     def test_largest_image_norm(self, p, exponent):
         # phi is a contraction for odd p; at p = 2 the 1/2 in the conformal vector shows
         assert max(phi(u).sup_norm_exponent(p) for u in vir_basis(Fraction(1, 2), 8)) == exponent
+
+    def test_phi_is_injective(self):
+        # at each grade g <= 12 the images of the PBW words, read on the
+        # Heisenberg keys of grade g, have full rank
+        ranks, words = [], []
+        for g in range(13):
+            images = [phi(VirasoroState.word(word, Fraction(1, 2))) for word in vir_grade_basis(g)]
+            ranks.append(rank([[image.coefficient(key) for key in grade_basis(g)] for image in images]))
+            words.append(len(images))
+        assert ranks == words == [1, 0, 1, 1, 2, 2, 4, 4, 7, 8, 12, 14, 21]
+
+
+class TestChargeContinuity:
+    """Virasoro traces lie in Z[c'], so the character is p-adically
+    continuous in the charge: |Z(v, c') - Z(v, c' + p^e)| <= p^-e.  The
+    offsets -c'/12 differ, so the coefficients are compared, not the series."""
+
+    def test_distance_is_bounded_by_the_charge_distance(self):
+        rows = {}  # (p, word, e) -> largest exponent of the difference through q^12
+        for p, charge in ((5, 1), (3, Fraction(1, 2))):
+            for word in (w for g in range(7) for w in vir_grade_basis(g)):
+                near = character(VirasoroState.word(word, charge), 12).coeffs
+                for e in (1, 2, 3):
+                    far = character(VirasoroState.word(word, charge + p**e), 12).coeffs
+                    rows[p, word, e] = max((-valuation_by_loop(a - b, p) for a, b in zip(near, far) if a != b), default=-inf)
+        assert len(rows) == 66
+        assert all(exponent <= -e for (_, _, e), exponent in rows.items())
+        # L(-2)^2 v0 meets the bound; the vacuum and one-part words do not depend on c'
+        assert [rows[p, (2, 2), e] for p in (5, 3) for e in (1, 2, 3)] == [-1, -2, -3] * 2
+        constant = [exponent for (_, word, _), exponent in rows.items() if len(word) <= 1]
+        assert len(constant) == 36 and all(exponent == -inf for exponent in constant)

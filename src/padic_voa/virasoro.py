@@ -17,7 +17,10 @@ in one bounded memo keyed on (n, word, c'); `_apply.cache_clear()` empties it.
 The bracket defect at (m, n) is summed into one dict from images L(k)s of
 the state: L(m) on the terms of L(n)s, minus L(n) on the terms of L(m)s,
 minus (m-n) L(m+n)s and the central term.  `vir_bracket_defects` computes
-each image L(k)s of a window once, for every pair (m, n) of the window.
+each image L(k)s of a window once, for every pair (m, n) of the window, and
+sums each unordered pair {m, n} once: the defect expression is antisymmetric,
+D(n, m) = -D(m, n), as C(1-m, 3) = -C(m+1, 3), so the other order is the
+negated defect with the same norm exponent.
 """
 
 from __future__ import annotations
@@ -161,11 +164,22 @@ def vir_bracket_defects(
 ) -> Iterator[tuple[int, int, DefectReport]]:
     """(m, n, `vir_bracket_defect(m, n, state, prime)`) for every (m, n) in
     span x span, in `itertools.product` order.  Each image L(k)s with
-    2 min(span) <= k <= 2 max(span) is computed once, for all pairs."""
+    2 min(span) <= k <= 2 max(span) is computed once, for all pairs, and
+    each unordered pair {m, n} is summed once, in the order met first: the
+    other order reads D(n, m) = -D(m, n), which holds term by term, since
+    C(1-m, 3) = -C(m+1, 3), whatever the rewrite returns."""
     span = tuple(span)
     images = {k: L_action(k, state) for k in range(2 * min(span, default=0), 2 * max(span, default=-1) + 1)}
+    reports: dict[tuple[int, int], DefectReport] = {}
     for m, n in product(span, span):
-        yield m, n, _bracket_defect(m, n, state, images, prime)
+        pair = (m, n) if m <= n else (n, m)
+        report = reports.get(pair)
+        if report is None:
+            reports[pair] = report = _bracket_defect(m, n, state, images, prime)
+        elif report.parameters["m"] != m:
+            params = {**report.parameters, "m": m, "n": n}
+            report = DefectReport(-report.defect, report.norm_exponent, params, prime)
+        yield m, n, report
 
 
 def vir_mode_action(v: VirasoroState, n: int, b: VirasoroState) -> VirasoroState:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from padic_voa import modes
+from padic_voa import cli, modes
 from padic_voa.cli import (
     _SUITE_DEFAULTS,
     _SWEEP_LIMITS,
@@ -132,6 +132,22 @@ class TestParser:
         with pytest.raises(ParseError) as excinfo:
             parse_state("h(-1)^² vac")
         assert excinfo.value.offset == 6
+
+    @pytest.mark.parametrize(
+        "head, tail, offset",
+        [("", " vac", 0), ("1/", " vac", 2), ("h(-", ") vac", 3), ("h(-1)^", " vac", 6)],
+        ids=["coefficient", "denominator", "index", "exponent"],
+    )
+    def test_integer_above_the_digit_limit(self, head, tail, offset):
+        # one digit past Python's int conversion limit used to raise its own
+        # ValueError, which names sys.set_int_max_str_digits() and no offset
+        with pytest.raises(ParseError) as excinfo:
+            parse_state(head + "9" * 4301 + tail)
+        assert str(excinfo.value) == f"4301 digits are too many for an integer (limit 4300) (at offset {offset})"
+        assert excinfo.value.offset == offset
+
+    def test_integer_at_the_digit_limit(self):
+        assert parse_state("9" * 4300 + " vac") == HeisenbergState.vacuum(10**4300 - 1)
 
 
 class TestRoundTrip:
@@ -366,6 +382,8 @@ SWEEP_SHA256 = [
     ("kummer --prime 5 --amax 3 --qmax 40", "be1e58060ac188f655e581f4f64eeecce828140fd448346e644506c4d63113f8"),
     ("eisenstein --k 4 --qmax 200", "72d15e934e2e6961b3de3aeb296d283c708caf2b3e81c91cb909633f96881b00"),
     ("eisenstein --k 2000 --qmax 141", "6a0e8a492cf13d401d4c37701aa46cb7a051f5f6df20de0e444f12b0f36b9d6f"),
+    ("kummer --prime 997 --amax 0 --qmax 40", "729d4d667c50d333b4fce751d0e8c1d671b4fe30ecf049d38e215a820e1265ed"),
+    ("virasoro --cprime 1/3 --grade 9 --window 5 --full", "dfcbc3b4213ec6f75b92b890a6b1996ba9cd2951827d7ffab8fd9551617de311"),
     (
         'character --state "3/5 h(-4)h(-2) vac - 7/25 h(-3)^2 vac + 2/3 h(-1)^6 vac" --qmax 12 --eta --prime 5',
         "c03b7491220083d21b9a61bc0a91046835372090e1d9b20ccf6d25a3e90195b3",
@@ -456,6 +474,13 @@ class TestInputValidation:
         code, out = run_cli(["character", "--state", "h(-1)^99999 h(-2) vac", "--qmax", "2"])
         assert code == 0 and json.loads(out)["state"] == "h(-2) h(-1)^99999 vac"
         assert run_cli(["character", "--state", "h(-1)^100000 vac", "--qmax", "2"])[0] == 0
+
+    def test_integer_above_the_digit_limit(self, capsys):
+        state = "h(-1)^" + "1" * 5000 + " vac"
+        assert run_cli(["character", "--state", state, "--qmax", "2"]) == (2, "")
+        err = capsys.readouterr().err
+        assert "5000 digits are too many for an integer (limit 4300) (at offset 6)" in err
+        assert "set_int_max_str_digits" not in err
 
     def test_character_empty_range(self):
         assert run_cli(["character", "--state", "h(-1) vac", "--qmax", "-1"]) == (2, "")
@@ -604,3 +629,26 @@ def test_option_surface():
         "axioms": ["-h", "--help", "--suite", "--grade", "--window", "--prime", "--count", "--seed", "--full", "--out"],
         "virasoro": ["-h", "--help", "--cprime", "--grade", "--window", "--prime", "--full", "--out"],
     }
+
+
+def test_one_parser_per_process(monkeypatch):
+    # main used to build its parser on every call (about 1.5 ms); a call that
+    # exits 2 in argparse leaves the cached parser as it was
+    built = []
+
+    def build():
+        built.append(build_parser())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", build)
+    cli._parser.cache_clear()
+    try:
+        eisenstein = run_cli(["eisenstein", "--k", "4", "--qmax", "2"])
+        assert run_cli(["kummer", "--amax", "0"]) == (2, "")
+        assert run_cli(["eisenstein", "--k", "4", "--qmax", "2"]) == eisenstein
+        assert len(built) == 1
+        cli._parser.cache_clear()
+        assert run_cli(["eisenstein", "--k", "4", "--qmax", "2"]) == eisenstein
+        assert len(built) == 2
+    finally:
+        cli._parser.cache_clear()  # drop the parser built through the patch

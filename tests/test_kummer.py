@@ -1,15 +1,19 @@
 from __future__ import annotations
 
+import contextlib
+import io
 from fractions import Fraction
 from math import factorial, inf
 
 import pytest
 
 from padic_voa import kummer
+from padic_voa.cli import main
 from padic_voa.fock import HeisenbergState
 from padic_voa.kummer import (
     character_row,
     character_verdict,
+    family_rows,
     kummer_check,
     kummer_index,
     limit_character_check,
@@ -209,6 +213,44 @@ class TestVerdicts:
         monkeypatch.setattr(kummer, "square_bracket_state", refuse)
         expected = {"non_vacuum_exponent": -1, "regularised_exponent": -1}
         assert state_verdict(report) == (expected, True)
+
+
+class TestFamilyRows:
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The index r of each family member built, in order."""
+        indices, build = [], kummer.u_state
+
+        def counted(r, p):
+            indices.append(r)
+            return build(r, p)
+
+        monkeypatch.setattr(kummer, "u_state", counted)
+        return indices
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_rows_match_the_single_checks(self, p):
+        characters, states = family_rows(p, 2, 8)
+        assert characters == [character_row(p, a, 8) for a in range(3)]
+        assert states == [kummer_check(p, a, b) for a in range(3) for b in range(a, 3)]
+
+    def test_each_member_built_once(self, built):
+        # the report used to build u_r 15 times for its 3 members
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["kummer", "--prime", "3", "--amax", "2"]) == 0
+        assert built == [3, 7, 19]
+
+    def test_limits_are_checked_before_the_builds(self, built):
+        # a depth above the limit builds no member, an order above it one
+        with pytest.raises(ValueError, match="too large for the Kummer family"):
+            family_rows(5, 6, 10)
+        assert built == []
+        with pytest.raises(ValueError, match="too large for a character"):
+            family_rows(5, 2, 41)
+        assert built == [5]
+        with pytest.raises(ValueError, match="too large for the Kummer family"):
+            kummer_check(5, 0, 6)
+        assert built == [5]
 
 
 # p = 3 with a <= b <= 3 (the exceptional branch) and p = 5, 7 with a <= b <= 2

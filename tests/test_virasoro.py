@@ -237,6 +237,66 @@ class TestBracketDefects:
                 assert report.parameters == {"m": m, "n": n, "cprime": str(state.charge)}
                 assert single.defect == self.composed(m, n, state), (charge, word, m, n)
 
+    @pytest.fixture
+    def broken_rewrite(self, monkeypatch):
+        """A rewrite that doubles every L(1) image of a nonempty word, so that
+        most defects are nonzero."""
+        rewrite = virasoro._apply
+
+        def broken(n, word, charge):
+            images = rewrite(n, word, charge)
+            return tuple((key, 2 * c) for key, c in images) if n == 1 and word else images
+
+        rewrite.cache_clear()
+        monkeypatch.setattr(virasoro, "_apply", broken)
+        yield
+        rewrite.cache_clear()  # the memo holds rewrites made through `broken`
+
+    @pytest.mark.parametrize(
+        "span",
+        [range(3, -4, -1), (2, -3, 0, 3, -1, 1, -2), (2, -1, 2, 0, -1, 2)],
+        ids=["reversed", "shuffled", "repeated"],
+    )
+    def test_rows_match_single_pairs_in_any_span_order(self, span, broken_rewrite):
+        # D(n, m) = -D(m, n) for any rewrite, so each row read from the other
+        # order equals the pair computed on its own
+        nonzero = 0
+        for charge in (1, Fraction(1, 3)):
+            for word in ((), (2,), (3, 2), (4,)):
+                state = VirasoroState.word(word, charge)
+                rows = list(vir_bracket_defects(state, span))
+                assert [(m, n) for m, n, _ in rows] == list(itertools.product(span, span))
+                for m, n, report in rows:
+                    assert report == vir_bracket_defect(m, n, state), (charge, word, m, n)
+                    assert report.parameters == {"m": m, "n": n, "cprime": str(charge)}
+                    nonzero += not report.is_zero
+        assert nonzero >= 40  # the broken rewrite leaves defects to compare
+
+    @pytest.mark.parametrize("span", [range(-3, 4), range(3, -4, -1), (2, -3, 0), (1, 1, -1, 1)], ids=str)
+    def test_each_unordered_pair_is_summed_once(self, span, monkeypatch):
+        pairs, kernel = [], virasoro._bracket_defect
+
+        def counted(m, n, *args):
+            pairs.append((m, n))
+            return kernel(m, n, *args)
+
+        monkeypatch.setattr(virasoro, "_bracket_defect", counted)
+        values = set(span)
+        for word in ((), (2,), (3, 2)):
+            pairs.clear()
+            assert len(list(vir_bracket_defects(VirasoroState.word(word, 1), span))) == len(span) ** 2
+            assert len(pairs) == len(values) * (len(values) + 1) // 2
+            assert {frozenset(pair) for pair in pairs} == {frozenset(pair) for pair in itertools.product(values, values)}
+
+    def test_sweep_sums_each_unordered_pair_once(self, monkeypatch):
+        # 5 PBW words of grade <= 4, 5 * 6 / 2 = 15 unordered pairs each (25 rows)
+        calls, kernel = [], virasoro._bracket_defect
+        monkeypatch.setattr(virasoro, "_bracket_defect", lambda *args: calls.append(args[:2]) or kernel(*args))
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(["virasoro", "--grade", "4", "--window", "2"]) == 0
+        assert json.loads(out.getvalue())["checks"] == 125
+        assert len(calls) == 75
+
     def test_a_broken_relation_is_reported(self, monkeypatch):
         # L(2) L(-2) v0 rewritten to (c' + 1) v0 instead of c' v0 leaves the
         # (2, -2) defect v0 on the vacuum: every route must report it

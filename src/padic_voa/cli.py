@@ -37,7 +37,7 @@ from .axioms import (
     locality_profile,
 )
 from .fock import HeisenbergState, grade_basis
-from .kummer import character_verdict, family_rows, kummer_index, state_verdict
+from .kummer import character_row, character_verdict, kummer_check, kummer_index, state_verdict
 from .qchar import character, eisenstein_G, eisenstein_G2_star, normalized_character
 from .scalars import _partition_counts, is_prime
 from .virasoro import VirasoroState, L_action, vir_bracket_defects, vir_grade_basis
@@ -332,13 +332,16 @@ def _cmd_eisenstein(args) -> tuple[dict, int]:
 
 
 def _cmd_kummer(args) -> tuple[dict, int]:
-    """Lay out the state and character rows of `kummer.family_rows` with
-    their `kummer` verdicts; a row on the exceptional branch also reports
-    its branch exponents."""
+    """Lay out the state and character rows with their `kummer` verdicts;
+    a row on the exceptional branch also reports its branch exponents.  The
+    deepest index is checked first, and the q-order by the first character
+    row, so either limit exits 2 before any member is built; the rows read
+    each member u_r from `kummer`'s memo."""
     p = args.prime
-    characters, reports = family_rows(p, args.amax, args.qmax)
+    kummer_index(p, args.amax)
     char_rows = []
-    for a, (series, exponents) in enumerate(characters):
+    for a in range(args.amax + 1):
+        series, exponents = character_row(p, a, args.qmax)
         branch, ok = character_verdict(p, a, series, exponents)
         row = {
             "a": a,
@@ -351,12 +354,14 @@ def _cmd_kummer(args) -> tuple[dict, int]:
         row.update((key, _exponent_json(e)) for key, e in branch.items())
         char_rows.append(row)
     state_rows = []
-    for report in reports:
-        branch, ok = state_verdict(report)
-        row = {key: value for key, value in report.parameters.items() if key != "p"}
-        row.update(norm_exponent=_exponent_json(report.norm_exponent), ok=ok)
-        row.update((key, _exponent_json(e)) for key, e in branch.items())
-        state_rows.append(row)
+    for a in range(args.amax + 1):
+        for b in range(a, args.amax + 1):
+            report = kummer_check(p, a, b)
+            branch, ok = state_verdict(report)
+            row = {key: value for key, value in report.parameters.items() if key != "p"}
+            row.update(norm_exponent=_exponent_json(report.norm_exponent), ok=ok)
+            row.update((key, _exponent_json(e)) for key, e in branch.items())
+            state_rows.append(row)
     ok = all(row["ok"] for row in state_rows + char_rows)
     payload = {
         "command": "kummer",

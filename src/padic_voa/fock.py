@@ -13,12 +13,16 @@ the value group of Q_p is carried on the exponent scale: sup over terms of
 (-v_p(coefficient) + e * weight), read per grade by `scalars._norm_exponent`
 (once in all for the sup norm, e = 0), never one valuation per term.
 
-Coefficients are stored exactly, as a plain `int` when integral and as a
-`Fraction` only otherwise (`_exact`).  The mode structure constants of both
-algebras lie in Z (in Z[c'] for Virasoro), so integral inputs keep the mode
-engine on `int` arithmetic, and Python's int/Fraction interop keeps mixed
-states exact with no second code path.  `coefficient` and `items` return
-`Fraction`s whatever the storage.
+Coefficients are stored exactly.  The checked constructor, which sums
+repeated keys, and `scale` store each one as a plain `int` when it is
+integral and as a `Fraction` only otherwise (`_exact`).  Sums made by `+`,
+`-` and the mode engine (`_accumulate_terms`) keep the type that Python's
+arithmetic gives, so an integral sum of `Fraction`s stays a `Fraction`
+there.  The mode structure constants of both algebras lie in Z (in Z[c']
+for Virasoro), so integral inputs keep the mode engine on `int` arithmetic,
+and Python's int/Fraction interop keeps mixed states exact with no second
+code path.  `coefficient` and `items` return `Fraction`s whatever the
+storage.
 """
 
 from __future__ import annotations
@@ -91,7 +95,7 @@ class GradedState:
 
     The constructor checks each (key, coefficient) pair it is given and adds
     it with `_accumulate_terms`, so repeated keys are summed and a key whose
-    sum is zero is dropped.
+    sum is zero is dropped; each sum is stored by `_exact`.
 
     Instances are treated as immutable values: all arithmetic returns fresh
     states of the same algebra, and combining states of different algebras
@@ -119,7 +123,7 @@ class GradedState:
             if any(part < self.WEIGHT for part in key) or list(key) != sorted(key, reverse=True):
                 raise ValueError(f"not a basis key of {type(self).__name__}: {key}")
             _accumulate_terms(out, ((key, _exact(coeff)),))
-        self._terms = out
+        self._terms = {key: _exact(c) for key, c in out.items()}
 
     def _with(self, terms: dict[Partition, Coefficient]) -> "GradedState":
         """Trusted constructor: a state of this algebra with canonical terms

@@ -8,25 +8,27 @@ as
     (r-1)! h[-r]h[-1]|0>
         = sum_{m=0}^{r-1} c(r, m) h(-m-1)h(-1)|0>  -  B_{r+1}/(r+1) |0>,
 
-with c(r, m) the Stirling-type integers of `scalars.c_coefficient`, taken a
-whole row at a time from `scalars.c_row`.  States are assembled as exact
-rationals first; p-adic reduction happens only at the reporting boundary
-(norm exponents), after the (1 - p^r) rescaling.
+with c(r, m) = m! S(r, m+1) the Stirling-type integers, taken a whole row at
+a time from `scalars.c_row`.  States are assembled as exact rationals first;
+p-adic reduction happens only at the reporting boundary (norm exponents),
+after the (1 - p^r) rescaling.  The checks and character rows read each
+family member u_r from one bounded memo (`_member`), and every public
+function returns new objects.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .axioms import DefectReport
 from .fock import HeisenbergState
-from .qchar import QSeries, eisenstein_G2_star, normalized_character
+from .qchar import QSeries, _require_character_order, eisenstein_G2_star, normalized_character
 from .scalars import _NEG_INF, _norm_exponent, bernoulli, c_row, is_prime
 
 __all__ = [
     "character_row",
     "character_verdict",
-    "family_rows",
     "kummer_check",
     "kummer_index",
     "limit_character_check",
@@ -56,10 +58,14 @@ def v_state(r: int) -> HeisenbergState:
     return square_bracket_state(r).scale(Fraction(1, 2))
 
 
-def u_state(r: int, p: int) -> HeisenbergState:
-    """The p-rescaled family member u_r = 2 (1 - p^r) v_r."""
+def _require_odd_prime(p: int) -> None:
     if p == 2 or not is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
+
+
+def u_state(r: int, p: int) -> HeisenbergState:
+    """The p-rescaled family member u_r = 2 (1 - p^r) v_r."""
+    _require_odd_prime(p)
     return square_bracket_state(r).scale(1 - p**r)
 
 
@@ -71,7 +77,9 @@ _MAX_INDEX = 1000
 
 def kummer_index(p: int, a: int) -> int:
     """The weight index r = 1 + p^a (p-1) of depth a in the family, at most
-    `_MAX_INDEX` (p^a is not computed past the limit's bit length)."""
+    `_MAX_INDEX` (p^a is not computed past the limit's bit length), for an
+    odd prime p."""
+    _require_odd_prime(p)
     if a < 0:
         raise ValueError("depth must be >= 0")
     r = 1 + p ** min(a, _MAX_INDEX.bit_length()) * (p - 1)
@@ -90,47 +98,30 @@ def kummer_check(p: int, a: int, b: int) -> DefectReport:
     """
     if a > b:
         raise ValueError("need a <= b")
-    u_s = _member(p, b)  # the deeper index first, so one above the limit raises before any build
-    return _state_row(p, a, b, _member(p, a), u_s)
+    r, s = kummer_index(p, a), kummer_index(p, b)  # both limits before any build
+    params = {"p": p, "a": a, "b": b, "r": r, "s": s, "bound": -(a + 1)}
+    return DefectReport.from_defect(_member(p, a) - _member(p, b), p, params)
 
 
 def character_row(p: int, a: int, n_max: int) -> tuple[QSeries, list[int | float]]:
     """The rescaled character f(u_r), r = kummer_index(p, a), and the norm
     exponents of the coefficients of f(u_r) - 2 G_2* through q-order n_max:
-    the row that `character_verdict` judges."""
-    return _character_row(p, _member(p, a), n_max)
-
-
-def family_rows(p: int, amax: int, n_max: int) -> tuple[list, list[DefectReport]]:
-    """The `character_row` of each depth a <= amax, and the `kummer_check`
-    of each pair a <= b <= amax, from one u_r per depth.  The deepest index
-    is checked first, so an r above the family's limit raises before any
-    member is built; each member is built with its character row, so an
-    n_max above the character limit raises after one member."""
-    kummer_index(p, amax)
-    members, characters = [], []
-    for a in range(amax + 1):
-        members.append(_member(p, a))
-        characters.append(_character_row(p, members[a], n_max))
-    states = [_state_row(p, a, b, members[a], members[b]) for a in range(amax + 1) for b in range(a, amax + 1)]
-    return characters, states
-
-
-def _member(p: int, a: int) -> HeisenbergState:
-    """The family member u_r of depth a, r = kummer_index(p, a)."""
-    return u_state(kummer_index(p, a), p)
-
-
-def _state_row(p: int, a: int, b: int, u_r: HeisenbergState, u_s: HeisenbergState) -> DefectReport:
-    """The `kummer_check` row of depths a <= b, from their members."""
-    params = {"p": p, "a": a, "b": b, "r": kummer_index(p, a), "s": kummer_index(p, b), "bound": -(a + 1)}
-    return DefectReport.from_defect(u_r - u_s, p, params)
-
-
-def _character_row(p: int, u_r: HeisenbergState, n_max: int) -> tuple[QSeries, list[int | float]]:
-    """The `character_row` of the member u_r."""
-    series = normalized_character(u_r, n_max)
+    the row that `character_verdict` judges.  The q-order is checked before
+    the member is built."""
+    _require_character_order(HeisenbergState, n_max)
+    series = normalized_character(_member(p, a), n_max)
     return series, (series - eisenstein_G2_star(p, n_max).scale(2)).norm_exponents(p)
+
+
+# a characters-kummer benchmark pass asks for 9 members 57 times, and a CLI
+# report of depth amax for amax + 1; u_997 holds 2.4 MB of coefficients, so 16
+# members near the index limit hold about 40 MB
+@lru_cache(maxsize=16)
+def _member(p: int, a: int) -> HeisenbergState:
+    """The family member u_r of depth a, r = kummer_index(p, a), built once
+    while it is among the last 16 asked for.  Its readers only build new
+    objects from it, so no caller of `kummer` is handed the shared state."""
+    return u_state(kummer_index(p, a), p)
 
 
 def limit_character_check(p: int, a: int, n_max: int) -> int | float:
@@ -143,7 +134,9 @@ def on_exceptional_branch(p: int, r: int) -> bool:
     """(p-1) | r+1: the weight k = r+1 lies on the pole of the p-adic zeta
     function (Washington, *Introduction to Cyclotomic Fields*, Thm 7.10).
     There the vacuum coefficient z(k) = zeta_p(1-k) of u_{k-1} converges
-    only at exponent 1 - a; this holds for every family weight at p = 3."""
+    only at exponent 1 - a; this holds for every family weight at p = 3.
+    p must be an odd prime."""
+    _require_odd_prime(p)
     return (r + 1) % (p - 1) == 0
 
 

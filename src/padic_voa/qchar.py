@@ -133,6 +133,15 @@ _MAX_ORDER = 40
 _MAX_VIRASORO_ORDER = 25
 
 
+def _require_character_order(cls: type, n_max: int) -> None:
+    """The q-order rule of `character` for a state of type cls, which a
+    caller may check before it builds the state."""
+    _require_order(n_max)
+    limit = _MAX_ORDER if issubclass(cls, HeisenbergState) else _MAX_VIRASORO_ORDER
+    if n_max > limit:
+        raise ValueError(f"q-order {n_max} is too large for a character (limit {limit})")
+
+
 def character(v: GradedState, n_max: int) -> QSeries:
     """Graded trace Z(v, q) = q^(-c/24) sum_n Tr(o(v) on grade n) q^n, with c
     the central charge of v's algebra (1 for Heisenberg, 2c' for Virasoro),
@@ -148,10 +157,7 @@ def character(v: GradedState, n_max: int) -> QSeries:
     c_key are put over one common denominator d, so each q-order sums the
     integer products of numerator and trace and makes one Fraction.
     """
-    _require_order(n_max)
-    limit = _MAX_ORDER if isinstance(v, HeisenbergState) else _MAX_VIRASORO_ORDER
-    if n_max > limit:
-        raise ValueError(f"q-order {n_max} is too large for a character (limit {limit})")
+    _require_character_order(type(v), n_max)
     numerators, d = _common_denominator(v._terms.values())
     traces = [zero_mode_trace(v, key, n_max) for key in v._terms]
     coeffs = [Fraction(sum(c * series[n] for c, series in zip(numerators, traces)), d) for n in range(n_max + 1)]

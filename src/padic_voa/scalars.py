@@ -23,7 +23,6 @@ from typing import Iterable, Iterator
 
 __all__ = [
     "bernoulli",
-    "c_coefficient",
     "c_row",
     "is_prime",
     "valuation",
@@ -219,9 +218,14 @@ def _divisor_sums(weights: list[int]) -> list[int]:
 
 @lru_cache(maxsize=32)
 def c_row(r: int) -> tuple[int, ...]:
-    """(c(r, 0), ..., c(r, r-1)), the forward differences at 0 of
-    f(j) = (j+1)^(r-1), read down one difference table built by subtraction
-    alone (see `c_coefficient`)."""
+    """(c(r, 0), ..., c(r, r-1)) of the torus-to-sphere change-of-basis
+    integers
+
+        c(r, m) = sum_{j=0}^{m} (-1)^(m+j) C(m, j) (j+1)^(r-1) = m! S(r, m+1),
+
+    the forward differences at 0 of (j+1)^(r-1), read down one difference
+    table built by subtraction alone.  c(r, r-1) = (r-1)!, and c(r, m) = 0
+    for m >= r, so the row stops there."""
     if r < 1:
         raise ValueError("r must be >= 1")
     column = [(j + 1) ** (r - 1) for j in range(r)]
@@ -230,19 +234,3 @@ def c_row(r: int) -> tuple[int, ...]:
         row.append(column[0])
         column = [b - a for a, b in pairwise(column)]
     return tuple(row)
-
-
-def c_coefficient(r: int, m: int) -> int:
-    """The torus-to-sphere change-of-basis integer
-
-        c(r, m) = sum_{j=0}^{m} (-1)^(m+j) C(m, j) (j+1)^(r-1),
-
-    the m-th forward difference at 0 of (j+1)^(r-1), read from `c_row`.  It
-    equals m! * S(r, m+1); in particular c(r, m) = 0 for m >= r and
-    c(r, r-1) = (r-1)!.
-    """
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    return c_row(r)[m] if m < r else 0

@@ -11,8 +11,8 @@ package code it checks, and works on plain coefficient lists where it can:
 * Bernoulli numbers by the Akiyama-Tanigawa triangle of rationals, instead
   of the integer tangent numbers of `scalars.bernoulli`;
 * Stirling numbers S(n, k) by the triangle recurrence, instead of the
-  forward-difference table of (j+1)^(r-1) of `scalars.c_row`, from which
-  `scalars.c_coefficient` reads c(r, m) = m! S(r, m+1);
+  forward-difference table of (j+1)^(r-1) of `scalars.c_row`, whose
+  entries are c(r, m) = m! S(r, m+1);
 * partition counts by generating-function coefficient extraction
   (`series_inverse_coeffs` inverts a power series, as `QSeries.inverse`
   did), instead of recursive enumeration;

@@ -79,6 +79,14 @@ class TestStateBasics:
         state = HeisenbergState([((2, 1), Fraction(1, 3)), ((), 5), ((2, 1), Fraction(-1, 3)), ((2, 1), 4), ((), 0)])
         assert state == HeisenbergState({(2, 1): 4, (): 5})
 
+    def test_integral_sums_are_stored_as_int(self):
+        # an integral sum of Fractions used to be stored as Fraction(1, 1), unlike `scale`
+        halves = HeisenbergState([((1,), Fraction(1, 2))] * 2)
+        thirds = HeisenbergState([((2, 1), Fraction(1, 3))] * 3 + [((), Fraction(1, 2))])
+        assert halves._terms == {(1,): 1} and type(halves._terms[(1,)]) is int
+        assert thirds._terms == {(2, 1): 1, (): Fraction(1, 2)} and type(thirds._terms[(2, 1)]) is int
+        assert halves._terms == HeisenbergState.monomial([1], Fraction(1, 2)).scale(2)._terms
+
     def test_add_cancels(self):
         x = HeisenbergState.monomial([2, 1], Fraction(3, 7))
         assert (x - x).is_zero

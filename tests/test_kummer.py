@@ -2,8 +2,13 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from itertools import zip_longest
 from math import factorial, inf
+from pathlib import Path
 
 import pytest
 
@@ -13,17 +18,17 @@ from padic_voa.fock import HeisenbergState
 from padic_voa.kummer import (
     character_row,
     character_verdict,
-    family_rows,
     kummer_check,
     kummer_index,
     limit_character_check,
+    on_exceptional_branch,
     square_bracket_state,
     state_verdict,
     u_state,
     v_state,
 )
 from padic_voa.qchar import eisenstein_G, normalized_character
-from padic_voa.scalars import bernoulli, c_coefficient
+from padic_voa.scalars import bernoulli, c_row
 
 from oracles import square_bracket_state_by_substitution
 
@@ -100,6 +105,47 @@ class TestUStates:
             u_state(3, 15)
 
 
+NOT_ODD_PRIMES = [-1, 0, 1, 2, 4, 9]
+
+
+class TestOddPrimeRequired:
+    @pytest.mark.parametrize("p", NOT_ODD_PRIMES)
+    def test_each_entry_point_refuses(self, p):
+        # kummer_index(4, 1) used to return 13 and on_exceptional_branch(1, 5) to divide by zero
+        calls = [
+            lambda: u_state(3, p),
+            lambda: kummer_index(p, 1),
+            lambda: on_exceptional_branch(p, 5),
+            lambda: kummer_check(p, 0, 1),
+            lambda: character_row(p, 0, 4),
+            lambda: limit_character_check(p, 0, 4),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"p must be an odd prime, got {p}$"):
+                call()
+
+    def test_verdicts_refuse_in_a_bounded_time(self):
+        # character_verdict(-1, ...) used to loop forever in the p-adic multiplicity,
+        # so the verdicts run in a child that the timeout kills
+        script = (
+            "from padic_voa.kummer import character_row, character_verdict, kummer_check, state_verdict\n"
+            "row, report = character_row(5, 0, 4), kummer_check(5, 0, 1)\n"
+            f"for p in {NOT_ODD_PRIMES}:\n"
+            "    forged = report._replace(parameters={**report.parameters, 'p': p})\n"
+            "    for verdict in (lambda: character_verdict(p, 0, *row), lambda: state_verdict(forged)):\n"
+            "        try:\n"
+            "            verdict()\n"
+            "        except ValueError as exc:\n"
+            "            print(exc)\n"
+        )
+        src = str(Path(kummer.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60, check=True
+        )
+        assert result.stdout.splitlines() == [f"p must be an odd prime, got {p}" for p in NOT_ODD_PRIMES for _ in "cs"]
+
+
 class TestCCongruences:
     def test_lemma_congruence(self):
         for p in (3, 5, 7):
@@ -108,8 +154,9 @@ class TestCCongruences:
                     r = kummer_index(p, a)
                     s = kummer_index(p, b)
                     modulus = p ** (a + 1)
-                    for m in range(max(r, s) + 1):
-                        assert (c_coefficient(r, m) - c_coefficient(s, m)) % modulus == 0
+                    # c(r, m) = 0 for m >= r, past the end of the row
+                    for c_r, c_s in zip_longest(c_row(r), c_row(s), fillvalue=0):
+                        assert (c_r - c_s) % modulus == 0
 
 
 class TestKummerCheck:
@@ -218,7 +265,9 @@ class TestVerdicts:
 class TestFamilyRows:
     @pytest.fixture
     def built(self, monkeypatch):
-        """The index r of each family member built, in order."""
+        """The index r of each family member built, in order, from an empty
+        member memo; the memo is emptied again afterwards, so it keeps no
+        member built through the patch."""
         indices, build = [], kummer.u_state
 
         def counted(r, p):
@@ -226,13 +275,9 @@ class TestFamilyRows:
             return build(r, p)
 
         monkeypatch.setattr(kummer, "u_state", counted)
-        return indices
-
-    @pytest.mark.parametrize("p", [3, 5])
-    def test_rows_match_the_single_checks(self, p):
-        characters, states = family_rows(p, 2, 8)
-        assert characters == [character_row(p, a, 8) for a in range(3)]
-        assert states == [kummer_check(p, a, b) for a in range(3) for b in range(a, 3)]
+        kummer._member.cache_clear()
+        yield indices
+        kummer._member.cache_clear()
 
     def test_each_member_built_once(self, built):
         # the report used to build u_r 15 times for its 3 members
@@ -240,17 +285,53 @@ class TestFamilyRows:
             assert main(["kummer", "--prime", "3", "--amax", "2"]) == 0
         assert built == [3, 7, 19]
 
-    def test_limits_are_checked_before_the_builds(self, built):
-        # a depth above the limit builds no member, an order above it one
-        with pytest.raises(ValueError, match="too large for the Kummer family"):
-            family_rows(5, 6, 10)
-        assert built == []
-        with pytest.raises(ValueError, match="too large for a character"):
-            family_rows(5, 2, 41)
+    def test_each_member_built_once_per_process(self, built):
+        # a second report used to build its 3 members again
+        reports = []
+        for _ in range(2):
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert main(["kummer", "--prime", "3", "--amax", "2"]) == 0
+            reports.append(out.getvalue())
+        assert reports[0] == reports[1]
+        assert built == [3, 7, 19]
+
+    def test_a_depth_is_built_once_across_checks(self, built):
+        assert kummer_check(5, 0, 1).norm_exponent <= -1
+        assert character_verdict(5, 1, *character_row(5, 1, 4)) == ({}, True)
+        assert sorted(built) == [5, 21]
+
+    def test_cache_clear_builds_again(self, built):
+        row = character_row(5, 0, 4)
+        assert character_row(5, 0, 4) == row
         assert built == [5]
+        kummer._member.cache_clear()
+        assert character_row(5, 0, 4) == row
+        assert built == [5, 5]
+
+    def test_readers_leave_the_member_unchanged(self, built):
+        member = kummer._member(3, 1)
+        terms = dict(member._terms)
+        report = kummer_check(3, 0, 1)
+        state_verdict(report)
+        state_verdict(kummer_check(3, 1, 1))
+        character_verdict(3, 1, *character_row(3, 1, 6))
+        assert kummer._member(3, 1) is member and built == [7, 3]
+        assert member._terms == terms == u_state(7, 3)._terms
+        assert report.defect._terms is not member._terms
+
+    def test_limits_are_checked_before_the_builds(self, built):
+        # neither a depth nor a q-order above its limit builds a member (a
+        # q-order above it used to build one)
         with pytest.raises(ValueError, match="too large for the Kummer family"):
             kummer_check(5, 0, 6)
-        assert built == [5]
+        with pytest.raises(ValueError, match="too large for a character"):
+            character_row(5, 2, 41)
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            assert main(["kummer", "--prime", "5", "--amax", "6"]) == 2
+            assert main(["kummer", "--prime", "997", "--amax", "0", "--qmax", "41"]) == 2
+        assert "too large for the Kummer family" in err.getvalue()
+        assert "too large for a character (limit 40)" in err.getvalue()
+        assert built == []
 
 
 # p = 3 with a <= b <= 3 (the exceptional branch) and p = 5, 7 with a <= b <= 2

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from padic_voa import scalars
 from padic_voa.scalars import (
     bernoulli,
-    c_coefficient,
     c_row,
     is_prime,
     valuation,
@@ -174,19 +173,17 @@ class TestBernoulli:
 
 class TestCCoefficient:
     def test_vanishing_above_r(self):
+        # c(r, m) = 0 for m >= r: the row stops at m = r - 1
         for r in range(1, 13):
-            for m in range(r, 13):
-                assert c_coefficient(r, m) == 0
+            assert len(c_row(r)) == r
 
     def test_small_values(self):
-        assert c_coefficient(3, 0) == 1
-        assert c_coefficient(3, 1) == 3
-        assert c_coefficient(3, 2) == 2
+        assert c_row(3) == (1, 3, 2)
 
     def test_matches_stirling_product(self):
         for r in range(1, 61):
-            for m in range(r + 3):
-                assert c_coefficient(r, m) == factorial(m) * stirling2(r, m + 1)
+            assert list(c_row(r)) == [factorial(m) * stirling2(r, m + 1) for m in range(r)]
+            assert all(stirling2(r, m + 1) == 0 for m in range(r, r + 3))
 
     def test_row_cache_is_bounded(self):
         assert c_row.cache_info().maxsize is not None
@@ -194,13 +191,12 @@ class TestCCoefficient:
 
     def test_top_coefficient_is_factorial(self):
         for r in range(1, 10):
-            assert c_coefficient(r, r - 1) == factorial(r - 1)
+            assert c_row(r)[r - 1] == factorial(r - 1)
 
     def test_rejects_bad_indices(self):
-        with pytest.raises(ValueError):
-            c_coefficient(0, 1)
-        with pytest.raises(ValueError):
-            c_coefficient(2, -1)
+        for r in (0, -1):
+            with pytest.raises(ValueError):
+                c_row(r)
 
 
 class TestStirling:

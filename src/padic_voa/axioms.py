@@ -14,7 +14,7 @@ from typing import Any, Iterable, NamedTuple, Sequence
 
 from .fock import GradedState, _accumulate_terms, partitions_of
 from .modes import _mode_table, _modes_of, _residue_sum
-from .scalars import _NEG_INF, _norm_exponent, is_prime
+from .scalars import _NEG_INF, _norm_exponent, _require_prime
 
 __all__ = [
     "DefectReport",
@@ -152,8 +152,7 @@ def locality_profile(
     """
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
-    if not is_prime(prime):
-        raise ValueError(f"prime required, got {prime}")
+    _require_prime(prime)
     u._check(v)
     u._check(w)
     if u.is_zero or v.is_zero or w.is_zero:

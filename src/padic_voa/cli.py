@@ -318,6 +318,10 @@ def _cmd_character(args) -> tuple[dict, int]:
 def _cmd_eisenstein(args) -> tuple[dict, int]:
     if args.star and args.prime is None:
         raise ValueError("--star requires --prime")
+    if args.star and args.k is not None:
+        raise ValueError("--star takes no --k")
+    if not args.star and args.prime is not None:
+        raise ValueError("--prime requires --star")
     if not args.star and args.k is None:
         raise ValueError("provide --k or --star")
     payload = {"command": "eisenstein", "qmax": args.qmax}

@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
-from .scalars import _NEG_INF, _norm_exponent, is_prime
+from .scalars import _NEG_INF, _norm_exponent, _require_prime
 
 __all__ = [
     "GradedState",
@@ -230,8 +230,7 @@ class GradedState:
         """log_p of |.|_r at r = p^e: max over terms of
         (-v_p(coefficient) + e * weight), taken per grade w as
         e * w - v_p(content of grade w); -inf for the zero state."""
-        if not is_prime(p):
-            raise ValueError(f"prime required, got {p}")
+        _require_prime(p)
         if not e:
             return _norm_exponent(self._terms.values(), p)
         grades: dict[int, list[Coefficient]] = {}

@@ -24,7 +24,7 @@ from functools import lru_cache
 from .axioms import DefectReport
 from .fock import HeisenbergState
 from .qchar import QSeries, _require_character_order, eisenstein_G2_star, normalized_character
-from .scalars import _NEG_INF, _norm_exponent, bernoulli, c_row, is_prime
+from .scalars import _NEG_INF, _norm_exponent, _require_odd_prime, bernoulli, c_row
 
 __all__ = [
     "character_row",
@@ -56,11 +56,6 @@ def square_bracket_state(r: int) -> HeisenbergState:
 def v_state(r: int) -> HeisenbergState:
     """v_r = (1/2)(r-1)! h[-r]h[-1]|0>; its rescaled character is G_{r+1}."""
     return square_bracket_state(r).scale(Fraction(1, 2))
-
-
-def _require_odd_prime(p: int) -> None:
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
 
 
 def u_state(r: int, p: int) -> HeisenbergState:

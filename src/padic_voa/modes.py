@@ -5,12 +5,12 @@ Heisenberg algebra (the modes of the conformal vector, through the same
 engine), zero modes and their graded traces, and residue products.
 
 The trace of a basis key is a series: Tr(o(key) | grade g) for g = 0..n,
-computed in one pass and cached as one tuple per key.  A Heisenberg series is
-the product of P(q) = sum p(g) q^g with the sum over pairings of
-Eisenstein-type divisor-sum series (Wick's theorem, `_wick_trace`), each
-from the sieve `scalars._divisor_sums` that `qchar.eisenstein_G` reads too,
-with no engine call; a Virasoro series reads the diagonal of the engine's
-images of each grade's basis keys.
+computed in one pass and kept as the entry (n, None) of the key's mode table.
+A Heisenberg series is the product of P(q) = sum p(g) q^g with the sum over
+pairings of Eisenstein-type divisor-sum series (Wick's theorem,
+`_wick_trace`), each from the sieve `scalars._divisor_sums` that
+`qchar.eisenstein_G` reads too, with no engine call; a Virasoro series reads
+the diagonal of the table's own images of each grade's basis keys.
 
 Everything rests on one residue sum, the right side of the Jacobi identity
 (Kac, *Vertex Algebras for Beginners*, the associativity/Borcherds form):
@@ -34,7 +34,7 @@ and all results are exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import groupby, islice
+from itertools import groupby
 from math import comb, prod
 from typing import Callable
 
@@ -96,37 +96,32 @@ def h_mode(m: int, b: GradedState) -> GradedState:
     return b._with(acc)
 
 
-# one `_ModeTable` per (algebra, pv), at most 2^17 entries over all tables:
-# the default commutator and locality sweeps make 141,288 (35,961 of them
-# h(n)b), so the oldest tables are dropped once and 33,156 entries recomputed;
-# the count is a list, so that restoring the module's lists restores it too
+# one `_ModeTable` per (algebra, pv), at most 2^17 entries over all tables, an
+# image or a trace series counting as one: the default commutator and locality
+# sweeps make 141,288 (35,961 of them h(n)b), so the oldest tables are dropped
+# once and 33,156 entries recomputed; the count is a list, so that restoring
+# the module's lists restores it too
 _MODE_CACHE: dict[tuple[str, Partition], "_ModeTable"] = {}
 _MODE_CACHE_SIZE = 1 << 17
 _MODE_CACHE_ENTRIES = [0]
 
-# zero-mode trace series keyed on (algebra, pv): the longest tuple
-# (Tr(o(pv) | grade g) for g = 0..n) asked for so far, which a lower order reads
-# a prefix of and a higher one replaces
-_TRACE_CACHE: dict[tuple[str, Partition], tuple[Coefficient, ...]] = {}
-_TRACE_CACHE_SIZE = 8192
-
 
 def clear_mode_cache() -> None:
-    """Empty `_MODE_CACHE` (the mode tables, with their entry count) and
-    `_TRACE_CACHE` (zero-mode trace series); `virasoro._apply.cache_clear()`
-    resets the Virasoro rewrite memo."""
+    """Empty `_MODE_CACHE` (the mode tables, with their images, trace series
+    and entry count); `virasoro._apply.cache_clear()` resets the Virasoro
+    rewrite memo."""
     _MODE_CACHE.clear()
     _MODE_CACHE_ENTRIES[0] = 0
-    _TRACE_CACHE.clear()
 
 
 class _ModeTable(dict):
     """v(n) pb for v the basis vector pv of `proto`'s algebra, of weight
     `weight`, keyed on (n, pb), as immutable tuples of (key, coefficient)
-    pairs.  A missing image is computed once, by the residue sum on
-    pv = g(t)u reading the tables of g = (WEIGHT,) and u = pv[1:], and
-    counted while the table is cached; at `_MODE_CACHE_SIZE` entries the
-    oldest tables go until half remain."""
+    pairs, and at (n, None) the trace series of v through q^n
+    (`_trace_series`).  A missing image is computed once, by the residue sum
+    on pv = g(t)u reading the tables of g = (WEIGHT,) and u = pv[1:], and
+    each entry is counted while the table is cached; at `_MODE_CACHE_SIZE`
+    entries the oldest tables go until half remain."""
 
     __slots__ = ("proto", "pv", "cache_key", "weight")
 
@@ -134,10 +129,12 @@ class _ModeTable(dict):
         # an empty state of the algebra, so that the cache keeps no caller's state alive
         self.proto, self.pv, self.cache_key, self.weight = proto._with({}), pv, (proto.algebra, pv), sum(pv)
 
-    def __missing__(self, index: tuple[int, Partition]) -> _FrozenTerms:
+    def __missing__(self, index: tuple[int, Partition | None]) -> _FrozenTerms | tuple[Coefficient, ...]:
         (n, pb), proto, pv = index, self.proto, self.pv
         wg = proto.WEIGHT
-        if not pv:
+        if pb is None:
+            result = _trace_series(self, n)
+        elif not pv:
             result = ((pb, 1),) if n == -1 else ()
         elif pv == (wg,):
             result = tuple(proto._generator_mode(n, pb))
@@ -239,31 +236,26 @@ def _wick_trace(pv: Partition, n: int) -> list[int]:
     return _truncated_product(hafnian(counts), _partition_counts(n))
 
 
+def _trace_series(table: _ModeTable, n: int) -> tuple[Coefficient, ...]:
+    """(Tr(o(v) | grade g) for g = 0..n) for v the basis vector of `table`.
+    A Heisenberg series is integral, from Wick's theorem (`_wick_trace`),
+    with no engine call; a Virasoro trace at grade g is the sum over the
+    grade-g basis keys pb of the pb-coefficient of v(wt v - 1) pb, read off
+    the table's own images by a scan for pb, without building states or
+    dicts."""
+    if isinstance(table.proto, HeisenbergState):
+        return tuple(_wick_trace(table.pv, n))
+    k = table.weight - 1
+    return tuple(
+        sum(next((c for key, c in table[k, pb] if key == pb), 0) for pb in basis)
+        for basis in (partitions_of(g, table.proto.WEIGHT) for g in range(n + 1))
+    )
+
+
 def zero_mode_trace(proto: GradedState, pv: Partition, n: int) -> tuple[Coefficient, ...]:
     """The trace series (Tr(o(v) | grade g) for g = 0..n) of v the basis
-    vector pv of the algebra of `proto`.  A Heisenberg series is integral,
-    from Wick's theorem (`_wick_trace`), with no engine call; a Virasoro
-    trace at grade g is the sum over the grade-g basis keys pb of the
-    pb-coefficient of v(wt v - 1) pb, read off the engine's images by a scan
-    for pb, without building states or dicts.  Cached on (algebra, pv): the
-    entry is the longest series asked for so far, a lower order reads its
-    prefix and a higher one recomputes and replaces it."""
-    cache_key = (proto.algebra, pv)
-    series = _TRACE_CACHE.get(cache_key, ())
-    if len(series) <= n:
-        if isinstance(proto, HeisenbergState):
-            series = tuple(_wick_trace(pv, n))
-        else:
-            k, table = sum(pv) - 1, _mode_table(proto, pv)
-            series = tuple(
-                sum(next((c for key, c in table[k, pb] if key == pb), 0) for pb in basis)
-                for basis in (partitions_of(g, proto.WEIGHT) for g in range(n + 1))
-            )
-        if len(_TRACE_CACHE) >= _TRACE_CACHE_SIZE:  # drop the oldest half
-            for old in list(islice(_TRACE_CACHE, _TRACE_CACHE_SIZE // 2)):
-                del _TRACE_CACHE[old]
-        _TRACE_CACHE[cache_key] = series
-    return series[: n + 1]
+    vector pv of the algebra of `proto`: the entry (n, None) of v's table."""
+    return _mode_table(proto, pv)[n, None]
 
 
 def mode_action(v: GradedState, n: int, b: GradedState) -> GradedState:

@@ -15,7 +15,7 @@ from typing import Collection
 
 from .fock import GradedState, HeisenbergState
 from .modes import zero_mode_trace
-from .scalars import _divisor_sums, _norm_exponent, _pentagonal_terms, _truncated_product, bernoulli, is_prime
+from .scalars import _divisor_sums, _norm_exponent, _pentagonal_terms, _require_odd_prime, _require_prime, _truncated_product, bernoulli
 
 __all__ = [
     "QSeries",
@@ -61,8 +61,7 @@ class QSeries:
 
     def norm_exponents(self, p: int) -> list[int | float]:
         """-v_p of each coefficient, -inf for a zero one."""
-        if not is_prime(p):
-            raise ValueError(f"prime required, got {p}")
+        _require_prime(p)
         return [_norm_exponent((c,), p) for c in self.coeffs]
 
     def __eq__(self, other: object) -> bool:
@@ -231,7 +230,6 @@ def eisenstein_G2_star(p: int, n_max: int) -> QSeries:
     of n coprime to p; the p-adic limit of G_k along weights k = 2 + p^a (p-1).
     Its q-order obeys the limits of `eisenstein_G`.
     """
-    if p == 2 or not is_prime(p):
-        raise ValueError("p must be an odd prime")
+    _require_odd_prime(p)
     g2 = eisenstein_G(2, n_max).coeffs
     return QSeries([c - p * g2[n // p] if n % p == 0 else c for n, c in enumerate(g2)])

@@ -16,7 +16,6 @@ precision bookkeeping enters the recursive mode engine.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import pairwise
 from math import gcd, inf, lcm
 from typing import Iterable, Iterator
@@ -61,6 +60,16 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _require_prime(p: int) -> None:
+    if not is_prime(p):
+        raise ValueError(f"prime required, got {p}")
+
+
+def _require_odd_prime(p: int) -> None:
+    if p == 2 or not is_prime(p):
+        raise ValueError(f"p must be an odd prime, got {p}")
+
+
 def valuation(q: Fraction | int, p: int) -> int:
     """p-adic valuation v_p(q) of a nonzero rational.
 
@@ -68,8 +77,7 @@ def valuation(q: Fraction | int, p: int) -> int:
     handled by callers, never by a sentinel integer) and when p is not a
     prime.
     """
-    if not is_prime(p):
-        raise ValueError(f"prime required, got {p}")
+    _require_prime(p)
     if q == 0:
         raise ValueError("valuation of zero is infinite")
     return _multiplicity(q.numerator, p) - _multiplicity(q.denominator, p)
@@ -216,7 +224,6 @@ def _divisor_sums(weights: list[int]) -> list[int]:
     return sums
 
 
-@lru_cache(maxsize=32)
 def c_row(r: int) -> tuple[int, ...]:
     """(c(r, 0), ..., c(r, r-1)) of the torus-to-sphere change-of-basis
     integers

@@ -347,7 +347,14 @@ class TestSubcommands:
 
     @pytest.mark.parametrize(
         "argv, message",
-        [(["eisenstein", "--star"], "--star requires --prime"), (["eisenstein"], "provide --k or --star")],
+        [
+            (["eisenstein", "--star"], "--star requires --prime"),
+            (["eisenstein"], "provide --k or --star"),
+            # each option is read, or the command is refused before any work
+            (["eisenstein", "--star", "--prime", "3", "--k", "4"], "--star takes no --k"),
+            (["eisenstein", "--k", "4", "--prime", "5"], "--prime requires --star"),
+            (["eisenstein", "--star", "--prime", "2"], "p must be an odd prime, got 2"),
+        ],
     )
     def test_eisenstein_usage_error_message(self, argv, message, capsys):
         # raised like every other usage error, and reported by main alone

@@ -161,43 +161,69 @@ class TestCharacter:
 
     def test_clear_mode_cache_empties_the_trace_cache(self):
         v = HeisenbergState.monomial([2, 1]) + HH.scale(Fraction(1, 3))
-        first = character(v, 7)
-        assert modes._TRACE_CACHE
         clear_mode_cache()
-        assert not modes._TRACE_CACHE and not modes._MODE_CACHE
+        first = character(v, 7)
+        assert all((7, None) in modes._MODE_CACHE[v.algebra, key] for key in v._terms)
+        clear_mode_cache()
+        assert not modes._MODE_CACHE and modes._MODE_CACHE_ENTRIES == [0]
         assert character(v, 7) == first
 
-    def test_trace_cache_drops_its_oldest_entries(self, monkeypatch):
-        # three keys in a cache of two: the third evicts the first
+    def test_heisenberg_character_writes_counted_trace_entries(self):
+        # a Wick series is the entry (n, None) of its key's mode table, counted like an image
         clear_mode_cache()
-        monkeypatch.setattr(modes, "_TRACE_CACHE_SIZE", 2)
-        assert character(INHOMOGENEOUS, 6) == QSeries(matrix_free_character(INHOMOGENEOUS, 6), Fraction(-1, 24))
-        assert list(modes._TRACE_CACHE) == [(INHOMOGENEOUS.algebra, key) for key in ((3, 1), ())]
+        character(INHOMOGENEOUS, 6)
+        assert list(modes._MODE_CACHE) == [(INHOMOGENEOUS.algebra, key) for key in INHOMOGENEOUS._terms]
+        for key in INHOMOGENEOUS._terms:
+            table = modes._mode_table(INHOMOGENEOUS, key)
+            assert list(table) == [(6, None)] and table[6, None] == zero_mode_trace(INHOMOGENEOUS, key, 6)
+        assert modes._MODE_CACHE_ENTRIES == [len(INHOMOGENEOUS)]
+
+    def test_trace_cache_drops_its_oldest_entries(self, monkeypatch):
+        # three one-entry tables under a bound of two: the series go with their tables
+        expected = QSeries(matrix_free_character(INHOMOGENEOUS, 6), Fraction(-1, 24))
+        clear_mode_cache()
+        assert character(INHOMOGENEOUS, 6) == expected
+        clear_mode_cache()
+        monkeypatch.setattr(modes, "_MODE_CACHE_SIZE", 2)
+        assert character(INHOMOGENEOUS, 6) == expected
+        assert list(modes._MODE_CACHE) == [(INHOMOGENEOUS.algebra, ())]
+        assert modes._MODE_CACHE_ENTRIES == [1]
 
     @pytest.mark.parametrize("v", [INHOMOGENEOUS, VirasoroState({(2, 2): 1, (3,): Fraction(1, 2)}, Fraction(1, 3))])
     def test_lower_order_reads_a_prefix_of_the_cached_series(self, v):
         clear_mode_cache()
-        character(v, 8)
-        cached = dict(modes._TRACE_CACHE)
-        assert len(cached) == len(v) and all(len(series) == 9 for series in cached.values())
-        lower = character(v, 5)
-        assert lower.coeffs == character(v, 8).coeffs[:6]
+        higher = character(v, 8)
+        assert character(v, 5).coeffs == higher.coeffs[:6]
         for key in v._terms:
-            assert zero_mode_trace(v, key, 3) == cached[v.algebra, key][:4]
-        assert modes._TRACE_CACHE.keys() == cached.keys()
-        assert all(modes._TRACE_CACHE[k] is cached[k] for k in cached)
+            table = modes._MODE_CACHE[v.algebra, key]
+            series = zero_mode_trace(v, key, 3)
+            assert series == table[8, None][:4]
+            assert type(series) is tuple and table[3, None] is series and zero_mode_trace(v, key, 3) is series
+        assert modes._MODE_CACHE_ENTRIES == [sum(map(len, modes._MODE_CACHE.values()))]
 
     @pytest.mark.parametrize("v", [INHOMOGENEOUS, VirasoroState({(2, 2): 1, (3,): Fraction(1, 2)}, Fraction(1, 3))])
-    def test_higher_order_replaces_the_cached_series(self, v):
+    def test_each_order_has_its_own_entry(self, v):
         clear_mode_cache()
-        character(v, 3)
-        longer = character(v, 9)
-        assert list(modes._TRACE_CACHE) == [(v.algebra, key) for key in v._terms]
-        replaced = dict(modes._TRACE_CACHE)
+        lower = character(v, 3)
+        higher = character(v, 9)
+        assert higher.coeffs[:4] == lower.coeffs
+        for key in v._terms:
+            table = modes._MODE_CACHE[v.algebra, key]
+            assert [index for index in table if index[1] is None] == [(3, None), (9, None)]
+            assert all(type(table[n, None]) is tuple and len(table[n, None]) == n + 1 for n in (3, 9))
         clear_mode_cache()
-        assert character(v, 9) == longer
-        assert modes._TRACE_CACHE == replaced
-        assert all(type(series) is tuple and len(series) == 10 for series in replaced.values())
+        assert character(v, 9) == higher
+
+    def test_repeated_virasoro_character_computes_nothing(self, monkeypatch):
+        v = VirasoroState({(2, 2): 1, (3,): Fraction(1, 2)}, Fraction(1, 3))
+        clear_mode_cache()
+        first = character(v, 8)
+        calls = []
+        missing = modes._ModeTable.__missing__
+        monkeypatch.setattr(modes._ModeTable, "__missing__", lambda table, index: calls.append(index) or missing(table, index))
+        assert character(v, 8) == first and calls == []
+        character(v, 9)  # the spy sees a new order
+        assert (9, None) in calls
 
     def test_vacuum_counts_partitions(self):
         series = character(VAC, 10)

@@ -8,6 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from padic_voa import scalars
+from padic_voa.axioms import locality_profile
+from padic_voa.fock import HeisenbergState
+from padic_voa.kummer import kummer_index, u_state
+from padic_voa.qchar import QSeries, eisenstein_G2_star
 from padic_voa.scalars import (
     bernoulli,
     c_row,
@@ -186,7 +190,7 @@ class TestCCoefficient:
             assert all(stirling2(r, m + 1) == 0 for m in range(r, r + 3))
 
     def test_row_cache_is_bounded(self):
-        assert c_row.cache_info().maxsize is not None
+        # no memo of its own: each Kummer member, whose terms are the row, is built once by kummer._member
         assert isinstance(c_row(7), tuple)
 
     def test_top_coefficient_is_factorial(self):
@@ -252,6 +256,28 @@ class TestGenBinomial:
 def test_is_prime():
     assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert not is_prime(1) and not is_prime(0) and not is_prime(-5)
+
+
+class TestPrimeRules:
+    """Every p-adic entry point refuses a p with one of the two messages of
+    `scalars._require_prime` and `scalars._require_odd_prime`."""
+
+    def test_prime_required(self):
+        h = HeisenbergState.monomial([1])
+        for call in (
+            lambda: valuation(Fraction(1, 2), 4),
+            lambda: h.r_norm_exponent(4, 1),
+            lambda: QSeries([1]).norm_exponents(4),
+            lambda: locality_profile(h, h, HeisenbergState.vacuum(), 1, prime=4),
+        ):
+            with pytest.raises(ValueError, match="^prime required, got 4$"):
+                call()
+
+    @pytest.mark.parametrize("p", [2, 9])
+    def test_odd_prime_required(self, p):
+        for call in (lambda: eisenstein_G2_star(p, 3), lambda: u_state(3, p), lambda: kummer_index(p, 0)):
+            with pytest.raises(ValueError, match=f"^p must be an odd prime, got {p}$"):
+                call()
 
 
 class TestIsPrime:

@@ -38,8 +38,11 @@ class DefectReport(NamedTuple):
 
     @classmethod
     def from_defect(cls, defect, prime: int, parameters: dict) -> "DefectReport":
-        # tuple.__new__ skips the generated __new__ and its Python frame
-        return tuple.__new__(cls, (defect, defect.sup_norm_exponent(prime), dict(parameters), prime))
+        # tuple.__new__ skips the generated __new__ and its Python frame; the
+        # exponent is `sup_norm_exponent` without its two frames
+        _require_prime(prime)
+        exponent = _norm_exponent(defect._terms.values(), prime)
+        return tuple.__new__(cls, (defect, exponent, dict(parameters), prime))
 
     @property
     def is_zero(self) -> bool:
@@ -49,23 +52,27 @@ class DefectReport(NamedTuple):
 def _jacobi_sides(u: GradedState, v: GradedState, w: GradedState, r: int, s: int, t: int) -> GradedState:
     """Left minus right side of the Jacobi identity at (r, s, t), both summed
     on the engine's (key, coefficient) pairs without building a state for
-    u(t+i)v."""
+    u(t+i)v; u's rows of v's keys are read once, and an empty image is
+    skipped."""
     u._check(v)
     u._check(w)
     acc: dict = {}
-    if u and v:
+    if u._terms and v._terms:
         u_modes, v_modes = _modes_of(u), _modes_of(v)
-        binomial = 1  # C(r, i)
-        for i in range(max(0, u_modes.weight + v_modes.weight - t)):
-            if i:
-                binomial = binomial * (r - i + 1) // i
-                if not binomial:
-                    break  # C(r, i) = 0 for 0 <= r < i, and so for every larger i
-            for pv, cv in v._terms.items():
-                for pk, ck in u_modes[t + i, pv]:  # the terms of u(t+i)v
+        top = max(0, u_modes.weight + v_modes.weight - t)
+        for pv, cv in v._terms.items():
+            u_row, binomial = u_modes[pv], 1  # binomial = C(r, i)
+            for i in range(top):
+                if i:
+                    binomial = binomial * (r - i + 1) // i
+                    if not binomial:
+                        break  # C(r, i) = 0 for 0 <= r < i, and so for every larger i
+                for pk, ck in u_row[t + i]:  # the terms of u(t+i)v
                     scale, table = binomial * cv * ck, _mode_table(w, pk)
                     for pw, cw in w._terms.items():
-                        _accumulate_terms(acc, table[r + s - i, pw], scale * cw)
+                        image = table[pw][r + s - i]
+                        if image:
+                            _accumulate_terms(acc, image, scale * cw)
         for key, c in w._terms.items():
             _residue_sum(acc, -c, u_modes, v_modes, r, s, t, key)
     return w._with(acc)
@@ -170,12 +177,14 @@ def locality_profile(
     profile: list[tuple[int, int | float]] = []
     for t in range(t_max + 1):
         if t:
-            previous, grid = grid, {}
+            previous, grid, reach = grid, {}, span + t_max - t
             for r, s in previous:
-                if r + s <= total_weight - t - 2 and max(r, s) <= span + t_max - t:
+                if r + s <= total_weight - t - 2 and r <= reach and s <= reach:
                     terms = grid[r, s] = dict(previous[r + 1, s])
-                    _accumulate_terms(terms, previous[r, s + 1].items(), -1)
-        coefficients = (c for (r, s), terms in grid.items() if max(r, s) <= span for c in terms.values())
+                    below = previous[r, s + 1]
+                    if below:
+                        _accumulate_terms(terms, below.items(), -1)
+        coefficients = (c for (r, s), terms in grid.items() if r <= span and s <= span for c in terms.values())
         profile.append((t, _norm_exponent(coefficients, prime)))
     return profile
 
@@ -201,6 +210,6 @@ def isometry_probe(
         raise ValueError("isometry probe needs a nonzero state")
     rhs = a.sup_norm_exponent(p)
     modes = _modes_of(a)
-    keys = [key for grade in range(grade_bound + 1) for key in partitions_of(grade, a.WEIGHT)]
-    coefficients = (c for n in index_window for key in keys for _, c in modes[n, key])
+    rows = [modes[key] for grade in range(grade_bound + 1) for key in partitions_of(grade, a.WEIGHT)]
+    coefficients = (c for n in index_window for row in rows for _, c in row[n])
     return _norm_exponent(coefficients, p), rhs

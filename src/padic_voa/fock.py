@@ -120,8 +120,7 @@ class GradedState:
         out: dict[Partition, Coefficient] = {}
         for key, coeff in items:
             key = tuple(key)
-            if any(part < self.WEIGHT for part in key) or list(key) != sorted(key, reverse=True):
-                raise ValueError(f"not a basis key of {type(self).__name__}: {key}")
+            self._require_key(key)
             _accumulate_terms(out, ((key, _exact(coeff)),))
         self._terms = {key: _exact(c) for key, c in out.items()}
 
@@ -131,6 +130,13 @@ class GradedState:
         state = object.__new__(type(self))
         state._terms = terms or {}  # a zero result keeps no emptied hash table
         return state
+
+    @classmethod
+    def _require_key(cls, key: Partition) -> None:
+        """Raise ValueError unless key is a basis key: weakly decreasing parts,
+        none below `WEIGHT`."""
+        if any(part < cls.WEIGHT for part in key) or list(key) != sorted(key, reverse=True):
+            raise ValueError(f"not a basis key of {cls.__name__}: {key}")
 
     def _generator_mode(self, m: int, key: Partition) -> Iterable[tuple[Partition, Coefficient]]:
         """(key, coefficient) pairs of the generator's mode g(m) applied to one

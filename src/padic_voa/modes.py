@@ -5,12 +5,13 @@ Heisenberg algebra (the modes of the conformal vector, through the same
 engine), zero modes and their graded traces, and residue products.
 
 The trace of a basis key is a series: Tr(o(key) | grade g) for g = 0..n,
-computed in one pass and kept as the entry (n, None) of the key's mode table.
-A Heisenberg series is the product of P(q) = sum p(g) q^g with the sum over
-pairings of Eisenstein-type divisor-sum series (Wick's theorem,
-`_wick_trace`), each from the sieve `scalars._divisor_sums` that
-`qchar.eisenstein_G` reads too, with no engine call; a Virasoro series reads
-the diagonal of the table's own images of each grade's basis keys.
+computed in one pass and kept as the entry n of the trace row (the row at
+None) of the key's mode table.  A Heisenberg series is the product of
+P(q) = sum p(g) q^g with the sum over pairings of Eisenstein-type
+divisor-sum series (Wick's theorem, `_wick_trace`), each from the sieve
+`scalars._divisor_sums` that `qchar.eisenstein_G` reads too, with no engine
+call; a Virasoro series reads the diagonal of the table's own images of
+each grade's basis keys.
 
 Everything rests on one residue sum, the right side of the Jacobi identity
 (Kac, *Vertex Algebras for Beginners*, the associativity/Borcherds form):
@@ -22,13 +23,14 @@ written once, in `_residue_sum`.  At r = 0 it is the mode (a(t)b)(s) w of a
 residue product.  The engine expands Y(v, z) = sum_n v(n) z^(-n-1) by
 peeling the top part k off each basis vector, v = g(t)u with g the
 generator and t = wt g - 1 - k, and evaluating this sum with a = g and
-b = u.  Each basis vector v has one table, a dict keyed on (n, b) that
-computes a missing image v(n)b once, so a known image is one subscript; a
-state's map (`_modes_of`) is its table or a sum of tables.  Each map
-carries the weight it truncates at: b(j)w vanishes once j >= b.weight +
-wt(w), the grading being nonnegative, and likewise for a.  So every
-infinite sum is truncated by proven grading bounds, never by thresholds,
-and all results are exact.
+b = u.  Each basis vector v has one table, a dict holding one row per basis
+key b; a row is a dict keyed on n that computes a missing image v(n)b once,
+so a caller holding the row reads a known image with one int subscript.  A
+state's map (`_modes_of`) is its table or a sum of tables, read in the same
+way, map[b][n].  Each map carries the weight it truncates at: b(j)w
+vanishes once j >= b.weight + wt(w), the grading being nonnegative, and
+likewise for a.  So every infinite sum is truncated by proven grading
+bounds, never by thresholds, and all results are exact.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from math import comb, prod
 from typing import Callable
 
 from .fock import Coefficient, GradedState, HeisenbergState, Partition, _accumulate_terms, partitions_of
-from .scalars import _divisor_sums, _partition_counts, _truncated_product
+from .scalars import _divisor_sums, _partition_counts, _require_order, _truncated_product
 
 __all__ = [
     "clear_mode_cache",
@@ -62,12 +64,15 @@ def _residue_sum(
 
         sum_{i>=0} (-1)^i C(t, i) { a(r+t-i) b(s+i) key - (-1)^t b(s+t-i) a(r+i) key }.
 
-    a[m, key] and b[m, key] are the (key, coefficient) pairs of a(m) key and
+    a[key][m] and b[key][m] are the (key, coefficient) pairs of a(m) key and
     b(m) key; b(s+i) key vanishes once s + i >= b.weight + wt key, and
-    a(r+i) key once r + i >= a.weight + wt key."""
+    a(r+i) key once r + i >= a.weight + wt key.  The rows of key are read
+    once, and an empty image adds nothing, so it is skipped."""
     wk = sum(key)
     first_bound = b.weight + wk - s
     second_bound = a.weight + wk - r
+    b_row = b[key] if first_bound > 0 else None
+    a_row = a[key] if second_bound > 0 else None
     t_sign = -1 if t % 2 else 1
     signed_binomial = 1  # (-1)^i C(t, i)
     for i in range(max(0, first_bound, second_bound)):
@@ -77,12 +82,16 @@ def _residue_sum(
                 break  # C(t, i) = 0 for 0 <= t < i, and so for every larger i
         coeff = scalar * signed_binomial
         if i < first_bound:
-            for inner, c in b[s + i, key]:
-                _accumulate_terms(acc, a[r + t - i, inner], coeff * c)
+            for inner, c in b_row[s + i]:
+                image = a[inner][r + t - i]
+                if image:
+                    _accumulate_terms(acc, image, coeff * c)
         if i < second_bound:
             coeff *= -t_sign
-            for inner, c in a[r + i, key]:
-                _accumulate_terms(acc, b[s + t - i, inner], coeff * c)
+            for inner, c in a_row[r + i]:
+                image = b[inner][s + t - i]
+                if image:
+                    _accumulate_terms(acc, image, coeff * c)
 
 
 def h_mode(m: int, b: GradedState) -> GradedState:
@@ -96,32 +105,43 @@ def h_mode(m: int, b: GradedState) -> GradedState:
     return b._with(acc)
 
 
-# one `_ModeTable` per (algebra, pv), at most 2^17 entries over all tables, an
-# image or a trace series counting as one: the default commutator and locality
-# sweeps make 141,288 (35,961 of them h(n)b), so the oldest tables are dropped
-# once and 33,156 entries recomputed; the count is a list, so that restoring
-# the module's lists restores it too
+# one `_ModeTable` per (algebra, pv), at most 2^17 entries over all tables, a
+# table, a row, an image and a trace series each counting as one, so that no
+# empty table or row escapes the bound: the default commutator and locality
+# sweeps store 141,288 images in 11,519 rows of 44 tables, 152,851 entries, so
+# the oldest tables are dropped once and 37,451 images recomputed; the count
+# is a list, so that restoring the module's lists restores it too
 _MODE_CACHE: dict[tuple[str, Partition], "_ModeTable"] = {}
 _MODE_CACHE_SIZE = 1 << 17
 _MODE_CACHE_ENTRIES = [0]
 
 
 def clear_mode_cache() -> None:
-    """Empty `_MODE_CACHE` (the mode tables, with their images, trace series
-    and entry count); `virasoro._apply.cache_clear()` resets the Virasoro
-    rewrite memo."""
+    """Empty `_MODE_CACHE` (the mode tables, with their rows, images, trace
+    series and entry count); `virasoro._apply.cache_clear()` resets the
+    Virasoro rewrite memo."""
     _MODE_CACHE.clear()
     _MODE_CACHE_ENTRIES[0] = 0
 
 
+def _count_entry() -> None:
+    """Count one more entry of a cached table; at `_MODE_CACHE_SIZE` entries
+    the oldest tables go, each with its rows and their entries, until half
+    remain."""
+    _MODE_CACHE_ENTRIES[0] += 1
+    if _MODE_CACHE_ENTRIES[0] >= _MODE_CACHE_SIZE:
+        for key in list(_MODE_CACHE):
+            if _MODE_CACHE_ENTRIES[0] <= _MODE_CACHE_SIZE // 2:
+                break
+            table = _MODE_CACHE.pop(key)
+            _MODE_CACHE_ENTRIES[0] -= 1 + len(table) + sum(map(len, table.values()))
+
+
 class _ModeTable(dict):
-    """v(n) pb for v the basis vector pv of `proto`'s algebra, of weight
-    `weight`, keyed on (n, pb), as immutable tuples of (key, coefficient)
-    pairs, and at (n, None) the trace series of v through q^n
-    (`_trace_series`).  A missing image is computed once, by the residue sum
-    on pv = g(t)u reading the tables of g = (WEIGHT,) and u = pv[1:], and
-    each entry is counted while the table is cached; at `_MODE_CACHE_SIZE`
-    entries the oldest tables go until half remain."""
+    """The rows of v, the basis vector pv of `proto`'s algebra, of weight
+    `weight`: at each basis key pb the `_ModeRow` of the images v(n) pb, and
+    at None the row of v's trace series.  A missing row is made empty and,
+    while the table is cached, counted as an entry."""
 
     __slots__ = ("proto", "pv", "cache_key", "weight")
 
@@ -129,11 +149,32 @@ class _ModeTable(dict):
         # an empty state of the algebra, so that the cache keeps no caller's state alive
         self.proto, self.pv, self.cache_key, self.weight = proto._with({}), pv, (proto.algebra, pv), sum(pv)
 
-    def __missing__(self, index: tuple[int, Partition | None]) -> _FrozenTerms | tuple[Coefficient, ...]:
-        (n, pb), proto, pv = index, self.proto, self.pv
+    def __missing__(self, pb: Partition | None) -> _ModeRow:
+        row = self[pb] = _ModeRow(self.proto, self.pv, pb)
+        if _MODE_CACHE.get(self.cache_key) is self:
+            _count_entry()
+        return row
+
+
+class _ModeRow(dict):
+    """v(n) pb for v the basis vector pv of `proto`'s algebra, keyed on n, as
+    immutable tuples of (key, coefficient) pairs; for pb = None, the trace
+    series of v through q^n (`_trace_series`).  A missing image is computed
+    once, by the residue sum on pv = g(t)u reading the tables of
+    g = (WEIGHT,) and u = pv[1:], and counted while the row is in its cached
+    table, which it finds by key: a row holds no reference to its table, so
+    a dropped table is freed without the cyclic collector."""
+
+    __slots__ = ("proto", "pv", "pb")
+
+    def __init__(self, proto: GradedState, pv: Partition, pb: Partition | None) -> None:
+        self.proto, self.pv, self.pb = proto, pv, pb
+
+    def __missing__(self, n: int) -> _FrozenTerms | tuple[Coefficient, ...]:
+        proto, pv, pb = self.proto, self.pv, self.pb
         wg = proto.WEIGHT
         if pb is None:
-            result = _trace_series(self, n)
+            result = _trace_series(proto, pv, n)
         elif not pv:
             result = ((pb, 1),) if n == -1 else ()
         elif pv == (wg,):
@@ -142,23 +183,21 @@ class _ModeTable(dict):
             acc: _Terms = {}
             _residue_sum(acc, 1, _mode_table(proto, (wg,)), _mode_table(proto, pv[1:]), 0, n, wg - 1 - pv[0], pb)
             result = tuple(acc.items())
-        self[index] = result
-        if _MODE_CACHE.get(self.cache_key) is self:
-            _MODE_CACHE_ENTRIES[0] += 1
-            if _MODE_CACHE_ENTRIES[0] >= _MODE_CACHE_SIZE:
-                for key in list(_MODE_CACHE):
-                    if _MODE_CACHE_ENTRIES[0] <= _MODE_CACHE_SIZE // 2:
-                        break
-                    _MODE_CACHE_ENTRIES[0] -= len(_MODE_CACHE.pop(key))
+        self[n] = result
+        table = _MODE_CACHE.get((proto.algebra, pv))
+        if table is not None and table.get(pb) is self:
+            _count_entry()
         return result
 
 
 def _mode_table(proto: GradedState, pv: Partition) -> _ModeTable:
-    """The cached table of the basis vector pv of `proto`'s algebra."""
+    """The cached table of the basis vector pv of `proto`'s algebra, made
+    and counted as an entry when missing."""
     table = _MODE_CACHE.get((proto.algebra, pv))
     if table is None:
         table = _ModeTable(proto, pv)
         _MODE_CACHE[table.cache_key] = table
+        _count_entry()
     return table
 
 
@@ -236,26 +275,36 @@ def _wick_trace(pv: Partition, n: int) -> list[int]:
     return _truncated_product(hafnian(counts), _partition_counts(n))
 
 
-def _trace_series(table: _ModeTable, n: int) -> tuple[Coefficient, ...]:
-    """(Tr(o(v) | grade g) for g = 0..n) for v the basis vector of `table`.
-    A Heisenberg series is integral, from Wick's theorem (`_wick_trace`),
-    with no engine call; a Virasoro trace at grade g is the sum over the
-    grade-g basis keys pb of the pb-coefficient of v(wt v - 1) pb, read off
-    the table's own images by a scan for pb, without building states or
-    dicts."""
-    if isinstance(table.proto, HeisenbergState):
-        return tuple(_wick_trace(table.pv, n))
-    k = table.weight - 1
+def _trace_series(proto: GradedState, pv: Partition, n: int) -> tuple[Coefficient, ...]:
+    """(Tr(o(v) | grade g) for g = 0..n) for v the basis vector pv of
+    `proto`'s algebra.  A Heisenberg series is integral, from Wick's theorem
+    (`_wick_trace`), with no engine call; a Virasoro trace at grade g is the
+    sum over the grade-g basis keys pb of the pb-coefficient of
+    v(wt v - 1) pb, read off the rows of v's own table by a scan for pb,
+    without building states or dicts."""
+    if isinstance(proto, HeisenbergState):
+        return tuple(_wick_trace(pv, n))
+    table, k = _mode_table(proto, pv), sum(pv) - 1
     return tuple(
-        sum(next((c for key, c in table[k, pb] if key == pb), 0) for pb in basis)
-        for basis in (partitions_of(g, table.proto.WEIGHT) for g in range(n + 1))
+        sum(next((c for key, c in table[pb][k] if key == pb), 0) for pb in basis)
+        for basis in (partitions_of(g, proto.WEIGHT) for g in range(n + 1))
     )
+
+
+def _cached_trace(proto: GradedState, pv: Partition, n: int) -> tuple[Coefficient, ...]:
+    """`zero_mode_trace` for a basis key pv and n >= 0, unchecked: the entry
+    n of the trace row of v's table."""
+    return _mode_table(proto, pv)[None][n]
 
 
 def zero_mode_trace(proto: GradedState, pv: Partition, n: int) -> tuple[Coefficient, ...]:
     """The trace series (Tr(o(v) | grade g) for g = 0..n) of v the basis
-    vector pv of the algebra of `proto`: the entry (n, None) of v's table."""
-    return _mode_table(proto, pv)[n, None]
+    vector pv of the algebra of `proto`, cached.  A negative n or a pv that
+    is no basis key of the algebra raises ValueError before the cache is
+    touched."""
+    _require_order(n)
+    proto._require_key(pv)
+    return _cached_trace(proto, pv, n)
 
 
 def mode_action(v: GradedState, n: int, b: GradedState) -> GradedState:
@@ -267,7 +316,9 @@ def mode_action(v: GradedState, n: int, b: GradedState) -> GradedState:
     for pv, cv in v._terms.items():  # each image once, straight into the result
         table = _mode_table(v, pv)
         for pb, cb in b._terms.items():
-            _accumulate_terms(acc, table[n, pb], cv * cb)
+            image = table[pb][n]
+            if image:
+                _accumulate_terms(acc, image, cv * cb)
     return b._with(acc)
 
 
@@ -295,27 +346,44 @@ def zero_mode(v: GradedState) -> Callable[[GradedState], GradedState]:
 
 
 class _TermSum(dict):
-    """v(n) key for a state v, keyed on (n, key): its terms' tables summed;
-    `weight` is the largest of their weights, 0 when there are none."""
+    """The rows of a state v, one per basis key, each a `_SumRow` of its
+    terms' rows; `weight` is the largest of their tables' weights, 0 when
+    there are none."""
 
     __slots__ = ("terms", "weight")
 
     def __init__(self, terms: list[tuple[_ModeTable, Coefficient]]) -> None:
         self.terms, self.weight = terms, max((table.weight for table, _ in terms), default=0)
 
-    def __missing__(self, index: tuple[int, Partition]) -> _FrozenTerms:
+    def __missing__(self, key: Partition) -> _SumRow:
+        row = self[key] = _SumRow([(table[key], cv) for table, cv in self.terms])
+        return row
+
+
+class _SumRow(dict):
+    """v(n) key for a state v and a basis key, keyed on n: the images of
+    v's terms' rows of key, summed with their coefficients."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: list[tuple[_ModeRow, Coefficient]]) -> None:
+        self.rows = rows
+
+    def __missing__(self, n: int) -> _FrozenTerms:
         acc: _Terms = {}
-        for table, cv in self.terms:
-            _accumulate_terms(acc, table[index], cv)
-        result = self[index] = tuple(acc.items())
+        for row, cv in self.rows:
+            image = row[n]
+            if image:
+                _accumulate_terms(acc, image, cv)
+        result = self[n] = tuple(acc.items())
         return result
 
 
 def _modes_of(v: GradedState) -> _ModeTable | _TermSum:
-    """(n, key) -> v(n) key as (key, coefficient) pairs, read by subscript,
+    """key -> n -> v(n) key as (key, coefficient) pairs, read by subscript,
     with `weight` = v.max_weight(): the cached table itself when v is one
     basis vector with coefficient 1."""
-    if len(v) == 1:
+    if len(v._terms) == 1:
         ((pv, cv),) = v._terms.items()
         if cv == 1:
             return _mode_table(v, pv)
@@ -330,7 +398,7 @@ def residue_product_mode(a: GradedState, b: GradedState, t: int, n: int, w: Grad
     a._check(b)
     a._check(w)
     acc: _Terms = {}
-    if a and b:
+    if a._terms and b._terms:
         a_modes, b_modes = _modes_of(a), _modes_of(b)
         for key, c in w._terms.items():
             _residue_sum(acc, c, a_modes, b_modes, 0, n, t, key)

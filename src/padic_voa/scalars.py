@@ -65,6 +65,11 @@ def _require_prime(p: int) -> None:
         raise ValueError(f"prime required, got {p}")
 
 
+def _require_order(n_max: int) -> None:
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+
+
 def _require_odd_prime(p: int) -> None:
     if p == 2 or not is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")

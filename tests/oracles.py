@@ -33,7 +33,7 @@ Graded traces are checked in `tests/test_qchar.py` against o(v) applied as
 a state map to every basis monomial of each grade, through
 `modes.mode_action`, instead of the per-key trace series of
 `modes.zero_mode_trace` that `qchar.character` combines: one tuple of traces
-for grades 0..n per basis key, cached as the longest series asked for, from
+for grades 0..n per basis key, cached once per order asked, from
 the product of p(n) with the sum over pairings of divisor-sum series for
 Heisenberg and from the engine's diagonal for Virasoro.  Partition counts
 come from inverting the Euler product, instead of the pentagonal recurrence

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import gc
 import itertools
+import weakref
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from padic_voa import modes
 from padic_voa.axioms import jacobi_defect
-from padic_voa.fock import HeisenbergState, grade_basis
+from padic_voa.fock import HeisenbergState, grade_basis, partitions_of
 from padic_voa.kummer import v_state
 from padic_voa.modes import (
     h_mode,
@@ -16,9 +19,11 @@ from padic_voa.modes import (
     residue_product_mode,
     virasoro_mode,
     zero_mode,
+    zero_mode_trace,
 )
 from padic_voa.qchar import character
 
+from mode_store import cached_entries, entries
 from oracles import normal_ordered_mode, virasoro_mode_by_sum
 
 VAC = HeisenbergState.vacuum()
@@ -266,15 +271,17 @@ class TestBoundedCaches:
 
     @staticmethod
     def watch_entries(monkeypatch) -> list[int]:
-        """After each image stored into a mode table, the total of entries over
-        the tables of `_MODE_CACHE`, recorded before any eviction it causes."""
+        """After each row stored into a mode table and each image stored into
+        a row, the total of entries over the tables of `_MODE_CACHE`,
+        recorded before any eviction it causes."""
         totals: list[int] = []
 
-        def store(table, index, value):
-            dict.__setitem__(table, index, value)
-            totals.append(sum(map(len, modes._MODE_CACHE.values())))
+        def store(container, index, value):
+            dict.__setitem__(container, index, value)
+            totals.append(cached_entries())
 
         monkeypatch.setattr(modes._ModeTable, "__setitem__", store, raising=False)
+        monkeypatch.setattr(modes._ModeRow, "__setitem__", store, raising=False)
         return totals
 
     def test_small_bound_gives_the_same_results(self, monkeypatch):
@@ -284,10 +291,10 @@ class TestBoundedCaches:
         assert self.sweep() == expected
         assert 0 < max(totals) <= 64
         # the character's trace series are entries of the tables, counted with their images
-        assert any(n_pb[1] is None for table in modes._MODE_CACHE.values() for n_pb in table)
+        assert any(pb is None for table in modes._MODE_CACHE.values() for pb, _ in entries(table))
         # tables were dropped: some store saw fewer entries than the one before
         assert any(later < earlier for earlier, later in zip(totals, totals[1:]))
-        assert modes._MODE_CACHE_ENTRIES == [sum(map(len, modes._MODE_CACHE.values()))]
+        assert modes._MODE_CACHE_ENTRIES == [cached_entries()]
 
     def test_clear_resets_the_entry_count(self, monkeypatch):
         totals = self.watch_entries(monkeypatch)
@@ -299,3 +306,62 @@ class TestBoundedCaches:
         assert totals == first_totals and max(totals) <= 64
         modes.clear_mode_cache()
         assert not modes._MODE_CACHE and modes._MODE_CACHE_ENTRIES == [0]
+
+    def test_tables_without_images_are_counted(self, monkeypatch):
+        # mode_action on the zero state makes a table and stores nothing in it
+        keys = [key for grade in range(1, 26) for key in partitions_of(grade)]
+        zero = HeisenbergState.zero()
+        modes.clear_mode_cache()
+        for key in keys:
+            mode_action(HeisenbergState.monomial(key), 0, zero)
+        assert len(modes._MODE_CACHE) == len(keys) == 9295
+        assert modes._MODE_CACHE_ENTRIES == [cached_entries()] == [len(keys)]
+        modes.clear_mode_cache()
+        monkeypatch.setattr(modes, "_MODE_CACHE_SIZE", 64)
+        for key in keys:
+            mode_action(HeisenbergState.monomial(key), 0, zero)
+        assert len(modes._MODE_CACHE) < 64
+        assert modes._MODE_CACHE_ENTRIES == [cached_entries()] == [len(modes._MODE_CACHE)]
+
+    def test_refused_wick_trace_leaves_only_counted_entries(self):
+        # 22 distinct parts make 2^22 multiplicity vectors, past the limit
+        key = tuple(range(22, 0, -1))
+        modes.clear_mode_cache()
+        with pytest.raises(ValueError, match="multiplicity vectors are too many"):
+            zero_mode_trace(VAC, key, 66)
+        assert list(modes._MODE_CACHE) == [(VAC.algebra, key)]
+        assert entries(modes._MODE_CACHE[VAC.algebra, key]) == []
+        assert modes._MODE_CACHE_ENTRIES == [cached_entries()] == [2]  # the table and its trace row
+
+    def test_dropped_tables_and_rows_need_no_collector(self, monkeypatch):
+        # subclasses that take weak references; a row that referred to its
+        # table would make a cycle, which only the cyclic collector frees
+        class Table(modes._ModeTable):
+            pass
+
+        class Row(modes._ModeRow):
+            pass
+
+        monkeypatch.setattr(modes, "_ModeTable", Table)
+        monkeypatch.setattr(modes, "_ModeRow", Row)
+
+        def evict():
+            monkeypatch.setattr(modes, "_MODE_CACHE_SIZE", 16)
+            for n in range(-4, 4):
+                mode_action(HeisenbergState.monomial([3, 1]), n, HeisenbergState.monomial([2]))
+            assert (HH.algebra, (1, 1)) not in modes._MODE_CACHE
+
+        gc.disable()
+        try:
+            for drop in (modes.clear_mode_cache, evict):
+                monkeypatch.setattr(modes, "_MODE_CACHE_SIZE", 1 << 17)
+                modes.clear_mode_cache()
+                mode_action(HH, -1, H)
+                table = modes._MODE_CACHE[HH.algebra, (1, 1)]
+                assert type(table) is Table and type(table[(1,)]) is Row and table[(1,)]
+                refs = weakref.ref(table), weakref.ref(table[(1,)])
+                del table
+                drop()
+                assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()

@@ -22,6 +22,7 @@ from padic_voa.qchar import (
 )
 from padic_voa.virasoro import VirasoroState
 
+from mode_store import cached_entries, entries, trace_entry
 from oracles import (
     coprime_divisor_sum_brute,
     divisor_sum_brute,
@@ -144,6 +145,32 @@ def matrix_free_character(v: HeisenbergState, n_max: int) -> list[Fraction]:
 INHOMOGENEOUS = HH.scale(Fraction(3, 7)) + HeisenbergState.monomial([3, 1], Fraction(-5, 2)) + VAC.scale(Fraction(1, 12))
 
 
+class TestZeroModeTraceInput:
+    """`zero_mode_trace` refuses what `character` and the state constructors
+    refuse, in their words, before the mode cache is touched."""
+
+    @pytest.mark.parametrize(
+        "proto, key, n, same_refusal",
+        [
+            (VAC, (1,), -1, lambda: character(VAC, -1)),
+            (VAC, (0,), 3, lambda: HeisenbergState({(0,): 1})),
+            (VAC, (1, 2), 3, lambda: HeisenbergState({(1, 2): 1})),
+            (VirasoroState.vacuum(1), (1,), 3, lambda: VirasoroState({(1,): 1}, 1)),
+            (VirasoroState.vacuum(1), (2, 3), 3, lambda: VirasoroState({(2, 3): 1}, 1)),
+        ],
+        ids=["negative_order", "heisenberg_part_0", "heisenberg_unsorted", "virasoro_part_1", "virasoro_unsorted"],
+    )
+    def test_refused_before_the_cache(self, proto, key, n, same_refusal):
+        with pytest.raises(ValueError) as expected:
+            same_refusal()
+        clear_mode_cache()
+        with pytest.raises(ValueError) as refused:
+            zero_mode_trace(proto, key, n)
+        assert str(refused.value) == str(expected.value)
+        assert str(refused.value) in ("n_max must be >= 0", f"not a basis key of {type(proto).__name__}: {key}")
+        assert not modes._MODE_CACHE and modes._MODE_CACHE_ENTRIES == [0]
+
+
 class TestCharacter:
     @pytest.mark.parametrize(
         "v, n_max",
@@ -163,31 +190,33 @@ class TestCharacter:
         v = HeisenbergState.monomial([2, 1]) + HH.scale(Fraction(1, 3))
         clear_mode_cache()
         first = character(v, 7)
-        assert all((7, None) in modes._MODE_CACHE[v.algebra, key] for key in v._terms)
+        assert all(trace_entry(modes._MODE_CACHE[v.algebra, key], 7) is not None for key in v._terms)
         clear_mode_cache()
         assert not modes._MODE_CACHE and modes._MODE_CACHE_ENTRIES == [0]
         assert character(v, 7) == first
 
     def test_heisenberg_character_writes_counted_trace_entries(self):
-        # a Wick series is the entry (n, None) of its key's mode table, counted like an image
+        # a Wick series is the entry n of its key's trace row, counted like an
+        # image, and the table and the row count one entry each
         clear_mode_cache()
         character(INHOMOGENEOUS, 6)
         assert list(modes._MODE_CACHE) == [(INHOMOGENEOUS.algebra, key) for key in INHOMOGENEOUS._terms]
         for key in INHOMOGENEOUS._terms:
             table = modes._mode_table(INHOMOGENEOUS, key)
-            assert list(table) == [(6, None)] and table[6, None] == zero_mode_trace(INHOMOGENEOUS, key, 6)
-        assert modes._MODE_CACHE_ENTRIES == [len(INHOMOGENEOUS)]
+            assert entries(table) == [(None, 6)] and trace_entry(table, 6) == zero_mode_trace(INHOMOGENEOUS, key, 6)
+        assert modes._MODE_CACHE_ENTRIES == [cached_entries()] == [3 * len(INHOMOGENEOUS)]
 
     def test_trace_cache_drops_its_oldest_entries(self, monkeypatch):
-        # three one-entry tables under a bound of two: the series go with their tables
+        # three tables of three entries (the table, its trace row and the one
+        # series) under a bound of six: the series go with their tables
         expected = QSeries(matrix_free_character(INHOMOGENEOUS, 6), Fraction(-1, 24))
         clear_mode_cache()
         assert character(INHOMOGENEOUS, 6) == expected
         clear_mode_cache()
-        monkeypatch.setattr(modes, "_MODE_CACHE_SIZE", 2)
+        monkeypatch.setattr(modes, "_MODE_CACHE_SIZE", 6)
         assert character(INHOMOGENEOUS, 6) == expected
         assert list(modes._MODE_CACHE) == [(INHOMOGENEOUS.algebra, ())]
-        assert modes._MODE_CACHE_ENTRIES == [1]
+        assert modes._MODE_CACHE_ENTRIES == [cached_entries()] == [3]
 
     @pytest.mark.parametrize("v", [INHOMOGENEOUS, VirasoroState({(2, 2): 1, (3,): Fraction(1, 2)}, Fraction(1, 3))])
     def test_lower_order_reads_a_prefix_of_the_cached_series(self, v):
@@ -197,9 +226,9 @@ class TestCharacter:
         for key in v._terms:
             table = modes._MODE_CACHE[v.algebra, key]
             series = zero_mode_trace(v, key, 3)
-            assert series == table[8, None][:4]
-            assert type(series) is tuple and table[3, None] is series and zero_mode_trace(v, key, 3) is series
-        assert modes._MODE_CACHE_ENTRIES == [sum(map(len, modes._MODE_CACHE.values()))]
+            assert series == trace_entry(table, 8)[:4]
+            assert type(series) is tuple and trace_entry(table, 3) is series and zero_mode_trace(v, key, 3) is series
+        assert modes._MODE_CACHE_ENTRIES == [cached_entries()]
 
     @pytest.mark.parametrize("v", [INHOMOGENEOUS, VirasoroState({(2, 2): 1, (3,): Fraction(1, 2)}, Fraction(1, 3))])
     def test_each_order_has_its_own_entry(self, v):
@@ -209,8 +238,8 @@ class TestCharacter:
         assert higher.coeffs[:4] == lower.coeffs
         for key in v._terms:
             table = modes._MODE_CACHE[v.algebra, key]
-            assert [index for index in table if index[1] is None] == [(3, None), (9, None)]
-            assert all(type(table[n, None]) is tuple and len(table[n, None]) == n + 1 for n in (3, 9))
+            assert [n for pb, n in entries(table) if pb is None] == [3, 9]
+            assert all(type(trace_entry(table, n)) is tuple and len(trace_entry(table, n)) == n + 1 for n in (3, 9))
         clear_mode_cache()
         assert character(v, 9) == higher
 
@@ -219,11 +248,12 @@ class TestCharacter:
         clear_mode_cache()
         first = character(v, 8)
         calls = []
-        missing = modes._ModeTable.__missing__
-        monkeypatch.setattr(modes._ModeTable, "__missing__", lambda table, index: calls.append(index) or missing(table, index))
+        missing_row, missing_image = modes._ModeTable.__missing__, modes._ModeRow.__missing__
+        monkeypatch.setattr(modes._ModeTable, "__missing__", lambda table, pb: calls.append(pb) or missing_row(table, pb))
+        monkeypatch.setattr(modes._ModeRow, "__missing__", lambda row, n: calls.append((row.pb, n)) or missing_image(row, n))
         assert character(v, 8) == first and calls == []
         character(v, 9)  # the spy sees a new order
-        assert (9, None) in calls
+        assert (None, 9) in calls
 
     def test_vacuum_counts_partitions(self):
         series = character(VAC, 10)

@@ -24,6 +24,7 @@ from padic_voa.virasoro import (
     vir_mode_action,
 )
 
+from mode_store import cached_entries
 from oracles import binomial, partition_counts, rank, valuation_by_loop, virasoro_straighten
 
 CHARGES = (0, 1, 12, Fraction(1, 2))
@@ -69,9 +70,9 @@ class TestStateBasics:
         assert a == b and a.render() == b.render() and repr(a) == repr(b)
         clear_mode_cache()
         first = [mode_action(a, n, a) for n in range(-2, 6)]
-        entries = sum(map(len, _MODE_CACHE.values()))
+        entries = cached_entries()
         assert [mode_action(b, n, b) for n in range(-2, 6)] == first
-        assert sum(map(len, _MODE_CACHE.values())) == entries
+        assert cached_entries() == entries
 
 
 class TestGradedBasis:

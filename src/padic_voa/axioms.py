@@ -49,11 +49,13 @@ class DefectReport(NamedTuple):
         return self.norm_exponent == _NEG_INF
 
 
-def _jacobi_sides(u: GradedState, v: GradedState, w: GradedState, r: int, s: int, t: int) -> GradedState:
-    """Left minus right side of the Jacobi identity at (r, s, t), both summed
-    on the engine's (key, coefficient) pairs without building a state for
-    u(t+i)v; u's rows of v's keys are read once, and an empty image is
-    skipped."""
+def _jacobi_sides(
+    u: GradedState, v: GradedState, w: GradedState, r: int, s: int, t: int, sign: int = 1
+) -> GradedState:
+    """sign times (left minus right side) of the Jacobi identity at (r, s, t),
+    both sides summed with the sign on the engine's (key, coefficient) pairs
+    without building a state for u(t+i)v; u's rows of v's keys are read
+    once, and an empty image is skipped."""
     u._check(v)
     u._check(w)
     acc: dict = {}
@@ -61,7 +63,7 @@ def _jacobi_sides(u: GradedState, v: GradedState, w: GradedState, r: int, s: int
         u_modes, v_modes = _modes_of(u), _modes_of(v)
         top = max(0, u_modes.weight + v_modes.weight - t)
         for pv, cv in v._terms.items():
-            u_row, binomial = u_modes[pv], 1  # binomial = C(r, i)
+            u_row, binomial = u_modes[pv], sign  # binomial = sign C(r, i), which i divides below
             for i in range(top):
                 if i:
                     binomial = binomial * (r - i + 1) // i
@@ -74,7 +76,7 @@ def _jacobi_sides(u: GradedState, v: GradedState, w: GradedState, r: int, s: int
                         if image:
                             _accumulate_terms(acc, image, scale * cw)
         for key, c in w._terms.items():
-            _residue_sum(acc, -c, u_modes, v_modes, r, s, t, key)
+            _residue_sum(acc, -sign * c, u_modes, v_modes, r, s, t, key)
     return w._with(acc)
 
 
@@ -109,7 +111,7 @@ def commutator_defect(
     """Defect of the commutator formula
     [u(r), v(s)] w = sum_i C(r, i) (u(i)v)(r+s-i) w: the Jacobi identity at
     t = 0, right minus left side."""
-    return DefectReport.from_defect(-_jacobi_sides(u, v, w, r, s, 0), prime, {"r": r, "s": s})
+    return DefectReport.from_defect(_jacobi_sides(u, v, w, r, s, 0, -1), prime, {"r": r, "s": s})
 
 
 def associator_defect(

@@ -28,6 +28,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, product
+from json.encoder import encode_basestring_ascii
 from math import inf
 
 from .axioms import (
@@ -258,11 +259,23 @@ def _encoder(indent: str):
     return json.JSONEncoder(sort_keys=True, separators=("," + indent, ": ")).encode
 
 
+# the encoder's text of a str (ASCII escapes), an int (its repr), a bool and
+# None, written without an encoder call; a float still goes through the encoder
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
 def _json_chunks(value, pad: str = "\n"):
     """`json.dumps(value, sort_keys=True, indent=2)` in pieces, keys str,
     `pad` a newline and the indent of `value`.  The C encoder writes each
     container of scalars, and each list of dicts of scalars (rows), whole:
-    no encoded string holds a newline, so rows meet only at '}' + sep + '{'."""
+    no encoded string holds a newline, so rows meet only at '}' + sep + '{'.
+    Any other container is written item by item, each key and each str, int,
+    bool or None item by `_SCALAR_TEXT`."""
     inner, cell = pad + "  ", pad + "    "
     is_dict, scalars = isinstance(value, dict), {str, int, float, bool, type(None)}
     items = value.values() if is_dict else value if isinstance(value, (list, tuple)) else ()
@@ -275,8 +288,13 @@ def _json_chunks(value, pad: str = "\n"):
     else:
         yield "{" if is_dict else "["
         for index, (key, item) in enumerate(sorted(value.items()) if is_dict else enumerate(value)):
-            yield ("," if index else "") + inner + (_encoder(inner)(key) + ": " if is_dict else "")
-            yield from _json_chunks(item, inner)
+            head = ("," if index else "") + inner + (encode_basestring_ascii(key) + ": " if is_dict else "")
+            text = _SCALAR_TEXT.get(type(item))
+            if text:
+                yield head + text(item)
+            else:
+                yield head
+                yield from _json_chunks(item, inner)
         yield pad + ("}" if is_dict else "]")
 
 

@@ -13,9 +13,11 @@ the value group of Q_p is carried on the exponent scale: sup over terms of
 (-v_p(coefficient) + e * weight), read per grade by `scalars._norm_exponent`
 (once in all for the sup norm, e = 0), never one valuation per term.
 
-Coefficients are stored exactly.  The checked constructor, which sums
-repeated keys, and `scale` store each one as a plain `int` when it is
-integral and as a `Fraction` only otherwise (`_exact`).  Sums made by `+`,
+Coefficients are stored exactly, by the package's one storage rule for
+exact values (`_exact`, which `qchar.QSeries` applies too): a plain `int`
+when the value is integral and a `Fraction` only otherwise.  The checked
+constructor, which sums repeated keys, and `scale` store each coefficient
+by that rule.  Sums made by `+`,
 `-` and the mode engine (`_accumulate_terms`) keep the type that Python's
 arithmetic gives, so an integral sum of `Fraction`s stays a `Fraction`
 there.  The mode structure constants of both algebras lie in Z (in Z[c']
@@ -71,11 +73,17 @@ def grade_basis(n: int) -> tuple[Partition, ...]:
 
 
 def _exact(c: Coefficient) -> Coefficient:
-    """c as the engine stores it: a plain int when c is integral, otherwise a
-    Fraction."""
-    if isinstance(c, int):
-        return int(c)
-    c = Fraction(c)
+    """c as the package stores an exact value, in a state or a q-series: a
+    plain int when c is integral, otherwise a Fraction.  An int or a Fraction
+    is read as it is; anything else (a bool, a float, a str) goes through
+    `Fraction(c)` first."""
+    kind = type(c)
+    if kind is int:
+        return c
+    if kind is not Fraction:
+        if isinstance(c, int):
+            return int(c)
+        c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 
 

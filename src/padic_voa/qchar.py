@@ -4,16 +4,20 @@ divisor sums from the sieve `scalars._divisor_sums`).
 
 A QSeries is a dense truncated expansion sum_n a_n q^(offset+n) with exact
 rational coefficients and a rational exponent offset (e.g. -1/24), carried
-symbolically so that eta * Z lands exactly on integer exponents.
+symbolically so that eta * Z lands exactly on integer exponents.  Its
+coefficients follow the storage rule of graded states (`fock._exact`): an
+`int` when integral, a `Fraction` only otherwise, so integer traces, eta,
+divisor sums and their products stay on int arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import add, mul, sub
 from typing import Collection
 
-from .fock import GradedState, HeisenbergState
+from .fock import GradedState, HeisenbergState, _exact
 from .modes import _cached_trace
 from .scalars import (
     _divisor_sums,
@@ -46,27 +50,38 @@ def _common_denominator(coeffs: Collection[Coefficient]) -> tuple[list[int], int
     return [c.numerator * (d // c.denominator) for c in coeffs], d
 
 
+def _quotient(n: Coefficient, d: int) -> Coefficient:
+    """n / d for d > 0, stored by `_exact`: an int n makes a Fraction only
+    when d does not divide it."""
+    if type(n) is int:
+        q, r = divmod(n, d)
+        return Fraction(n, d) if r else q
+    return _exact(n / d)
+
+
 class QSeries:
     """Truncated q-expansion: coefficient(n) multiplies q^(offset + n).
 
-    Coefficients are stored densely on [0, order].  Addition requires equal
+    Coefficients are stored densely on [0, order], each by `_exact` (an int
+    when integral, a Fraction only otherwise); `coeffs` holds those stored
+    values and `coefficient` returns a Fraction.  Addition requires equal
     offsets; multiplication adds offsets and truncates to the smaller order.
     """
 
     __slots__ = ("offset", "coeffs")
 
     def __init__(self, coeffs, offset: Coefficient = 0) -> None:
-        self.coeffs: tuple[Fraction, ...] = tuple(Fraction(c) for c in coeffs)
+        self.coeffs: tuple[Coefficient, ...] = tuple(map(_exact, coeffs))
         if not self.coeffs:
             raise ValueError("a QSeries needs at least the constant coefficient")
-        self.offset = Fraction(offset)
+        self.offset = offset if type(offset) is Fraction else Fraction(offset)
 
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
 
     def coefficient(self, n: int) -> Fraction:
-        return self.coeffs[n]
+        return Fraction(self.coeffs[n])
 
     def norm_exponents(self, p: int) -> list[int | float]:
         """-v_p of each coefficient, -inf for a zero one."""
@@ -78,24 +93,25 @@ class QSeries:
             return NotImplemented
         return self.offset == other.offset and self.coeffs == other.coeffs
 
-    def __add__(self, other: "QSeries") -> "QSeries":
+    def _combine(self, op, other: "QSeries") -> "QSeries":
+        """op applied coefficient-wise through the smaller order."""
         if not isinstance(other, QSeries):
             return NotImplemented
         if self.offset != other.offset:
             raise ValueError(f"offset mismatch: {self.offset} vs {other.offset}")
-        order = min(self.order, other.order)
-        return QSeries(
-            [self.coeffs[i] + other.coeffs[i] for i in range(order + 1)], self.offset
-        )
+        return QSeries(map(op, self.coeffs, other.coeffs), self.offset)
+
+    def __add__(self, other: "QSeries") -> "QSeries":
+        return self._combine(add, other)
 
     def __sub__(self, other: "QSeries") -> "QSeries":
-        return self + (-other)
+        return self._combine(sub, other)
 
     def __neg__(self) -> "QSeries":
         return QSeries([-c for c in self.coeffs], self.offset)
 
     def scale(self, scalar: Coefficient) -> "QSeries":
-        scalar = Fraction(scalar)
+        scalar = _exact(scalar)
         return QSeries([scalar * c for c in self.coeffs], self.offset)
 
     def __rmul__(self, scalar: Coefficient) -> "QSeries":
@@ -103,14 +119,16 @@ class QSeries:
 
     def __mul__(self, other) -> "QSeries":
         """The truncated product, convolved on integer numerators over the
-        two series' common denominators."""
+        two series' common denominators; a Fraction only where their product
+        d does not divide the sum."""
         if not isinstance(other, QSeries):
             return self.scale(other)
         order = min(self.order, other.order)
         xs, dx = _common_denominator(self.coeffs[: order + 1])
         ys, dy = _common_denominator(other.coeffs[: order + 1])
         d = dx * dy
-        return QSeries([Fraction(n, d) for n in _truncated_product(xs, ys)], self.offset + other.offset)
+        products = _truncated_product(xs, ys)
+        return QSeries(products if d == 1 else [_quotient(n, d) for n in products], self.offset + other.offset)
 
     def to_json(self) -> dict:
         return {
@@ -159,22 +177,24 @@ def character(v: GradedState, n_max: int) -> QSeries:
     (so Fractions at a fractional c'), read off the diagonal of the engine's
     basis images.  The coefficients
     c_key are put over one common denominator d, so each q-order sums the
-    integer products of numerator and trace and makes one Fraction.
+    products of numerator and trace down one column of the traces, and
+    divides by d only when d > 1, making a Fraction only where d does not
+    divide the sum.
     """
     _require_character_order(type(v), n_max)
     numerators, d = _common_denominator(v._terms.values())
     # a state's keys are basis keys and n_max is checked above
     traces = [_cached_trace(v, key, n_max) for key in v._terms]
-    coeffs = [Fraction(sum(c * series[n] for c, series in zip(numerators, traces)), d) for n in range(n_max + 1)]
-    return QSeries(coeffs, -Fraction(v.central_charge) / 24)
+    sums = [sum(map(mul, numerators, column)) for column in zip(*traces)] or [0] * (n_max + 1)
+    return QSeries(sums if d == 1 else [_quotient(n, d) for n in sums], -Fraction(v.central_charge) / 24)
 
 
 def eta_series(n_max: int) -> QSeries:
     """Dedekind eta: q^(1/24) prod_{n>=1} (1 - q^n), by Euler's pentagonal
     number expansion."""
     _require_order(n_max)
-    coeffs = [Fraction(0)] * (n_max + 1)
-    coeffs[0] = Fraction(1)
+    coeffs = [0] * (n_max + 1)
+    coeffs[0] = 1
     for g, sign in _pentagonal_terms(n_max):
         coeffs[g] += sign
     return QSeries(coeffs, Fraction(1, 24))
@@ -200,7 +220,7 @@ _MAX_WEIGHT = 2000
 _MAX_DIGITS = 4300
 
 # time, memory and output grow with the q-order, as each coefficient becomes a
-# Fraction and a JSON string: in a fresh process (2 vCPUs, Python 3.11)
+# JSON string: in a fresh process (2 vCPUs, Python 3.11)
 # `padic-voa eisenstein --k 4 --qmax 10000` takes 0.17 s and writes 0.2 MB,
 # --qmax 50000 0.43 s and 1.2 MB, and --qmax 100000000 would write gigabytes
 _MAX_EISENSTEIN_ORDER = 10000

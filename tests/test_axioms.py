@@ -103,6 +103,25 @@ class TestCommutator:
         )
         assert report.is_zero
 
+    def test_defect_is_the_negated_jacobi_sides(self):
+        # a wrong image h(-1)|0> = 2 h(-1)|0> in the generator's row of the
+        # vacuum makes the defects nonzero; the cache is emptied before and
+        # after, so no image built from the wrong one outlives the test
+        modes.clear_mode_cache()
+        try:
+            modes._mode_table(H, (1,))[()][-1] = (((1,), 2),)
+            nonzero = 0
+            for u, v, w in ((H, H, VAC), (H, H, H), (HeisenbergState.monomial([1, 1]), H, VAC)):
+                for r, s in itertools.product(range(-2, 3), repeat=2):
+                    commutator = commutator_defect(u, v, w, r, s, prime=3)
+                    jacobi = jacobi_defect(u, v, w, r, s, 0, prime=3)
+                    assert commutator.defect == -jacobi.defect, (u, v, w, r, s)
+                    assert commutator.norm_exponent == jacobi.norm_exponent
+                    nonzero += not commutator.is_zero
+            assert nonzero
+        finally:
+            modes.clear_mode_cache()
+
 
 class TestAssociator:
     @given(monomials, monomials, monomials, indices, indices)

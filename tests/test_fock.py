@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from padic_voa import scalars
+from padic_voa import fock, scalars
 from padic_voa.fock import HeisenbergState, grade_basis, partitions_of
 from padic_voa.kummer import kummer_check
 from padic_voa.modes import mode_action
@@ -139,6 +139,25 @@ class TestExactStorage:
         assert type(x._terms[()]) is Fraction
         assert type(HeisenbergState.monomial([1], Fraction(1, 2)).scale(6)._terms[(1,)]) is int
         assert type(HeisenbergState.monomial([1], 3).scale(Fraction(1, 2))._terms[(1,)]) is Fraction
+
+    @pytest.mark.parametrize(
+        "value, stored",
+        [
+            (True, 1),
+            (False, 0),
+            (7, 7),
+            (-3, -3),
+            (Fraction(4, 2), 2),
+            (Fraction(1, 2), Fraction(1, 2)),
+            ("3/6", Fraction(1, 2)),
+            (" -6/3 ", -2),
+            ("4", 4),
+        ],
+    )
+    def test_exact_values_and_types(self, value, stored):
+        result = fock._exact(value)
+        assert result == stored
+        assert type(result) is type(stored)
 
     def test_accessors_return_fractions(self):
         x = HeisenbergState.monomial([2, 1], 3) + HeisenbergState.vacuum(Fraction(1, 2))

@@ -116,6 +116,133 @@ class TestQSeries:
         assert product.order == 3
 
 
+def assert_stored_by_rule(series: QSeries) -> None:
+    """Each stored coefficient is an int exactly when it is integral."""
+    for n, c in enumerate(series.coeffs):
+        assert type(c) is (int if c.denominator == 1 else Fraction), (n, c)
+
+
+# test-local QSeries arithmetic on lists of Fractions, truncated to the shorter
+def fraction_sum(xs: list, ys: list) -> list[Fraction]:
+    return [Fraction(x) + Fraction(y) for x, y in zip(xs, ys)]
+
+
+def fraction_difference(xs: list, ys: list) -> list[Fraction]:
+    return [Fraction(x) - Fraction(y) for x, y in zip(xs, ys)]
+
+
+def fraction_product(xs: list, ys: list) -> list[Fraction]:
+    order = min(len(xs), len(ys))
+    return [sum((Fraction(xs[i]) * Fraction(ys[n - i]) for i in range(n + 1)), Fraction(0)) for n in range(order)]
+
+
+# a fractional state whose character sums are all integral, and one whose
+# character mixes integral and fractional coefficients
+INTEGRAL_SUMS = HeisenbergState({(1, 1): Fraction(1, 2), (1,): Fraction(1, 2)})
+MIXED_SUMS = HeisenbergState({(): Fraction(1, 2), (1, 1): Fraction(1, 2)})
+
+
+class TestStorageRule:
+    """A QSeries stores each coefficient as `fock._exact` stores a state's:
+    an int when it is integral, a Fraction only otherwise."""
+
+    def test_constructor_and_arithmetic(self):
+        a = QSeries([Fraction(4, 2), Fraction(1, 3), 5, Fraction(-6, 3)])
+        b = QSeries([Fraction(1, 2), Fraction(2, 3), Fraction(1, 2), 7])
+        assert a.coeffs == (2, Fraction(1, 3), 5, -2)
+        assert [type(c) for c in a.coeffs] == [int, Fraction, int, int]
+        results = (a + b, a - b, b - a, -a, -b, a.scale(3), a.scale(Fraction(3, 2)), 6 * b, a * b, b * b)
+        for series in results:
+            assert_stored_by_rule(series)
+        assert (a + b).coeffs == (Fraction(5, 2), 1, Fraction(11, 2), 5)
+        assert (a.scale(3)).coeffs == (6, 1, 15, -6)
+
+    @pytest.mark.parametrize(
+        "v",
+        [H, HH, MIXED_SUMS, INTEGRAL_SUMS, HeisenbergState.zero(), u_state(5, 5)],
+        ids=["h", "hh", "mixed-sums", "integral-sums", "zero", "u_5"],
+    )
+    def test_characters(self, v):
+        assert_stored_by_rule(character(v, 8))
+        assert_stored_by_rule(normalized_character(v, 8))
+
+    def test_fractional_state_with_integral_sums(self):
+        assert all(type(c) is int for c in character(INTEGRAL_SUMS, 8).coeffs)
+        assert {type(c) for c in character(MIXED_SUMS, 8).coeffs} == {int, Fraction}
+
+    def test_a_quotient_makes_a_fraction_only_when_inexact(self, monkeypatch):
+        made = []
+
+        def recording_fraction(*args):
+            made.append(args)
+            return Fraction(*args)
+
+        monkeypatch.setattr(qchar, "Fraction", recording_fraction)
+        for v in (INTEGRAL_SUMS, MIXED_SUMS, u_state(5, 5)):
+            normalized_character(v, 8)
+        quotients = [args for args in made if len(args) == 2]
+        assert quotients  # MIXED_SUMS and u_5 have inexact ones
+        assert all(n % d for n, d in quotients)
+
+    @pytest.mark.parametrize(
+        "v",
+        [
+            VirasoroState.word([2, 2], Fraction(1, 3)),
+            VirasoroState({(2, 2): Fraction(1, 2), (): Fraction(1, 2)}, Fraction(1, 3)),
+            VirasoroState.word([3], 1),
+        ],
+        ids=["word-third", "mixed-third", "word-one"],
+    )
+    def test_virasoro_characters(self, v):
+        series = character(v, 6)
+        assert_stored_by_rule(series)
+        traces = {key: zero_mode_trace(v, key, 6) for key in v._terms}
+        expected = [sum((Fraction(c) * traces[key][n] for key, c in v.items()), Fraction(0)) for n in range(7)]
+        assert list(series.coeffs) == expected
+
+    def test_eta_and_eisenstein(self):
+        for series in (eta_series(20), eisenstein_G(2, 12), eisenstein_G(12, 12), eisenstein_G2_star(5, 12)):
+            assert_stored_by_rule(series)
+        # (p - 1)/24 is integral at p = 73, so G_2* stores its constant as an int
+        star = eisenstein_G2_star(73, 3)
+        assert_stored_by_rule(star)
+        assert star.coeffs[0] == 3 and type(star.coeffs[0]) is int
+
+    @given(
+        st.lists(SERIES_COEFFICIENTS, min_size=1, max_size=7),
+        st.lists(SERIES_COEFFICIENTS, min_size=1, max_size=7),
+        SERIES_COEFFICIENTS,
+        st.fractions(max_denominator=24),
+    )
+    def test_arithmetic_matches_fraction_reference(self, xs, ys, scalar, offset):
+        a, b = QSeries(xs, offset), QSeries(ys, offset)
+        cases = [
+            (a + b, fraction_sum(xs, ys)),
+            (a - b, fraction_difference(xs, ys)),
+            (-a, [-Fraction(x) for x in xs]),
+            (a.scale(scalar), [Fraction(scalar) * x for x in xs]),
+            (scalar * a, [Fraction(scalar) * x for x in xs]),
+            (a * b, fraction_product(xs, ys)),
+        ]
+        for series, expected in cases:
+            assert list(series.coeffs) == expected
+            assert_stored_by_rule(series)
+        assert (a * b).offset == 2 * offset and (a - b).offset == offset
+
+    def test_coefficient_is_a_fraction(self):
+        series = QSeries([3, Fraction(1, 2), 0])
+        assert [type(series.coefficient(n)) for n in range(3)] == [Fraction] * 3
+        assert series.coefficient(0) == 3 and series.coefficient(1) == Fraction(1, 2)
+
+    def test_int_and_fraction_twins(self):
+        assert QSeries([3]).to_json() == QSeries([Fraction(3)]).to_json() == {"offset": "0", "coeffs": ["3"], "order": 0}
+        assert type(QSeries([3]).offset) is type(QSeries([3], Fraction(1, 24)).offset) is Fraction
+        twin = QSeries([Fraction(3), Fraction(-8, 4), Fraction(1, 2)], Fraction(-1, 24))
+        assert twin == QSeries([3, -2, Fraction(1, 2)], Fraction(-1, 24))
+        assert twin.coeffs == (3, -2, Fraction(1, 2))
+        assert twin.norm_exponents(2) == [0, -1, 1]
+
+
 class TestEta:
     def test_first_coefficients(self):
         eta = eta_series(5)

@@ -39,9 +39,11 @@ class DefectReport(NamedTuple):
     @classmethod
     def from_defect(cls, defect, prime: int, parameters: dict) -> "DefectReport":
         # tuple.__new__ skips the generated __new__ and its Python frame; the
-        # exponent is `sup_norm_exponent` without its two frames
+        # exponent is `sup_norm_exponent` without its two frames, and with no
+        # call at all for a defect with no terms
         _require_prime(prime)
-        exponent = _norm_exponent(defect._terms.values(), prime)
+        terms = defect._terms
+        exponent = _norm_exponent(terms.values(), prime) if terms else _NEG_INF
         return tuple.__new__(cls, (defect, exponent, dict(parameters), prime))
 
     @property

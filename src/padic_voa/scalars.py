@@ -5,8 +5,9 @@ table, partition counts from Euler's pentagonal recurrence, divisor sums
 from one sieve) that the state, trace and q-series layers consume.
 
 All state and series construction elsewhere in the package happens over exact
-rationals: states store a coefficient as a plain `int` when it is integral
-and as a `fractions.Fraction` otherwise, and q-series hold `Fraction`s.
+rationals, by one storage rule (`fock._exact`) for states and q-series alike:
+a coefficient is a plain `int` when it is integral and a `fractions.Fraction`
+otherwise.
 p-adic information enters only at reporting boundaries, as norm exponents:
 every one, of a single coefficient or of a whole state, is read by
 `_norm_exponent` (which takes either type and reads zero as `_NEG_INF`), so no

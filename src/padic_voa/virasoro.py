@@ -20,7 +20,8 @@ minus (m-n) L(m+n)s and the central term.  `vir_bracket_defects` computes
 each image L(k)s of a window once, for every pair (m, n) of the window, and
 sums each unordered pair {m, n} once: the defect expression is antisymmetric,
 D(n, m) = -D(m, n), as C(1-m, 3) = -C(m+1, 3), so the other order is the
-negated defect with the same norm exponent.
+negated defect with the same norm exponent; a zero defect is shared as it is,
+since states are immutable values and -0 is 0.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from typing import Iterable, Iterator
 from .axioms import DefectReport
 from .fock import Coefficient, GradedState, _accumulate_terms, _exact, partitions_of
 from .modes import h_mode, mode_action
+from .scalars import _require_prime
 
 __all__ = [
     "VirasoroState",
@@ -68,7 +70,9 @@ class VirasoroState(GradedState):
         super().__init__(terms)
 
     def _with(self, terms: dict[Word, Coefficient]) -> "VirasoroState":
-        state = super()._with(terms)
+        # `GradedState._with` in this one frame, with the charge and its tag
+        state = object.__new__(type(self))
+        state._terms = terms or {}
         state.charge = self.charge
         state.algebra = self.algebra
         return state
@@ -163,13 +167,17 @@ def vir_bracket_defects(
     state: VirasoroState, span: Iterable[int], prime: int = 2
 ) -> Iterator[tuple[int, int, DefectReport]]:
     """(m, n, `vir_bracket_defect(m, n, state, prime)`) for every (m, n) in
-    span x span, in `itertools.product` order.  Each image L(k)s with
-    2 min(span) <= k <= 2 max(span) is computed once, for all pairs, and
-    each unordered pair {m, n} is summed once, in the order met first: the
-    other order reads D(n, m) = -D(m, n), which holds term by term, since
-    C(1-m, 3) = -C(m+1, 3), whatever the rewrite returns."""
+    span x span, in `itertools.product` order, the prime checked first.
+    Each image L(k)s that a pair reads (k = m, n or m + n) is computed once,
+    for all pairs, and each unordered pair {m, n} is summed once, in the
+    order met first: the other order reads D(n, m) = -D(m, n), which holds
+    term by term, since C(1-m, 3) = -C(m+1, 3), whatever the rewrite
+    returns.  That row has its own parameters dict, and shares its
+    partner's defect when it is zero."""
+    _require_prime(prime)
     span = tuple(span)
-    images = {k: L_action(k, state) for k in range(2 * min(span, default=0), 2 * max(span, default=-1) + 1)}
+    low, high = min(span, default=0), max(span, default=-1)
+    images = {k: L_action(k, state) for k in range(min(low, 2 * low), max(high, 2 * high) + 1)}
     reports: dict[tuple[int, int], DefectReport] = {}
     for m, n in product(span, span):
         pair = (m, n) if m <= n else (n, m)
@@ -177,8 +185,9 @@ def vir_bracket_defects(
         if report is None:
             reports[pair] = report = _bracket_defect(m, n, state, images, prime)
         elif report.parameters["m"] != m:
-            params = {**report.parameters, "m": m, "n": n}
-            report = DefectReport(-report.defect, report.norm_exponent, params, prime)
+            defect, params = report.defect, {**report.parameters, "m": m, "n": n}
+            defect = -defect if defect._terms else defect  # -0 is 0, and states are immutable
+            report = tuple.__new__(DefectReport, (defect, report.norm_exponent, params, prime))
         yield m, n, report
 
 

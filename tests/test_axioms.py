@@ -21,7 +21,7 @@ from padic_voa.axioms import (
 from padic_voa.fock import GradedState, HeisenbergState, grade_basis
 from padic_voa.kummer import kummer_check
 from padic_voa.modes import mode_action, residue_product_mode
-from padic_voa.virasoro import VirasoroState, vir_bracket_defect, vir_grade_basis
+from padic_voa.virasoro import L_action, VirasoroState, vir_bracket_defect, vir_bracket_defects, vir_grade_basis
 
 VAC = HeisenbergState.vacuum()
 H = HeisenbergState.monomial([1])
@@ -179,6 +179,27 @@ class TestReportRecord:
         assert copy.parameters == report.parameters
 
 
+class TestZeroDefect:
+    ZEROS = {
+        "heisenberg": HeisenbergState.zero(),
+        "virasoro": VirasoroState.zero(1),
+        "cancelled": H - H,
+    }
+
+    @pytest.mark.parametrize("kind", sorted(ZEROS))
+    def test_prime_is_checked_first(self, kind):
+        with pytest.raises(ValueError, match="prime required, got 4"):
+            DefectReport.from_defect(self.ZEROS[kind], 4, {})
+
+    @pytest.mark.parametrize("kind", sorted(ZEROS))
+    def test_reads_the_shared_negative_infinity(self, kind):
+        parameters = {"r": 0}
+        report = DefectReport.from_defect(self.ZEROS[kind], 2, parameters)
+        assert report.is_zero and report.norm_exponent is scalars._NEG_INF
+        assert report.defect is self.ZEROS[kind] and report.prime == 2
+        assert report.parameters == parameters and report.parameters is not parameters
+
+
 class TestZeroStorage:
     """A zero result holds a fresh empty dict, not the table its accumulator
     grew before the terms cancelled."""
@@ -195,6 +216,9 @@ class TestZeroStorage:
         zeros = [
             commutator_defect(H, H, VAC, 1, -1).defect,
             vir_bracket_defect(1, 1, VirasoroState.word([2, 2], 7)).defect,
+            # the (2, 1) row reads the zero defect of the (1, 2) row
+            list(vir_bracket_defects(VirasoroState.word([2, 2], 7), (1, 2)))[2][2].defect,
+            L_action(1, VirasoroState.vacuum(1)),
             mode_action(H, 1, HeisenbergState.monomial([2])),
             H - H,
         ]

@@ -10,7 +10,7 @@ from math import inf
 import pytest
 
 from padic_voa import virasoro
-from padic_voa.axioms import associator_defect, commutator_defect, jacobi_defect
+from padic_voa.axioms import DefectReport, associator_defect, commutator_defect, jacobi_defect
 from padic_voa.cli import main
 from padic_voa.fock import HeisenbergState, grade_basis, partitions_of
 from padic_voa.modes import _MODE_CACHE, clear_mode_cache, mode_action, residue_product_mode, virasoro_mode
@@ -60,6 +60,17 @@ class TestStateBasics:
         assert type(state.charge) is Fraction
         assert [type(c) for _, c in state.items()] == [Fraction, Fraction]
         assert type(state.coefficient([2, 3])) is Fraction
+
+    @pytest.mark.parametrize("charge", [0, 7, Fraction(1, 2)], ids=str)
+    def test_trusted_constructor_keeps_type_charge_and_algebra(self, charge):
+        source = VirasoroState.word([3, 2], charge)
+        terms = {(2,): Fraction(1, 3)}
+        for state, expected in ((source._with(terms), terms), (source._with({}), {})):
+            assert type(state) is VirasoroState
+            assert state.charge == charge and type(state.charge) is type(source.charge)
+            assert state.algebra == source.algebra == f"L c'={source.charge}"
+            assert state._terms == expected
+        assert source._with(terms)._terms is terms
 
     def test_integral_charge_shares_algebra_and_cache(self):
         # charge 12 is stored as the int 12 whichever type it arrives as, so
@@ -238,6 +249,50 @@ class TestBracketDefects:
                 assert report.parameters == {"m": m, "n": n, "cprime": str(state.charge)}
                 assert single.defect == self.composed(m, n, state), (charge, word, m, n)
 
+    @staticmethod
+    def mirrored_pairs(rows):
+        """(row, partner) for every row (m, n), m != n, whose partner (n, m)
+        came earlier in the sweep."""
+        first = {}
+        for m, n, report in rows:
+            if (n, m) in first and m != n:
+                yield report, first[n, m]
+            first.setdefault((m, n), report)
+
+    def test_rows_are_plain_reports(self):
+        for word in ((), (2,), (3, 2)):
+            for m, n, report in vir_bracket_defects(VirasoroState.word(word, 1), (2, -1, 0, 1, -2)):
+                assert type(report) is DefectReport, (word, m, n)
+                assert not hasattr(report, "__dict__")
+                assert report.prime == 2
+
+    def test_mirrored_zero_row_shares_the_zero_defect(self):
+        rows = list(vir_bracket_defects(VirasoroState.word([3, 2], 1), range(-2, 3)))
+        mirrored = list(self.mirrored_pairs(rows))
+        assert len(mirrored) == 10
+        for report, partner in mirrored:
+            assert report.is_zero and report.defect is partner.defect
+            assert report.norm_exponent is partner.norm_exponent
+            assert report.parameters is not partner.parameters
+
+    def test_parameters_are_separate_dicts(self):
+        state, span = VirasoroState.word([2, 2], 1), (1, -1, 0)
+        rows = {(m, n): report for m, n, report in vir_bracket_defects(state, span)}
+        rows[1, -1].parameters["m"] = "changed"
+        rows[-1, 1].parameters["extra"] = 0
+        assert rows[-1, 1].parameters == {"m": -1, "n": 1, "cprime": "1", "extra": 0}
+        assert rows[1, -1].parameters == {"m": "changed", "n": -1, "cprime": "1"}
+        assert rows[0, 1].parameters == {"m": 0, "n": 1, "cprime": "1"}
+        fresh = [(m, n, report.parameters) for m, n, report in vir_bracket_defects(state, span)]
+        assert fresh == [(m, n, {"m": m, "n": n, "cprime": "1"}) for m, n in itertools.product(span, span)]
+
+    def test_empty_window_checks_prime(self):
+        with pytest.raises(ValueError, match="prime required, got 4"):
+            list(vir_bracket_defects(VirasoroState.vacuum(1), [], 4))
+        with pytest.raises(ValueError, match="prime required, got 1"):
+            next(vir_bracket_defects(VirasoroState.zero(1), range(-1, 2), 1))
+        assert list(vir_bracket_defects(VirasoroState.vacuum(1), [], 5)) == []
+
     @pytest.fixture
     def broken_rewrite(self, monkeypatch):
         """A rewrite that doubles every L(1) image of a nonempty word, so that
@@ -272,6 +327,31 @@ class TestBracketDefects:
                     assert report.parameters == {"m": m, "n": n, "cprime": str(charge)}
                     nonzero += not report.is_zero
         assert nonzero >= 40  # the broken rewrite leaves defects to compare
+
+    @pytest.mark.parametrize("span", [(1, 2), (3, 1), (-1, -2), (-3,), (4,)], ids=str)
+    def test_one_signed_spans(self, span, broken_rewrite):
+        # a pair reads L(m)s and L(n)s as well as L(m+n)s, so the image table
+        # reaches min(span) and max(span), not only their doubles
+        for word in ((), (2,), (3, 2)):
+            state = VirasoroState.word(word, 1)
+            rows = list(vir_bracket_defects(state, span))
+            assert [(m, n) for m, n, _ in rows] == list(itertools.product(span, span))
+            for m, n, report in rows:
+                assert report == vir_bracket_defect(m, n, state), (word, m, n)
+
+    def test_mirrored_nonzero_row_negates_its_own_copy(self, broken_rewrite):
+        nonzero = 0
+        for word in ((2,), (3, 2), (4,)):
+            rows = list(vir_bracket_defects(VirasoroState.word(word, 1), range(-3, 4)))
+            for report, partner in self.mirrored_pairs(rows):
+                assert report.defect == -partner.defect
+                assert report.norm_exponent == partner.norm_exponent
+                if not partner.is_zero:
+                    nonzero += 1
+                    assert report.defect is not partner.defect
+                    assert report.defect._terms is not partner.defect._terms
+                    assert report.defect != partner.defect
+        assert nonzero >= 10
 
     @pytest.mark.parametrize("span", [range(-3, 4), range(3, -4, -1), (2, -3, 0), (1, 1, -1, 1)], ids=str)
     def test_each_unordered_pair_is_summed_once(self, span, monkeypatch):

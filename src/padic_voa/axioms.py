@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Any, Iterable, NamedTuple, Sequence
 
 from .fock import GradedState, _accumulate_terms, partitions_of
-from .modes import _mode_table, _modes_of, _residue_sum
+from .modes import _mode_table, _residue_sum, _table_pairs
 from .scalars import _NEG_INF, _norm_exponent, _require_prime
 
 __all__ = [
@@ -56,29 +56,26 @@ def _jacobi_sides(
 ) -> GradedState:
     """sign times (left minus right side) of the Jacobi identity at (r, s, t),
     both sides summed with the sign on the engine's (key, coefficient) pairs
-    without building a state for u(t+i)v; u's rows of v's keys are read
-    once, and an empty image is skipped."""
+    without building a state for u(t+i)v, one pair of u's and v's terms at
+    a time; u's row of v's key is read once, and an empty image is skipped."""
     u._check(v)
     u._check(w)
     acc: dict = {}
-    if u._terms and v._terms:
-        u_modes, v_modes = _modes_of(u), _modes_of(v)
-        top = max(0, u_modes.weight + v_modes.weight - t)
-        for pv, cv in v._terms.items():
-            u_row, binomial = u_modes[pv], sign  # binomial = sign C(r, i), which i divides below
-            for i in range(top):
-                if i:
-                    binomial = binomial * (r - i + 1) // i
-                    if not binomial:
-                        break  # C(r, i) = 0 for 0 <= r < i, and so for every larger i
-                for pk, ck in u_row[t + i]:  # the terms of u(t+i)v
-                    scale, table = binomial * cv * ck, _mode_table(w, pk)
-                    for pw, cw in w._terms.items():
-                        image = table[pw][r + s - i]
-                        if image:
-                            _accumulate_terms(acc, image, scale * cw)
+    for u_table, v_table, cuv in _table_pairs(u, v):
+        u_row, binomial = u_table[v_table.pv], sign  # binomial = sign C(r, i), an int, which i divides below
+        for i in range(max(0, u_table.weight + v_table.weight - t)):
+            if i:
+                binomial = binomial * (r - i + 1) // i
+                if not binomial:
+                    break  # C(r, i) = 0 for 0 <= r < i, and so for every larger i
+            for pk, ck in u_row[t + i]:  # the terms of u(t+i)v
+                scale, table = binomial * cuv * ck, _mode_table(w, pk)
+                for pw, cw in w._terms.items():
+                    image = table[pw][r + s - i]
+                    if image:
+                        _accumulate_terms(acc, image, scale * cw)
         for key, c in w._terms.items():
-            _residue_sum(acc, -sign * c, u_modes, v_modes, r, s, t, key)
+            _residue_sum(acc, -sign * cuv * c, u_table, v_table, r, s, t, key)
     return w._with(acc)
 
 
@@ -168,16 +165,17 @@ def locality_profile(
     u._check(w)
     if u.is_zero or v.is_zero or w.is_zero:
         return [(t, _NEG_INF) for t in range(t_max + 1)]
-    u_modes, v_modes = _modes_of(u), _modes_of(v)
-    total_weight = u_modes.weight + v_modes.weight + w.max_weight()
+    pairs = _table_pairs(u, v)
+    total_weight = max(u_table.weight + v_table.weight for u_table, v_table, _ in pairs) + w.max_weight()
     span = total_weight + 2
     # R_0 on every (r, s) that the t_max steps below read
     grid: dict[tuple[int, int], dict] = {}
     for r in range(-span, span + t_max + 1):
         for s in range(-span, min(span + t_max, total_weight - 2 - r) + 1):
             terms = grid[r, s] = {}
-            for key, c in w._terms.items():
-                _residue_sum(terms, c, u_modes, v_modes, r, s, 0, key)
+            for u_table, v_table, cuv in pairs:
+                for key, c in w._terms.items():
+                    _residue_sum(terms, cuv * c, u_table, v_table, r, s, 0, key)
     profile: list[tuple[int, int | float]] = []
     for t in range(t_max + 1):
         if t:
@@ -213,7 +211,13 @@ def isometry_probe(
     if a.is_zero:
         raise ValueError("isometry probe needs a nonzero state")
     rhs = a.sup_norm_exponent(p)
-    modes = _modes_of(a)
-    rows = [modes[key] for grade in range(grade_bound + 1) for key in partitions_of(grade, a.WEIGHT)]
-    coefficients = (c for n in index_window for row in rows for _, c in row[n])
+    keys = [key for grade in range(grade_bound + 1) for key in partitions_of(grade, a.WEIGHT)]
+    rows = [[(_mode_table(a, pa)[key], ca) for pa, ca in a._terms.items()] for key in keys]
+    coefficients: list = []
+    for n in index_window:
+        for key_rows in rows:  # a(n) key
+            image: dict = {}
+            for row, ca in key_rows:
+                _accumulate_terms(image, row[n], ca)
+            coefficients.extend(image.values())
     return _norm_exponent(coefficients, p), rhs

@@ -492,11 +492,17 @@ def _prime(text: str) -> int:
 
 
 def _rational(text: str) -> Fraction:
-    """argparse type: an exact rational such as 12 or 1/2."""
+    """argparse type: an exact rational such as 12, 1/2 or 0.5 of at most 4,300
+    digits, an exponent e counting as e digits before `Fraction` takes 10^e."""
+    limit = sys.get_int_max_str_digits()
+    mantissa, _, exponent = text.lower().partition("e")
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"{text} is not a rational number") from None
+        if sum(map(str.isdigit, mantissa)) + abs(int(exponent or 0)) <= limit:
+            return Fraction(text)
+    except (ValueError, ZeroDivisionError):  # no rational, or an exponent of too many digits
+        if sum(map(str.isdigit, text)) <= limit:
+            raise argparse.ArgumentTypeError(f"{text} is not a rational number") from None
+    raise argparse.ArgumentTypeError(f"too many digits for a rational number (limit {limit}; an exponent e counts as e)")
 
 
 def _at_least(low: int):

@@ -25,12 +25,12 @@ peeling the top part k off each basis vector, v = g(t)u with g the
 generator and t = wt g - 1 - k, and evaluating this sum with a = g and
 b = u.  Each basis vector v has one table, a dict holding one row per basis
 key b; a row is a dict keyed on n that computes a missing image v(n)b once,
-so a caller holding the row reads a known image with one int subscript.  A
-state's map (`_modes_of`) is its table or a sum of tables, read in the same
-way, map[b][n].  Each map carries the weight it truncates at: b(j)w
-vanishes once j >= b.weight + wt(w), the grading being nonnegative, and
-likewise for a.  So every infinite sum is truncated by proven grading
-bounds, never by thresholds, and all results are exact.
+so a caller holding the row reads a known image with one int subscript.
+The sum is bilinear in (a, b), so a state enters it term by term
+(`_table_pairs`), and it only ever reads two tables.  Each table carries
+its vector's weight: b(j)w vanishes once j >= b.weight + wt(w), the grading
+being nonnegative, and likewise for a.  So every infinite sum is truncated
+by proven grading bounds, never by thresholds, and all results are exact.
 """
 
 from __future__ import annotations
@@ -57,17 +57,16 @@ _Terms = dict[Partition, Coefficient]
 _FrozenTerms = tuple[tuple[Partition, Coefficient], ...]
 
 
-def _residue_sum(
-    acc: _Terms, scalar, a: _ModeTable | _TermSum, b: _ModeTable | _TermSum, r: int, s: int, t: int, key: Partition
-) -> None:
+def _residue_sum(acc: _Terms, scalar, a: _ModeTable, b: _ModeTable, r: int, s: int, t: int, key: Partition) -> None:
     """acc += scalar * R_t(a, b; r, s) key, i.e. scalar times
 
         sum_{i>=0} (-1)^i C(t, i) { a(r+t-i) b(s+i) key - (-1)^t b(s+t-i) a(r+i) key }.
 
-    a[key][m] and b[key][m] are the (key, coefficient) pairs of a(m) key and
-    b(m) key; b(s+i) key vanishes once s + i >= b.weight + wt key, and
-    a(r+i) key once r + i >= a.weight + wt key.  The rows of key are read
-    once, and an empty image adds nothing, so it is skipped."""
+    a and b are two basis vectors' tables: a[key][m] and b[key][m] are the
+    (key, coefficient) pairs of a(m) key and b(m) key; b(s+i) key vanishes
+    once s + i >= b.weight + wt key, and a(r+i) key once r + i >= a.weight
+    + wt key.  The rows of key are read once, and an empty image adds
+    nothing, so it is skipped."""
     wk = sum(key)
     first_bound = b.weight + wk - s
     second_bound = a.weight + wk - r
@@ -345,49 +344,12 @@ def zero_mode(v: GradedState) -> Callable[[GradedState], GradedState]:
     return apply
 
 
-class _TermSum(dict):
-    """The rows of a state v, one per basis key, each a `_SumRow` of its
-    terms' rows; `weight` is the largest of their tables' weights, 0 when
-    there are none."""
-
-    __slots__ = ("terms", "weight")
-
-    def __init__(self, terms: list[tuple[_ModeTable, Coefficient]]) -> None:
-        self.terms, self.weight = terms, max((table.weight for table, _ in terms), default=0)
-
-    def __missing__(self, key: Partition) -> _SumRow:
-        row = self[key] = _SumRow([(table[key], cv) for table, cv in self.terms])
-        return row
-
-
-class _SumRow(dict):
-    """v(n) key for a state v and a basis key, keyed on n: the images of
-    v's terms' rows of key, summed with their coefficients."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: list[tuple[_ModeRow, Coefficient]]) -> None:
-        self.rows = rows
-
-    def __missing__(self, n: int) -> _FrozenTerms:
-        acc: _Terms = {}
-        for row, cv in self.rows:
-            image = row[n]
-            if image:
-                _accumulate_terms(acc, image, cv)
-        result = self[n] = tuple(acc.items())
-        return result
-
-
-def _modes_of(v: GradedState) -> _ModeTable | _TermSum:
-    """key -> n -> v(n) key as (key, coefficient) pairs, read by subscript,
-    with `weight` = v.max_weight(): the cached table itself when v is one
-    basis vector with coefficient 1."""
-    if len(v._terms) == 1:
-        ((pv, cv),) = v._terms.items()
-        if cv == 1:
-            return _mode_table(v, pv)
-    return _TermSum([(_mode_table(v, pv), cv) for pv, cv in v._terms.items()])
+def _table_pairs(a: GradedState, b: GradedState) -> list[tuple[_ModeTable, _ModeTable, Coefficient]]:
+    """(table of pa, table of pb, ca * cb) for every term ca pa of a and
+    cb pb of b: a residue sum is bilinear in (a, b), so a state enters it
+    term by term, each pair truncated at its own tables' weights."""
+    b_terms = b._terms.items()
+    return [(_mode_table(a, pa), _mode_table(b, pb), ca * cb) for pa, ca in a._terms.items() for pb, cb in b_terms]
 
 
 def residue_product_mode(a: GradedState, b: GradedState, t: int, n: int, w: GradedState) -> GradedState:
@@ -398,9 +360,8 @@ def residue_product_mode(a: GradedState, b: GradedState, t: int, n: int, w: Grad
     a._check(b)
     a._check(w)
     acc: _Terms = {}
-    if a._terms and b._terms:
-        a_modes, b_modes = _modes_of(a), _modes_of(b)
+    for a_table, b_table, cab in _table_pairs(a, b):
         for key, c in w._terms.items():
-            _residue_sum(acc, c, a_modes, b_modes, 0, n, t, key)
+            _residue_sum(acc, cab * c, a_table, b_table, 0, n, t, key)
     return w._with(acc)
 

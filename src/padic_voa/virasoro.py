@@ -172,21 +172,23 @@ def vir_bracket_defects(
     for all pairs, and each unordered pair {m, n} is summed once, in the
     order met first: the other order reads D(n, m) = -D(m, n), which holds
     term by term, since C(1-m, 3) = -C(m+1, 3), whatever the rewrite
-    returns.  That row has its own parameters dict, and shares its
-    partner's defect when it is zero."""
+    returns.  Every row has its own parameters dict; a row met again, in
+    either order, shares the defect it reads when that defect is zero."""
     _require_prime(prime)
     span = tuple(span)
     low, high = min(span, default=0), max(span, default=-1)
     images = {k: L_action(k, state) for k in range(min(low, 2 * low), max(high, 2 * high) + 1)}
-    reports: dict[tuple[int, int], DefectReport] = {}
+    cprime = str(state.charge)
+    reports: dict[tuple[int, int], tuple[int, DefectReport]] = {}  # {m, n} -> (the m it was summed at, its report)
     for m, n in product(span, span):
         pair = (m, n) if m <= n else (n, m)
-        report = reports.get(pair)
-        if report is None:
-            reports[pair] = report = _bracket_defect(m, n, state, images, prime)
-        elif report.parameters["m"] != m:
-            defect, params = report.defect, {**report.parameters, "m": m, "n": n}
-            defect = -defect if defect._terms else defect  # -0 is 0, and states are immutable
+        entry = reports.get(pair)
+        if entry is None:
+            reports[pair] = (m, report := _bracket_defect(m, n, state, images, prime))
+        else:
+            first_m, report = entry
+            defect = -report.defect if first_m != m and report.defect._terms else report.defect  # -0 is 0
+            params = {"m": m, "n": n, "cprime": cprime}
             report = tuple.__new__(DefectReport, (defect, report.norm_exponent, params, prime))
         yield m, n, report
 

@@ -235,8 +235,9 @@ class TestZeroStorage:
 
 
 def mixed_states(algebra):
-    """Multi-term, inhomogeneous states with Fraction coefficients, which take
-    the general key-mode path rather than the engine's unit-basis one."""
+    """Multi-term, inhomogeneous states with Fraction coefficients, which
+    enter every residue sum term by term, as more than one pair of mode
+    tables, each pair with its own grading bounds."""
     if algebra == "heisenberg":
         return (
             H + HeisenbergState.monomial([2, 1], Fraction(1, 3)),
@@ -278,14 +279,23 @@ class TestKeyLevelPath:
                 assert associator_defect(u, v, w, s, t).is_zero
 
     def test_mode_maps_carry_the_largest_weight(self):
-        # the first term of each mixed `a` has the lowest weight, so a map
-        # that took its first table's weight would read too small a bound
+        # a state enters a residue sum as the tables of its terms, each
+        # carrying its own key's weight, so the largest pair bound is the
+        # states' largest weights: the first term of each mixed `a` has the
+        # lowest weight, so a bound read off the first table would be too small
         a_h, a_v = mixed_states("heisenberg")[0], mixed_states(Fraction(1, 2))[0]
         assert next(iter(a_h._terms)) == (1,) and next(iter(a_v._terms)) == (2,)
-        states = (HeisenbergState.zero(), H, HeisenbergState.monomial([2, 1], Fraction(-3, 7)), a_h, a_v)
+        states = (H, HeisenbergState.monomial([2, 1], Fraction(-3, 7)), a_h, a_v)
         for v in states:
-            assert modes._modes_of(v).weight == v.max_weight(), v
-        assert [modes._modes_of(v).weight for v in states] == [0, 1, 3, 3, 3]
+            pairs = modes._table_pairs(v, v)
+            assert len(pairs) == len(v._terms) ** 2, v
+            for a, b, c in pairs:
+                assert (a.weight, b.weight) == (sum(a.pv), sum(b.pv)), v
+                assert c == v._terms[a.pv] * v._terms[b.pv], v
+            assert max(a.weight + b.weight for a, b, _ in pairs) == 2 * v.max_weight(), v
+        assert [max(a.weight for a, _, _ in modes._table_pairs(v, v)) for v in states] == [1, 3, 3, 3]
+        zero = HeisenbergState.zero()
+        assert modes._table_pairs(zero, H) == [] == modes._table_pairs(H, zero)
 
     @pytest.mark.parametrize("algebra", ["heisenberg", Fraction(1, 2)])
     def test_defects_read_no_max_weight(self, algebra, monkeypatch):
@@ -380,15 +390,18 @@ def ope_order(u, v):
 
 # Virasoro at c' = 1/2, so that coefficients with a 2 in the denominator
 # reach the profile at the prime 2; the unmemoised profile costs grow fast
-# with the total weight, hence its cap
+# with the total weight, hence its cap; each algebra's `mixed_states` triple,
+# whose u and v enter as several pairs of tables, comes last, in one order
+# only, as its unmemoised profile takes seconds
 VIR_HALF = vir_basis(4, Fraction(1, 2))
 LOCALITY_TRIPLES = {
-    "heisenberg": list(itertools.product(basis_states(2), basis_states(2), basis_states(1))),
+    "heisenberg": [*itertools.product(basis_states(2), basis_states(2), basis_states(1)), mixed_states("heisenberg")],
     "virasoro": [
         (u, v, w)
         for u, v, w in itertools.product(VIR_HALF, VIR_HALF, vir_basis(2, Fraction(1, 2)))
         if u.max_weight() + v.max_weight() + w.max_weight() <= 8
-    ],
+    ]
+    + [mixed_states(Fraction(1, 2))],
 }
 
 

@@ -489,6 +489,39 @@ class TestInputValidation:
         assert "5000 digits are too many for an integer (limit 4300) (at offset 6)" in err
         assert "set_int_max_str_digits" not in err
 
+    @pytest.mark.parametrize(
+        "cprime",
+        ["1e10000000", "1e100000000", "1e4300", "1e-4300", "1" * 4301, "12e4299", "1e" + "9" * 5000],
+        ids=["e10^7", "e10^8", "e4300", "e-4300", "4301-digits", "two-digits-e4299", "5000-digit-exponent"],
+    )
+    def test_cprime_above_the_digit_limit(self, cprime, capsys):
+        # Fraction("1e10000000") raised 10 to the exponent first: 7 s, then
+        # Python's int-to-str error; 1e100000000 did not end within 20 s
+        argv = ["virasoro", "--cprime", cprime, "--grade", "1", "--window", "1"]
+        assert run_cli(argv) == (2, "")
+        err = capsys.readouterr().err
+        assert "argument --cprime: too many digits for a rational number (limit 4300; an exponent e counts as e)" in err
+
+    @pytest.mark.parametrize(
+        "cprime, shown",
+        [
+            ("12", "12"),
+            ("1/2", "1/2"),
+            ("0.5", "1/2"),
+            ("25E-2", "1/4"),
+            ("1e4299", "1" + "0" * 4299),
+            ("1" * 4300, "1" * 4300),
+        ],
+        ids=["integer", "fraction", "decimal", "exponent", "exponent-at-limit", "digits-at-limit"],
+    )
+    def test_cprime_within_the_digit_limit(self, cprime, shown):
+        code, out = run_cli(["virasoro", "--cprime", cprime, "--grade", "1", "--window", "1"])
+        assert code == 0 and json.loads(out)["cprime"] == shown
+
+    def test_cprime_not_rational(self, capsys):
+        assert run_cli(["virasoro", "--cprime", "1e2x"]) == (2, "")
+        assert "argument --cprime: 1e2x is not a rational number" in capsys.readouterr().err
+
     def test_character_empty_range(self):
         assert run_cli(["character", "--state", "h(-1) vac", "--qmax", "-1"]) == (2, "")
 

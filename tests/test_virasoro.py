@@ -286,6 +286,26 @@ class TestBracketDefects:
         fresh = [(m, n, report.parameters) for m, n, report in vir_bracket_defects(state, span)]
         assert fresh == [(m, n, {"m": m, "n": n, "cprime": "1"}) for m, n in itertools.product(span, span)]
 
+    def test_rows_met_again_have_their_own_parameters(self, broken_rewrite):
+        # a span that repeats a value meets rows (2, -1) and (2, 2) twice each
+        rows = list(vir_bracket_defects(VirasoroState.vacuum(1), (2, -1, 2)))
+        assert (rows[1][:2], rows[7][:2], rows[0][:2], rows[8][:2]) == ((2, -1), (2, -1), (2, 2), (2, 2))
+        assert len({id(report.parameters) for _, _, report in rows}) == len(rows) == 9
+        rows[1][2].parameters["m"] = "changed"
+        assert rows[7][2].parameters == {"m": 2, "n": -1, "cprime": "1"}
+        # the sweep reads nothing back from a report it has yielded, so a
+        # caller that edits one row's parameters leaves every later row as a
+        # fresh sweep gives it, repeated and mirrored rows included
+        state, span = VirasoroState.word([3], 1), (2, -1, 2, 1, -1)
+        fresh = [(m, n, report.defect, report.parameters) for m, n, report in vir_bracket_defects(state, span)]
+        assert sum(not defect.is_zero for _, _, defect, _ in fresh) == 16
+        seen = []
+        for m, n, report in vir_bracket_defects(state, span):
+            seen.append((m, n, report.defect, dict(report.parameters)))
+            report.parameters["m"] = "changed"
+            report.parameters["extra"] = 0
+        assert seen == fresh
+
     def test_empty_window_checks_prime(self):
         with pytest.raises(ValueError, match="prime required, got 4"):
             list(vir_bracket_defects(VirasoroState.vacuum(1), [], 4))

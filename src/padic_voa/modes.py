@@ -98,27 +98,27 @@ def h_mode(m: int, b: GradedState) -> GradedState:
     by h(m) for m < 0, the derivation m * d/dh(-m) for m > 0, and zero for
     m = 0.  On a Virasoro state this is the mode w(m) = L(m-1) of the
     conformal vector."""
+    gen = _mode_table(b, (b.WEIGHT,))
     acc: _Terms = {}
     for key, coeff in b._terms.items():
-        _accumulate_terms(acc, b._generator_mode(m, key), coeff)
+        _accumulate_terms(acc, gen[key][m], coeff)
     return b._with(acc)
 
 
-# one `_ModeTable` per (algebra, pv), at most 2^17 entries over all tables, a
-# table, a row, an image and a trace series each counting as one, so that no
+# one `_ModeTable` per (algebra, pv), at most 3 * 2^16 entries over all tables,
+# a table, a row, an image and a trace series each counting as one, so that no
 # empty table or row escapes the bound: the default commutator and locality
-# sweeps store 141,288 images in 11,519 rows of 44 tables, 152,851 entries, so
-# the oldest tables are dropped once and 37,451 images recomputed; the count
-# is a list, so that restoring the module's lists restores it too
+# sweeps in one process store 141,288 images in 11,519 rows of 44 tables,
+# 152,851 entries, so no table is dropped (a Virasoro rewrite is a generator
+# image); the count is a list, so that restoring the module's lists restores it
 _MODE_CACHE: dict[tuple[str, Partition], "_ModeTable"] = {}
-_MODE_CACHE_SIZE = 1 << 17
+_MODE_CACHE_SIZE = 3 << 16
 _MODE_CACHE_ENTRIES = [0]
 
 
 def clear_mode_cache() -> None:
     """Empty `_MODE_CACHE` (the mode tables, with their rows, images, trace
-    series and entry count); `virasoro._apply.cache_clear()` resets the
-    Virasoro rewrite memo."""
+    series and entry count), the Virasoro rewrites with them."""
     _MODE_CACHE.clear()
     _MODE_CACHE_ENTRIES[0] = 0
 

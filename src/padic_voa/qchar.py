@@ -144,13 +144,13 @@ class QSeries:
 
 
 # a Heisenberg character sums p(n) keys of grade n at q-order n: `padic-voa
-# character --state vac --qmax 40` takes 0.13 s on 2 vCPUs (Python 3.11), and
-# `kummer --prime 997 --amax 0 --qmax 40`, 998 keys of weight 998, 1.7 s
+# character --state vac --qmax 40` takes 0.12 s on 2 vCPUs (Python 3.11), and
+# `kummer --prime 997 --amax 0 --qmax 40`, 998 keys of weight 998, 0.8-1.0 s
 _MAX_ORDER = 40
 
 # a Virasoro trace scans the engine's images of every basis key of each grade,
 # about exp(pi sqrt(2n/3)) of them: `character(VirasoroState({(2, 2): 1}, 1),
-# n)` takes 1.2 s at n = 25, 1.7 s at 26 and 3.6 s at 28 (same machine)
+# n)` takes 0.64 s at n = 25, 0.82 s at 26 and 1.5 s at 28 (same machine)
 _MAX_VIRASORO_ORDER = 25
 
 

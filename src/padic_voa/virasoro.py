@@ -12,7 +12,7 @@ conventional central charge), so that all structure constants lie in Z[c'].
 Applied modes are rewritten to PBW normal form by bubbling rightward with the
 bracket; normal-form words containing a part 1 span the quotient ideal and
 are dropped.  Each rewrite of L(n) on a word is kept, as an immutable tuple,
-in one bounded memo keyed on (n, word, c'); `_apply.cache_clear()` empties it.
+in its row of the mode store's generator table; `clear_mode_cache()` drops it.
 
 The bracket defect at (m, n) is summed into one dict from images L(k)s of
 the state: L(m) on the terms of L(n)s, minus L(n) on the terms of L(m)s,
@@ -26,13 +26,12 @@ since states are immutable values and -0 is 0.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import product
 from typing import Iterable, Iterator
 
 from .axioms import DefectReport
 from .fock import Coefficient, GradedState, _accumulate_terms, _exact, partitions_of
-from .modes import h_mode, mode_action
+from .modes import _ModeTable, _mode_table, h_mode, mode_action
 from .scalars import _require_prime
 
 __all__ = [
@@ -82,7 +81,7 @@ class VirasoroState(GradedState):
         return 2 * self.charge
 
     def _generator_mode(self, m: int, key: Word) -> Iterable[tuple[Word, Coefficient]]:
-        return _apply(m - 1, key, self.charge)
+        return _apply(m - 1, key, _mode_table(self, (2,)))
 
     @classmethod
     def vacuum(cls, charge: Coefficient, coeff: Coefficient = 1) -> "VirasoroState":
@@ -100,8 +99,7 @@ class VirasoroState(GradedState):
         return f"VirasoroState({self.render()}; c'={self.charge})"
 
 
-@lru_cache(maxsize=1 << 16)
-def _apply(n: int, word: Word, charge: Coefficient) -> tuple[tuple[Word, Coefficient], ...]:
+def _apply(n: int, word: Word, gen: _ModeTable) -> tuple[tuple[Word, Coefficient], ...]:
     """L(n) applied to a PBW basis word, in PBW normal form, by commuting L(n)
     rightward past the word's top part:
 
@@ -114,19 +112,19 @@ def _apply(n: int, word: Word, charge: Coefficient) -> tuple[tuple[Word, Coeffic
     of the word, apart from creations.  A creation L(-k) recurses either at a
     smaller total grade k + wt(word), or at the same total grade with a
     deeper creation, L(-head) or L(-k-head) with head > k; and no creation
-    is deeper than the total grade.  Memoised on (n, word, c') in a bounded
-    LRU cache, as an immutable tuple of (word, coefficient) pairs."""
+    is deeper than the total grade.  Each L(k)w is read from the generator
+    table's row gen[w][k + 1], which keeps the rewrite as a tuple."""
     if n <= -2 and (not word or -n >= word[0]):
         return (((-n, *word), 1),)
     if not word:
         return ()
     head, rest = word[0], word[1:]
     out: dict[Word, Coefficient] = {}
-    for inner, c in _apply(n, rest, charge):
-        _accumulate_terms(out, _apply(-head, inner, charge), c)
-    _accumulate_terms(out, _apply(n - head, rest, charge), n + head)
+    for inner, c in gen[rest][n + 1]:
+        _accumulate_terms(out, gen[inner][1 - head], c)
+    _accumulate_terms(out, gen[rest][n - head + 1], n + head)
     if n == head:
-        _accumulate_terms(out, [(rest, (n + 1) * n * (n - 1) // 6 * charge)])
+        _accumulate_terms(out, [(rest, (n + 1) * n * (n - 1) // 6 * gen.proto.charge)])
     return tuple(out.items())
 
 
@@ -137,16 +135,16 @@ def L_action(n: int, state: VirasoroState) -> VirasoroState:
     return h_mode(n + 1, state)
 
 
-def _bracket_defect(m: int, n: int, state: VirasoroState, images: dict, prime: int) -> DefectReport:
+def _bracket_defect(m: int, n: int, state: VirasoroState, images: dict, gen: _ModeTable, prime: int) -> DefectReport:
     """The bracket defect at (m, n), summed into one dict from the images
-    L(k)s of `images`: L(m) on the terms of L(n)s, minus L(n) on the terms of
-    L(m)s, minus (m-n) L(m+n)s, minus the central term when m + n = 0."""
+    L(k)s of `images` and the generator rows `gen`: L(m) on L(n)s, minus L(n)
+    on L(m)s, minus (m-n) L(m+n)s, minus the central term when m + n = 0."""
     charge = state.charge
     acc: dict[Word, Coefficient] = {}
     for key, c in images[n]._terms.items():
-        _accumulate_terms(acc, _apply(m, key, charge), c)
+        _accumulate_terms(acc, gen[key][m + 1], c)
     for key, c in images[m]._terms.items():
-        _accumulate_terms(acc, _apply(n, key, charge), -c)
+        _accumulate_terms(acc, gen[key][n + 1], -c)
     _accumulate_terms(acc, images[m + n]._terms.items(), n - m)
     if m + n == 0:
         _accumulate_terms(acc, state._terms.items(), -((m + 1) * m * (m - 1) // 6) * charge)
@@ -160,7 +158,7 @@ def vir_bracket_defect(m: int, n: int, state: VirasoroState, prime: int = 2) -> 
         [L(m), L(n)] s - (m-n) L(m+n) s - delta_{m+n,0} C(m+1, 3) c' s.
     """
     images = {k: L_action(k, state) for k in {m, n, m + n}}
-    return _bracket_defect(m, n, state, images, prime)
+    return _bracket_defect(m, n, state, images, _mode_table(state, (2,)), prime)
 
 
 def vir_bracket_defects(
@@ -178,13 +176,14 @@ def vir_bracket_defects(
     span = tuple(span)
     low, high = min(span, default=0), max(span, default=-1)
     images = {k: L_action(k, state) for k in range(min(low, 2 * low), max(high, 2 * high) + 1)}
+    gen = _mode_table(state, (2,))
     cprime = str(state.charge)
     reports: dict[tuple[int, int], tuple[int, DefectReport]] = {}  # {m, n} -> (the m it was summed at, its report)
     for m, n in product(span, span):
         pair = (m, n) if m <= n else (n, m)
         entry = reports.get(pair)
         if entry is None:
-            reports[pair] = (m, report := _bracket_defect(m, n, state, images, prime))
+            reports[pair] = (m, report := _bracket_defect(m, n, state, images, gen, prime))
         else:
             first_m, report = entry
             defect = -report.defect if first_m != m and report.defect._terms else report.defect  # -0 is 0

@@ -334,6 +334,12 @@ class TestLocality:
                 locality_profile(*triple, 2, prime=4)
             assert locality_profile(*triple, 2, prime=5) == [(0, -inf), (1, -inf), (2, -inf)]
 
+    def test_negative_t_max_rejected(self):
+        zero = HeisenbergState.zero()
+        for triple in ((H, H, VAC), (zero, H, VAC), (H, H, zero)):
+            with pytest.raises(ValueError, match="t_max must be >= 0"):
+                locality_profile(*triple, -1)
+
     def test_identity_field_commutes(self):
         for w in basis_states(2):
             profile = locality_profile(VAC, HeisenbergState.monomial([2, 1]), w, 3)

@@ -60,3 +60,11 @@ def test_every_cache_is_bounded(name):
     module = importlib.import_module(name)
     caches = {attr: value.cache_info() for attr, value in vars(module).items() if hasattr(value, "cache_info")}
     assert {attr: info.maxsize for attr, info in caches.items() if info.maxsize is None} == {}
+
+
+def test_the_virasoro_rewrite_has_no_memo_of_its_own():
+    # its rewrites are the rows of the generator table in `modes._MODE_CACHE`
+    module = importlib.import_module("padic_voa.virasoro")
+    own = [attr for attr, value in vars(module).items() if hasattr(value, "cache_info") and value.__module__ == module.__name__]
+    assert own == []
+    assert not {"functools", "lru_cache", "cache"} & set(vars(module))

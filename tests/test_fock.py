@@ -67,6 +67,11 @@ class TestGradeBasis:
     def test_min_part_variant(self):
         assert partitions_of(6, min_part=2) == ((2, 2, 2), (3, 3), (4, 2), (6,))
 
+    @pytest.mark.parametrize("min_part", [1, 2])
+    def test_negative_grade_rejected(self, min_part):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            partitions_of(-1, min_part)
+
     def test_one_cache_entry_per_partition_set(self):
         # the engine asks for partitions_of(g, WEIGHT) positionally
         assert grade_basis(4) is partitions_of(4, 1)
@@ -95,7 +100,14 @@ class TestStateBasics:
     def test_scale_examples(self):
         x = HeisenbergState.monomial([1], 6)
         assert Fraction(1, 6) * x == HeisenbergState.monomial([1])
+        assert x * Fraction(1, 6) == HeisenbergState.monomial([1])
+        assert type(x * Fraction(1, 2)) is HeisenbergState
         assert x.scale(0).is_zero
+
+    def test_repr(self):
+        state = HeisenbergState({(2, 1): 3, (): Fraction(-1, 2)})
+        assert repr(state) == "HeisenbergState(-1/2 |0> + 3 h(-2) h(-1) |0>)"
+        assert repr(HeisenbergState.zero()) == "HeisenbergState(0)"
 
     def test_weight(self):
         assert HeisenbergState.monomial([2, 1]).weight() == 3

@@ -170,6 +170,11 @@ class TestKummerCheck:
         assert kummer_index(5, 2) == 101
         assert kummer_index(7, 2) == 295
 
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_negative_depth_rejected(self, p):
+        with pytest.raises(ValueError, match="depth must be >= 0"):
+            kummer_index(p, -1)
+
     def test_index_limit(self):
         # c_row(r) grows like r^2 log r digits: r above the limit is refused
         # before any work, and p^a is not computed for a huge depth

@@ -60,6 +60,21 @@ class TestQSeries:
         with pytest.raises(ValueError):
             QSeries([1, 2], Fraction(1, 24)) + QSeries([1, 2], 0)
 
+    @pytest.mark.parametrize("coeffs", [[], (), iter([])], ids=["list", "tuple", "iterator"])
+    def test_empty_series_rejected(self, coeffs):
+        with pytest.raises(ValueError, match="at least the constant coefficient"):
+            QSeries(coeffs)
+
+    def test_scalar_on_either_side(self):
+        series = QSeries([1, Fraction(1, 2)], Fraction(-1, 24))
+        for product in (series * 4, 4 * series, series * Fraction(4)):
+            assert product == QSeries([4, 2], Fraction(-1, 24))
+            assert product.coeffs == (4, 2) and all(type(c) is int for c in product.coeffs)
+
+    def test_repr(self):
+        assert repr(QSeries([1, 2, 3, 4, 5, 6, 7], Fraction(-1, 24))) == "QSeries(q^(-1/24) * [1, 2, 3, 4, 5, 6, ...]; order 6)"
+        assert repr(QSeries([1, Fraction(1, 2)])) == "QSeries(q^(0) * [1, 1/2]; order 1)"
+
     def test_multiplication_adds_offsets(self):
         a = QSeries([1, 1], Fraction(1, 24))
         b = QSeries([1, -1], Fraction(-1, 24))

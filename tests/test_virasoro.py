@@ -9,11 +9,11 @@ from math import inf
 
 import pytest
 
-from padic_voa import virasoro
+from padic_voa import modes, virasoro
 from padic_voa.axioms import DefectReport, associator_defect, commutator_defect, jacobi_defect
 from padic_voa.cli import main
 from padic_voa.fock import HeisenbergState, grade_basis, partitions_of
-from padic_voa.modes import _MODE_CACHE, clear_mode_cache, mode_action, residue_product_mode, virasoro_mode
+from padic_voa.modes import _MODE_CACHE, _mode_table, clear_mode_cache, mode_action, residue_product_mode, virasoro_mode
 from padic_voa.qchar import character
 from padic_voa.virasoro import (
     VirasoroState,
@@ -48,6 +48,10 @@ class TestStateBasics:
     def test_charge_mismatch_rejected(self):
         with pytest.raises(ValueError):
             VirasoroState.vacuum(1) + VirasoroState.vacuum(2)
+
+    def test_repr(self):
+        assert repr(VirasoroState.word([2, 3], Fraction(1, 2), Fraction(2, 3))) == "VirasoroState(2/3 L(-3) L(-2) v0; c'=1/2)"
+        assert repr(VirasoroState.zero(1)) == "VirasoroState(0; c'=1)"
 
     def test_render(self):
         state = VirasoroState.word([3, 2, 2], 1, Fraction(-1, 4))
@@ -143,7 +147,8 @@ class TestLAction:
 
 class TestRewriteMemo:
     """`virasoro._apply` against the straightening oracle, and the contract
-    of its memo: bounded, keyed on (n, word, c'), immutable values."""
+    of its memo, the rows of the generator table of the mode store: bounded,
+    one table per c', immutable values."""
 
     WORDS = [word for grade in range(7) for word in vir_grade_basis(grade)]
     CASES = [(n, word) for word in WORDS for n in range(-4, 5)]
@@ -155,20 +160,25 @@ class TestRewriteMemo:
         assert got == expected, (n, word, charge)
 
     def test_matches_straightening_oracle(self):
-        virasoro._apply.cache_clear()
+        clear_mode_cache()
         for charge in CHARGES:
             for n, word in self.CASES:
                 self.check(n, word, charge)
-        # charges interleaved on a warm memo: a key without c' would hand
-        # one charge's rewrite to the next
+        # charges interleaved on a warm memo: a table shared across c' would
+        # hand one charge's rewrite to the next
         for n, word in self.CASES:
             for charge in CHARGES:
                 self.check(n, word, charge)
 
     def test_values_are_tuples_and_memo_bounded(self):
-        assert type(virasoro._apply(2, (3, 2), 1)) is tuple
-        assert type(virasoro._apply(-5, (3, 2), 1)) is tuple
-        assert isinstance(virasoro._apply.cache_info().maxsize, int)
+        gen = _mode_table(VirasoroState.zero(1), (2,))
+        assert type(virasoro._apply(2, (3, 2), gen)) is tuple
+        assert type(virasoro._apply(-5, (3, 2), gen)) is tuple
+        assert type(gen[(3, 2)][3]) is tuple and type(gen[(3, 2)][-4]) is tuple
+        assert all(type(image) is tuple for row in gen.values() for image in row.values())
+        # the rows are the rewrite's only memo, bounded by `_MODE_CACHE_SIZE`
+        assert not hasattr(virasoro._apply, "cache_info")
+        assert isinstance(modes._MODE_CACHE_SIZE, int)
 
     def test_results_do_not_share_memo_values(self):
         state = VirasoroState.word([4, 2, 2], Fraction(1, 2))
@@ -182,13 +192,50 @@ class TestRewriteMemo:
         argv = ["virasoro", "--cprime", "1", "--grade", "5", "--window", "3"]
         outputs = []
         for _ in range(2):
-            misses = virasoro._apply.cache_info().misses
+            entries = modes._MODE_CACHE_ENTRIES[0]
             buffer = io.StringIO()
             with contextlib.redirect_stdout(buffer):
                 assert main(argv) == 0
             outputs.append(buffer.getvalue())
-        assert virasoro._apply.cache_info().misses == misses
+        assert modes._MODE_CACHE_ENTRIES[0] == entries
         assert outputs[0] == outputs[1]
+
+    def test_sweep_leaves_every_image_of_its_window_stored(self, monkeypatch):
+        # the CLI's integrality probe reads L(n)s for every n of the window
+        # after the sweep: each image is read off the generator rows, with
+        # no rewrite and no new entry
+        span, rewrites, rewrite = range(-3, 4), [], virasoro._apply
+        monkeypatch.setattr(virasoro, "_apply", lambda *args: rewrites.append(args[:2]) or rewrite(*args))
+        for word in ((), (2,), (4, 2), (3, 3, 2)):
+            state = VirasoroState.word(word, Fraction(1, 3))
+            list(vir_bracket_defects(state, span))
+            entries, stored = modes._MODE_CACHE_ENTRIES[0], cached_entries()
+            rewrites.clear()
+            for n in span:
+                L_action(n, state)
+            assert (modes._MODE_CACHE_ENTRIES[0], cached_entries(), rewrites) == (entries, stored, []), word
+
+    def test_clearing_the_store_drops_patched_rewrites(self, monkeypatch):
+        state, span = VirasoroState.word([3, 2], 1), range(-3, 4)
+        clear_mode_cache()
+        expected = [L_action(n, state) for n in span]
+        clear_mode_cache()
+        rewrite = virasoro._apply
+        monkeypatch.setattr(virasoro, "_apply", lambda n, word, gen: tuple((key, 3 * c) for key, c in rewrite(n, word, gen)))
+        patched = [L_action(n, state) for n in span]
+        assert patched != expected
+        monkeypatch.undo()
+        assert [L_action(n, state) for n in span] == patched  # still stored
+        clear_mode_cache()
+        assert [L_action(n, state) for n in span] == expected
+
+    def test_a_word_of_100_parts_rewrites(self):
+        # each part of the word is one level of row -> generator mode -> rewrite
+        clear_mode_cache()
+        state = VirasoroState.word([2] * 100, 1)
+        assert L_action(0, state) == state.scale(200)
+        assert vir_bracket_defect(1, -1, state).is_zero
+        assert len(L_action(1, state)) == 99
 
 
 class TestBracketDefect:
@@ -319,14 +366,14 @@ class TestBracketDefects:
         most defects are nonzero."""
         rewrite = virasoro._apply
 
-        def broken(n, word, charge):
-            images = rewrite(n, word, charge)
+        def broken(n, word, gen):
+            images = rewrite(n, word, gen)
             return tuple((key, 2 * c) for key, c in images) if n == 1 and word else images
 
-        rewrite.cache_clear()
+        clear_mode_cache()
         monkeypatch.setattr(virasoro, "_apply", broken)
         yield
-        rewrite.cache_clear()  # the memo holds rewrites made through `broken`
+        clear_mode_cache()  # the mode tables hold rewrites made through `broken`
 
     @pytest.mark.parametrize(
         "span",
@@ -403,12 +450,12 @@ class TestBracketDefects:
         # (2, -2) defect v0 on the vacuum: every route must report it
         rewrite = virasoro._apply
 
-        def broken(n, word, charge):
+        def broken(n, word, gen):
             if (n, word) == (2, (2,)):
-                return (((), charge + 1),)
-            return rewrite(n, word, charge)
+                return (((), gen.proto.charge + 1),)
+            return rewrite(n, word, gen)
 
-        rewrite.cache_clear()
+        clear_mode_cache()
         monkeypatch.setattr(virasoro, "_apply", broken)
         try:
             v0 = VirasoroState.vacuum(1)
@@ -423,7 +470,7 @@ class TestBracketDefects:
             row = {"word": "1 v0", "m": 2, "n": -2, "cprime": "1", "norm_exponent": 0}
             assert row in payload["violations"] and not payload["all_ok"]
         finally:
-            rewrite.cache_clear()  # the memo holds rewrites made through `broken`
+            clear_mode_cache()  # the mode tables hold rewrites made through `broken`
 
 
 class TestVirModeAction:
@@ -561,37 +608,61 @@ class TestSharedEngine:
                 residue_product_mode(a, a, 0, 0, b)
 
 
-def phi(state: VirasoroState) -> HeisenbergState:
-    """L(-n1)...L(-nk)v0 -> L_H(-n1)...L_H(-nk)|0>, with L_H = `virasoro_mode`
-    the modes of the Heisenberg conformal vector 1/2 h(-1)^2|0>, extended
-    linearly.  At c' = 1/2 (central charge 1) this is a map of vertex
-    algebras."""
+def feigin_fuchs_vector(lam) -> HeisenbergState:
+    """w_lam = 1/2 h(-1)^2|0> + lam h(-2)|0>, a conformal vector of the
+    Heisenberg algebra of central charge 1 - 12 lam^2, so c' = 1/2 - 6 lam^2;
+    lam h(-2) = lam D h(-1) leaves L(-1) the translation, so L(-1)|0> = 0."""
+    return HeisenbergState({(1, 1): Fraction(1, 2), (2,): lam})
+
+
+def phi(state: VirasoroState, conformal: HeisenbergState | None = None) -> HeisenbergState:
+    """L(-n1)...L(-nk)v0 -> L_H(-n1)...L_H(-nk)|0>, with L_H(n) the modes of
+    a Heisenberg conformal vector, extended linearly: by default
+    `virasoro_mode`, those of 1/2 h(-1)^2|0>, else `mode_action` of
+    `conformal`.  At the conformal vector's c' (1/2 by default) this is a map
+    of vertex algebras."""
     out = HeisenbergState.zero()
     for word, c in state.items():
         image = HeisenbergState.vacuum()
         for n in reversed(word):
-            image = virasoro_mode(-n, image)
+            image = virasoro_mode(-n, image) if conformal is None else mode_action(conformal, 1 - n, image)
         out = out + image.scale(c)
     return out
 
 
-def phi_failures(charge, grade: int) -> tuple[int, int]:
+def phi_failures(charge, grade: int, conformal: HeisenbergState | None = None) -> tuple[int, int]:
     """(checks, failures) of phi(u(n)v) == phi(u)(n) phi(v) over every pair of
     PBW words u, v of grade <= `grade` and -3 <= n < wt u + wt v."""
     words = vir_basis(charge, grade)
-    images = [phi(u) for u in words]
+    images = [phi(u, conformal) for u in words]
     checks = failures = 0
     for (u, phi_u), (v, phi_v) in itertools.product(zip(words, images), repeat=2):
         for n in range(-3, u.weight() + v.weight()):
             checks += 1
-            failures += phi(mode_action(u, n, v)) != mode_action(phi_u, n, phi_v)
+            failures += phi(mode_action(u, n, v), conformal) != mode_action(phi_u, n, phi_v)
     return checks, failures
+
+
+def phi_ranks(charge, conformal: HeisenbergState | None = None) -> tuple[list[int], list[int]]:
+    """(ranks, words): at each grade g <= 12, the rank of the images of the
+    PBW words, read on the Heisenberg keys of grade g, and their number."""
+    ranks, words = [], []
+    for g in range(13):
+        images = [phi(VirasoroState.word(word, charge), conformal) for word in vir_grade_basis(g)]
+        ranks.append(rank([[image.coefficient(key) for key in grade_basis(g)] for image in images]))
+        words.append(len(images))
+    return ranks, words
+
+
+FEIGIN_FUCHS = (0, 1, Fraction(1, 2), Fraction(1, 3), 2, Fraction(-3, 5), Fraction(1, 12))
 
 
 class TestHeisenbergEmbedding:
     """The Virasoro algebra at c' = 1/2 inside the Heisenberg algebra: one
     oracle for both engines, which sees a change that keeps either one a
-    vertex algebra, such as a scaled central term (only another c')."""
+    vertex algebra, such as a scaled central term (only another c').  The
+    Feigin-Fuchs vectors w_lam carry it to c' = 1/2 - 6 lam^2, so that the
+    Virasoro rewrite is checked at seven charges."""
 
     def test_modes_commute_with_phi(self):
         assert phi_failures(Fraction(1, 2), 6) == (1397, 0)
@@ -607,11 +678,23 @@ class TestHeisenbergEmbedding:
     def test_phi_is_injective(self):
         # at each grade g <= 12 the images of the PBW words, read on the
         # Heisenberg keys of grade g, have full rank
-        ranks, words = [], []
-        for g in range(13):
-            images = [phi(VirasoroState.word(word, Fraction(1, 2))) for word in vir_grade_basis(g)]
-            ranks.append(rank([[image.coefficient(key) for key in grade_basis(g)] for image in images]))
-            words.append(len(images))
+        ranks, words = phi_ranks(Fraction(1, 2))
+        assert ranks == words == [1, 0, 1, 1, 2, 2, 4, 4, 7, 8, 12, 14, 21]
+
+    @pytest.mark.parametrize("lam", FEIGIN_FUCHS, ids=str)
+    def test_feigin_fuchs_modes_commute_with_phi(self, lam):
+        assert phi_failures(Fraction(1, 2) - 6 * Fraction(lam) ** 2, 5, feigin_fuchs_vector(lam)) == (469, 0)
+
+    @pytest.mark.parametrize("lam", FEIGIN_FUCHS, ids=str)
+    def test_feigin_fuchs_shifted_charge_is_caught(self, lam):
+        assert phi_failures(Fraction(3, 2) - 6 * Fraction(lam) ** 2, 5, feigin_fuchs_vector(lam)) == (469, 154)
+
+    @pytest.mark.parametrize("lam", FEIGIN_FUCHS, ids=str)
+    def test_feigin_fuchs_phi_is_injective(self, lam):
+        # the kernel of phi is an ideal: V^c is simple unless c = c_{p,q} with
+        # p, q >= 2 (W. Wang, 1993), and c = 11/12 (lam = 1/12) is c_{9,8},
+        # whose vacuum singular vector lies at grade (9-1)(8-1) = 56
+        ranks, words = phi_ranks(Fraction(1, 2) - 6 * Fraction(lam) ** 2, feigin_fuchs_vector(lam))
         assert ranks == words == [1, 0, 1, 1, 2, 2, 4, 4, 7, 8, 12, 14, 21]
 
 

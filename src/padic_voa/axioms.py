@@ -57,11 +57,13 @@ def _jacobi_sides(
     """sign times (left minus right side) of the Jacobi identity at (r, s, t),
     both sides summed with the sign on the engine's (key, coefficient) pairs
     without building a state for u(t+i)v, one pair of u's and v's terms at
-    a time; u's row of v's key is read once, and an empty image is skipped."""
+    a time; u's row of v's key is read once, and an empty image is skipped.
+    A zero result is the `proto` of u's first table, shared by every call."""
     u._check(v)
     u._check(w)
     acc: dict = {}
-    for u_table, v_table, cuv in _table_pairs(u, v):
+    pairs = _table_pairs(u, v)
+    for u_table, v_table, cuv in pairs:
         u_row, binomial = u_table[v_table.pv], sign  # binomial = sign C(r, i), an int, which i divides below
         for i in range(max(0, u_table.weight + v_table.weight - t)):
             if i:
@@ -76,7 +78,7 @@ def _jacobi_sides(
                         _accumulate_terms(acc, image, scale * cw)
         for key, c in w._terms.items():
             _residue_sum(acc, -sign * cuv * c, u_table, v_table, r, s, t, key)
-    return w._with(acc)
+    return w._with(acc) if acc or not pairs else pairs[0][0].proto
 
 
 def jacobi_defect(

@@ -24,7 +24,10 @@ there.  The mode structure constants of both algebras lie in Z (in Z[c']
 for Virasoro), so integral inputs keep the mode engine on `int` arithmetic,
 and Python's int/Fraction interop keeps mixed states exact with no second
 code path.  `coefficient` and `items` return `Fraction`s whatever the
-storage.
+storage.  The terms of a zero state are the one immutable empty map
+`_NO_TERMS`, so a zero state holds no dict of its own, and a zero that the
+mode engine computes through a mode table is that table's `proto`, one state
+shared by every zero read through the table.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 from .scalars import _NEG_INF, _norm_exponent, _require_prime
@@ -47,6 +51,9 @@ __all__ = [
 Partition = tuple[int, ...]
 
 Coefficient = Fraction | int
+
+# the terms of every zero state: one empty map that no caller can fill
+_NO_TERMS: Mapping[Partition, Coefficient] = MappingProxyType({})
 
 
 # bounded like every cache; the whole test suite in one process asks for 43 keys
@@ -130,14 +137,19 @@ class GradedState:
             key = tuple(key)
             self._require_key(key)
             _accumulate_terms(out, ((key, _exact(coeff)),))
-        self._terms = {key: _exact(c) for key, c in out.items()}
+        self._terms = {key: _exact(c) for key, c in out.items()} or _NO_TERMS
 
     def _with(self, terms: dict[Partition, Coefficient]) -> "GradedState":
         """Trusted constructor: a state of this algebra with canonical terms
         (weakly decreasing keys, nonzero coefficients); skips the checks."""
         state = object.__new__(type(self))
-        state._terms = terms or {}  # a zero result keeps no emptied hash table
+        state._terms = terms or _NO_TERMS  # no emptied hash table, and no new one
         return state
+
+    def __reduce__(self):
+        # the terms as a plain dict, which pickle and deepcopy can copy; the
+        # checked constructor stores `_NO_TERMS` again for a zero state
+        return type(self), (dict(self._terms),)
 
     @classmethod
     def _require_key(cls, key: Partition) -> None:

@@ -102,7 +102,7 @@ def h_mode(m: int, b: GradedState) -> GradedState:
     acc: _Terms = {}
     for key, coeff in b._terms.items():
         _accumulate_terms(acc, gen[key][m], coeff)
-    return b._with(acc)
+    return b._with(acc) if acc else gen.proto
 
 
 # one `_ModeTable` per (algebra, pv), at most 3 * 2^16 entries over all tables,
@@ -140,7 +140,8 @@ class _ModeTable(dict):
     """The rows of v, the basis vector pv of `proto`'s algebra, of weight
     `weight`: at each basis key pb the `_ModeRow` of the images v(n) pb, and
     at None the row of v's trace series.  A missing row is made empty and,
-    while the table is cached, counted as an entry."""
+    while the table is cached, counted as an entry.  `proto` is also the
+    zero that every zero result computed through the table shares."""
 
     __slots__ = ("proto", "pv", "cache_key", "weight")
 
@@ -318,7 +319,7 @@ def mode_action(v: GradedState, n: int, b: GradedState) -> GradedState:
             image = table[pb][n]
             if image:
                 _accumulate_terms(acc, image, cv * cb)
-    return b._with(acc)
+    return b._with(acc) if acc or not v else table.proto
 
 
 _CONFORMAL_VECTOR = HeisenbergState({(1, 1): Fraction(1, 2)})
@@ -360,8 +361,9 @@ def residue_product_mode(a: GradedState, b: GradedState, t: int, n: int, w: Grad
     a._check(b)
     a._check(w)
     acc: _Terms = {}
-    for a_table, b_table, cab in _table_pairs(a, b):
+    pairs = _table_pairs(a, b)
+    for a_table, b_table, cab in pairs:
         for key, c in w._terms.items():
             _residue_sum(acc, cab * c, a_table, b_table, 0, n, t, key)
-    return w._with(acc)
+    return w._with(acc) if acc or not pairs else pairs[0][0].proto
 

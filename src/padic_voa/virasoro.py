@@ -21,7 +21,8 @@ each image L(k)s of a window once, for every pair (m, n) of the window, and
 sums each unordered pair {m, n} once: the defect expression is antisymmetric,
 D(n, m) = -D(m, n), as C(1-m, 3) = -C(m+1, 3), so the other order is the
 negated defect with the same norm exponent; a zero defect is shared as it is,
-since states are immutable values and -0 is 0.
+since states are immutable values and -0 is 0.  Every zero defect is one
+state, the `proto` of the charge's generator table, which carries the charge.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from itertools import product
 from typing import Iterable, Iterator
 
 from .axioms import DefectReport
-from .fock import Coefficient, GradedState, _accumulate_terms, _exact, partitions_of
+from .fock import _NO_TERMS, Coefficient, GradedState, _accumulate_terms, _exact, partitions_of
 from .modes import _ModeTable, _mode_table, h_mode, mode_action
 from .scalars import _require_prime
 
@@ -57,24 +58,31 @@ class VirasoroState(GradedState):
     word is the vacuum v0.  The generator is the conformal vector
     w = L(-2)v0, of weight 2, whose modes are w(m) = L(m-1)."""
 
-    __slots__ = ("charge", "algebra")
+    __slots__ = ("_charge", "_algebra")
 
     LABEL = "L"
     WEIGHT = 2
     VACUUM = "v0"
 
     def __init__(self, terms=(), charge: Coefficient = 0) -> None:
-        self.charge = _exact(charge)
-        self.algebra = f"L c'={self.charge}"
+        self._charge = _exact(charge)
+        self._algebra = f"L c'={self._charge}"
         super().__init__(terms)
+
+    # read-only, as a zero result is a mode table's shared `proto`, whose charge rewrites read
+    charge = property(lambda self: self._charge, doc="The quasicentral charge c'.")
+    algebra = property(lambda self: self._algebra)
 
     def _with(self, terms: dict[Word, Coefficient]) -> "VirasoroState":
         # `GradedState._with` in this one frame, with the charge and its tag
         state = object.__new__(type(self))
-        state._terms = terms or {}
-        state.charge = self.charge
-        state.algebra = self.algebra
+        state._terms = terms or _NO_TERMS
+        state._charge = self._charge
+        state._algebra = self._algebra
         return state
+
+    def __reduce__(self):
+        return type(self), (dict(self._terms), self.charge)
 
     @property
     def central_charge(self) -> Coefficient:
@@ -149,7 +157,7 @@ def _bracket_defect(m: int, n: int, state: VirasoroState, images: dict, gen: _Mo
     if m + n == 0:
         _accumulate_terms(acc, state._terms.items(), -((m + 1) * m * (m - 1) // 6) * charge)
     params = {"m": m, "n": n, "cprime": str(charge)}
-    return DefectReport.from_defect(state._with(acc), prime, params)
+    return DefectReport.from_defect(state._with(acc) if acc else gen.proto, prime, params)
 
 
 def vir_bracket_defect(m: int, n: int, state: VirasoroState, prime: int = 2) -> DefectReport:
@@ -170,8 +178,8 @@ def vir_bracket_defects(
     for all pairs, and each unordered pair {m, n} is summed once, in the
     order met first: the other order reads D(n, m) = -D(m, n), which holds
     term by term, since C(1-m, 3) = -C(m+1, 3), whatever the rewrite
-    returns.  Every row has its own parameters dict; a row met again, in
-    either order, shares the defect it reads when that defect is zero."""
+    returns.  Every row has its own parameters dict; every zero defect is the
+    one zero state of the generator table, `gen.proto`, in every row."""
     _require_prime(prime)
     span = tuple(span)
     low, high = min(span, default=0), max(span, default=-1)

@@ -1,7 +1,8 @@
 from __future__ import annotations
 
+import copy
 import itertools
-import sys
+import pickle
 from fractions import Fraction
 from math import comb, inf
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from padic_voa import axioms, modes, scalars
+from padic_voa import axioms, fock, modes, scalars
 from padic_voa.axioms import (
     DefectReport,
     associator_defect,
@@ -201,16 +202,21 @@ class TestZeroDefect:
 
 
 class TestZeroStorage:
-    """A zero result holds a fresh empty dict, not the table its accumulator
-    grew before the terms cancelled."""
+    """A zero result holds the one immutable empty map `fock._NO_TERMS`, not
+    the table its accumulator grew before the terms cancelled, and no caller
+    can fill it."""
 
-    EMPTY = sys.getsizeof({})
+    @staticmethod
+    def assert_no_terms(state):
+        assert state._terms is fock._NO_TERMS, state
+        with pytest.raises(TypeError):
+            state._terms[(1,)] = 1
 
     def test_cancelled_jacobi_defect(self):
         # the accumulator holds |0> before it cancels
         report = jacobi_defect(H, H, VAC, 1, -1, 0)
         assert report.is_zero
-        assert sys.getsizeof(report.defect._terms) == self.EMPTY
+        self.assert_no_terms(report.defect)
 
     def test_other_zero_results(self):
         zeros = [
@@ -224,7 +230,7 @@ class TestZeroStorage:
         ]
         for state in zeros:
             assert state.is_zero
-            assert sys.getsizeof(state._terms) == self.EMPTY, state
+            self.assert_no_terms(state)
 
     def test_nonzero_result_keeps_its_terms(self):
         terms = {(2, 1): Fraction(1, 3)}
@@ -232,6 +238,89 @@ class TestZeroStorage:
         assert mode_action(H, -1, H)._terms == {(1, 1): 1}
         report = kummer_check(5, 0, 1)
         assert not report.is_zero and report.defect._terms
+
+
+class TestSharedZero:
+    """A zero result computed through a mode table is that table's `proto`,
+    one zero state shared by every zero read through the table, with the
+    right class and charge."""
+
+    def test_repeated_zero_reports_hold_one_defect(self):
+        u, v = HeisenbergState.monomial([2, 1]), HeisenbergState.monomial([3])
+        reports = [jacobi_defect(u, v, VAC, r, s, t) for r, s, t in itertools.product(range(-5, 5), repeat=3)]
+        assert len(reports) == 1000
+        assert all(report.is_zero for report in reports)
+        assert len({id(report.defect) for report in reports}) == 1
+
+    @pytest.mark.parametrize("charge", [1, 12])
+    def test_zero_bracket_defect_keeps_the_charge(self, charge):
+        defect = vir_bracket_defect(1, 1, VirasoroState.word([2, 2], charge)).defect
+        assert defect.is_zero and type(defect) is VirasoroState
+        assert defect.charge == charge and defect == VirasoroState.zero(charge)
+
+    def test_the_shared_zero_keeps_its_charge_and_tag(self):
+        # the rewrite reads the charge of the generator table's proto, which
+        # this zero defect is
+        defect = vir_bracket_defect(1, 1, VirasoroState.word([2, 2], 1)).defect
+        for name in ("charge", "algebra"):
+            with pytest.raises(AttributeError):
+                setattr(defect, name, 5)
+        assert L_action(3, VirasoroState.word([3], 1)) == VirasoroState.vacuum(1, 4)
+
+    @pytest.mark.parametrize("b", [HeisenbergState.monomial([2]), VirasoroState.word([2], 5)], ids=["h", "vir"])
+    def test_zero_mode_action_has_its_input_class(self, b):
+        result = mode_action(b, 4, b)
+        assert result.is_zero and isinstance(result, type(b))
+        assert result.algebra == b.algebra and result == b - b
+
+    def test_zero_input_gives_an_immutable_zero(self):
+        zero = HeisenbergState.zero()
+        for u, v, w in ((zero, H, VAC), (H, zero, VAC), (H, H, zero)):
+            for report in (jacobi_defect(u, v, w, 1, -1, 0), commutator_defect(u, v, w, 1, -1)):
+                assert report.is_zero
+                TestZeroStorage.assert_no_terms(report.defect)
+
+    def test_nonzero_result_owns_its_dict(self):
+        first, second = mode_action(H, -1, H), mode_action(H, -1, H)
+        assert type(first._terms) is dict and first._terms is not second._terms
+        first._terms[(1, 1)] = 5
+        assert second == mode_action(H, -1, H) == HeisenbergState.monomial([1, 1])
+
+
+def pickle_cases():
+    """{Heisenberg, Virasoro at c' = 1/2} x {zero engine result, zero(), nonzero}."""
+    vir = VirasoroState.word([2], Fraction(1, 2))
+    return {
+        "h-engine-zero": jacobi_defect(H, H, VAC, 1, -1, 0).defect,
+        "h-zero": HeisenbergState.zero(),
+        "h-nonzero": HeisenbergState({(2, 1): Fraction(1, 3), (): 2}),
+        "vir-engine-zero": vir_bracket_defect(1, 1, vir).defect,
+        "vir-zero": VirasoroState.zero(Fraction(1, 2)),
+        "vir-nonzero": VirasoroState({(2,): Fraction(1, 3), (3, 2): 4}, Fraction(1, 2)),
+    }
+
+
+class TestPickleAndCopy:
+    @pytest.mark.parametrize("kind", sorted(pickle_cases()))
+    @pytest.mark.parametrize(
+        "round_trip", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy, copy.copy], ids=["pickle", "deepcopy", "copy"]
+    )
+    def test_round_trip_gives_an_equal_state(self, kind, round_trip):
+        state = pickle_cases()[kind]
+        back = round_trip(state)
+        assert type(back) is type(state) and back == state and back.algebra == state.algebra
+        assert getattr(back, "charge", None) == getattr(state, "charge", None)
+        assert back.render() == state.render()
+        if state.is_zero:
+            TestZeroStorage.assert_no_terms(back)
+        else:
+            assert back._terms is not state._terms
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_every_protocol_restores_the_shared_zero(self, protocol):
+        back = pickle.loads(pickle.dumps(pickle_cases()["vir-engine-zero"], protocol))
+        assert back == VirasoroState.zero(Fraction(1, 2)) and back.charge == Fraction(1, 2)
+        TestZeroStorage.assert_no_terms(back)
 
 
 def mixed_states(algebra):

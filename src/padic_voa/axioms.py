@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Any, Iterable, NamedTuple, Sequence
 
 from .fock import GradedState, _accumulate_terms, partitions_of
-from .modes import _mode_table, _residue_sum, _table_pairs
+from .modes import _MODE_CACHE, _mode_table, _residue_sum
 from .scalars import _NEG_INF, _norm_exponent, _require_prime
 
 __all__ = [
@@ -38,17 +38,22 @@ class DefectReport(NamedTuple):
 
     @classmethod
     def from_defect(cls, defect, prime: int, parameters: dict) -> "DefectReport":
-        # tuple.__new__ skips the generated __new__ and its Python frame; the
-        # exponent is `sup_norm_exponent` without its two frames, and with no
-        # call at all for a defect with no terms
         _require_prime(prime)
-        terms = defect._terms
-        exponent = _norm_exponent(terms.values(), prime) if terms else _NEG_INF
-        return tuple.__new__(cls, (defect, exponent, dict(parameters), prime))
+        return _report(defect, prime, dict(parameters))
 
     @property
     def is_zero(self) -> bool:
         return self.norm_exponent == _NEG_INF
+
+
+def _report(defect, prime: int, parameters: dict) -> DefectReport:
+    """The report of `defect` at a prime the caller has checked, holding
+    `parameters` itself.  tuple.__new__ skips the generated __new__ and its
+    Python frame; the exponent is `sup_norm_exponent` without its two
+    frames, and with no call at all for a defect with no terms."""
+    terms = defect._terms
+    exponent = _norm_exponent(terms.values(), prime) if terms else _NEG_INF
+    return tuple.__new__(DefectReport, (defect, exponent, parameters, prime))
 
 
 def _jacobi_sides(
@@ -56,29 +61,39 @@ def _jacobi_sides(
 ) -> GradedState:
     """sign times (left minus right side) of the Jacobi identity at (r, s, t),
     both sides summed with the sign on the engine's (key, coefficient) pairs
-    without building a state for u(t+i)v, one pair of u's and v's terms at
-    a time; u's row of v's key is read once, and an empty image is skipped.
-    A zero result is the `proto` of u's first table, shared by every call."""
+    without building a state for u(t+i)v, one term of u and one of v at a
+    time, as both sides are bilinear in (u, v); u's row of v's key is read
+    once, and an empty image is skipped.  Each table, of a term of u or v
+    or of a term of u(t+i)v, is one lookup in the store, and `_mode_table`
+    runs only when the lookup misses (or finds an empty table, which it
+    returns again).  A zero result is the `proto` of u's first table,
+    shared by every call, or a new zero when u or v is zero."""
     u._check(v)
     u._check(w)
     acc: dict = {}
-    pairs = _table_pairs(u, v)
-    for u_table, v_table, cuv in pairs:
-        u_row, binomial = u_table[v_table.pv], sign  # binomial = sign C(r, i), an int, which i divides below
-        for i in range(max(0, u_table.weight + v_table.weight - t)):
-            if i:
-                binomial = binomial * (r - i + 1) // i
-                if not binomial:
-                    break  # C(r, i) = 0 for 0 <= r < i, and so for every larger i
-            for pk, ck in u_row[t + i]:  # the terms of u(t+i)v
-                scale, table = binomial * cuv * ck, _mode_table(w, pk)
-                for pw, cw in w._terms.items():
-                    image = table[pw][r + s - i]
-                    if image:
-                        _accumulate_terms(acc, image, scale * cw)
-        for key, c in w._terms.items():
-            _residue_sum(acc, -sign * cuv * c, u_table, v_table, r, s, t, key)
-    return w._with(acc) if acc or not pairs else pairs[0][0].proto
+    get, algebra, v_terms, w_terms = _MODE_CACHE.get, u.algebra, v._terms.items(), w._terms.items()
+    zero = None
+    for pu, cu in u._terms.items():
+        u_table = get((algebra, pu)) or _mode_table(u, pu)
+        if zero is None:
+            zero = u_table.proto
+        for pv, cv in v_terms:
+            v_table, cuv = get((algebra, pv)) or _mode_table(v, pv), cu * cv
+            u_row, binomial = u_table[pv], sign  # binomial = sign C(r, i), an int, which i divides below
+            for i in range(max(0, u_table.weight + v_table.weight - t)):
+                if i:
+                    binomial = binomial * (r - i + 1) // i
+                    if not binomial:
+                        break  # C(r, i) = 0 for 0 <= r < i, and so for every larger i
+                for pk, ck in u_row[t + i]:  # the terms of u(t+i)v
+                    scale, table = binomial * cuv * ck, get((algebra, pk)) or _mode_table(w, pk)
+                    for pw, cw in w_terms:
+                        image = table[pw][r + s - i]
+                        if image:
+                            _accumulate_terms(acc, image, scale * cw)
+            for key, c in w_terms:
+                _residue_sum(acc, -sign * cuv * c, u_table, v_table, r, s, t, key)
+    return w._with(acc) if acc or zero is None or not v._terms else zero
 
 
 def jacobi_defect(
@@ -98,7 +113,8 @@ def jacobi_defect(
     proven grading bound.  Exactly zero on finitely supported states of
     either algebra.
     """
-    return DefectReport.from_defect(_jacobi_sides(u, v, w, r, s, t), prime, {"r": r, "s": s, "t": t})
+    _require_prime(prime)
+    return _report(_jacobi_sides(u, v, w, r, s, t), prime, {"r": r, "s": s, "t": t})
 
 
 def commutator_defect(
@@ -112,7 +128,8 @@ def commutator_defect(
     """Defect of the commutator formula
     [u(r), v(s)] w = sum_i C(r, i) (u(i)v)(r+s-i) w: the Jacobi identity at
     t = 0, right minus left side."""
-    return DefectReport.from_defect(_jacobi_sides(u, v, w, r, s, 0, -1), prime, {"r": r, "s": s})
+    _require_prime(prime)
+    return _report(_jacobi_sides(u, v, w, r, s, 0, -1), prime, {"r": r, "s": s})
 
 
 def associator_defect(
@@ -126,7 +143,8 @@ def associator_defect(
     """Defect of the associator formula (u(t)v)(s) w = R_t(u, v; 0, s) w:
     the composed modes minus the residue product.  This is the Jacobi
     identity at r = 0, where only the i = 0 term C(0, 0) = 1 survives."""
-    return DefectReport.from_defect(_jacobi_sides(u, v, w, 0, s, t), prime, {"s": s, "t": t})
+    _require_prime(prime)
+    return _report(_jacobi_sides(u, v, w, 0, s, t), prime, {"s": s, "t": t})
 
 
 def locality_profile(
@@ -167,7 +185,9 @@ def locality_profile(
     u._check(w)
     if u.is_zero or v.is_zero or w.is_zero:
         return [(t, _NEG_INF) for t in range(t_max + 1)]
-    pairs = _table_pairs(u, v)
+    pairs = [
+        (_mode_table(u, pu), _mode_table(v, pv), cu * cv) for pu, cu in u._terms.items() for pv, cv in v._terms.items()
+    ]
     total_weight = max(u_table.weight + v_table.weight for u_table, v_table, _ in pairs) + w.max_weight()
     span = total_weight + 2
     # R_0 on every (r, s) that the t_max steps below read

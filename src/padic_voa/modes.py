@@ -26,11 +26,12 @@ generator and t = wt g - 1 - k, and evaluating this sum with a = g and
 b = u.  Each basis vector v has one table, a dict holding one row per basis
 key b; a row is a dict keyed on n that computes a missing image v(n)b once,
 so a caller holding the row reads a known image with one int subscript.
-The sum is bilinear in (a, b), so a state enters it term by term
-(`_table_pairs`), and it only ever reads two tables.  Each table carries
-its vector's weight: b(j)w vanishes once j >= b.weight + wt(w), the grading
-being nonnegative, and likewise for a.  So every infinite sum is truncated
-by proven grading bounds, never by thresholds, and all results are exact.
+The sum is bilinear in (a, b), so a state enters it term by term, its
+callers looping over the terms of a and, inside that, of b, and it only
+ever reads two tables.  Each table carries its vector's weight: b(j)w
+vanishes once j >= b.weight + wt(w), the grading being nonnegative, and
+likewise for a.  So every infinite sum is truncated by proven grading
+bounds, never by thresholds, and all results are exact.
 """
 
 from __future__ import annotations
@@ -345,14 +346,6 @@ def zero_mode(v: GradedState) -> Callable[[GradedState], GradedState]:
     return apply
 
 
-def _table_pairs(a: GradedState, b: GradedState) -> list[tuple[_ModeTable, _ModeTable, Coefficient]]:
-    """(table of pa, table of pb, ca * cb) for every term ca pa of a and
-    cb pb of b: a residue sum is bilinear in (a, b), so a state enters it
-    term by term, each pair truncated at its own tables' weights."""
-    b_terms = b._terms.items()
-    return [(_mode_table(a, pa), _mode_table(b, pb), ca * cb) for pa, ca in a._terms.items() for pb, cb in b_terms]
-
-
 def residue_product_mode(a: GradedState, b: GradedState, t: int, n: int, w: GradedState) -> GradedState:
     """n-th mode of the t-th residue product of the fields of a and b,
     applied to w: (a(z)_t b(z))(n) w = R_t(a, b; 0, n) w, the residue sum
@@ -361,9 +354,14 @@ def residue_product_mode(a: GradedState, b: GradedState, t: int, n: int, w: Grad
     a._check(b)
     a._check(w)
     acc: _Terms = {}
-    pairs = _table_pairs(a, b)
-    for a_table, b_table, cab in pairs:
-        for key, c in w._terms.items():
-            _residue_sum(acc, cab * c, a_table, b_table, 0, n, t, key)
-    return w._with(acc) if acc or not pairs else pairs[0][0].proto
+    zero = None
+    for pa, ca in a._terms.items():  # the sum is bilinear in (a, b): one term of each at a time
+        a_table = _mode_table(a, pa)
+        if zero is None:
+            zero = a_table.proto
+        for pb, cb in b._terms.items():
+            b_table, cab = _mode_table(b, pb), ca * cb
+            for key, c in w._terms.items():
+                _residue_sum(acc, cab * c, a_table, b_table, 0, n, t, key)
+    return w._with(acc) if acc or zero is None or not b._terms else zero
 

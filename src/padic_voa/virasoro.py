@@ -30,7 +30,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterable, Iterator
 
-from .axioms import DefectReport
+from .axioms import DefectReport, _report
 from .fock import _NO_TERMS, Coefficient, GradedState, _accumulate_terms, _exact, partitions_of
 from .modes import _ModeTable, _mode_table, h_mode, mode_action
 from .scalars import _require_prime
@@ -146,7 +146,8 @@ def L_action(n: int, state: VirasoroState) -> VirasoroState:
 def _bracket_defect(m: int, n: int, state: VirasoroState, images: dict, gen: _ModeTable, prime: int) -> DefectReport:
     """The bracket defect at (m, n), summed into one dict from the images
     L(k)s of `images` and the generator rows `gen`: L(m) on L(n)s, minus L(n)
-    on L(m)s, minus (m-n) L(m+n)s, minus the central term when m + n = 0."""
+    on L(m)s, minus (m-n) L(m+n)s, minus the central term when m + n = 0;
+    reported at `prime`, which the caller has checked."""
     charge = state.charge
     acc: dict[Word, Coefficient] = {}
     for key, c in images[n]._terms.items():
@@ -157,14 +158,17 @@ def _bracket_defect(m: int, n: int, state: VirasoroState, images: dict, gen: _Mo
     if m + n == 0:
         _accumulate_terms(acc, state._terms.items(), -((m + 1) * m * (m - 1) // 6) * charge)
     params = {"m": m, "n": n, "cprime": str(charge)}
-    return DefectReport.from_defect(state._with(acc) if acc else gen.proto, prime, params)
+    return _report(state._with(acc) if acc else gen.proto, prime, params)
 
 
 def vir_bracket_defect(m: int, n: int, state: VirasoroState, prime: int = 2) -> DefectReport:
     """Defect of the integral-form bracket relation on a state:
 
         [L(m), L(n)] s - (m-n) L(m+n) s - delta_{m+n,0} C(m+1, 3) c' s.
+
+    The prime is checked first, before any image is computed.
     """
+    _require_prime(prime)
     images = {k: L_action(k, state) for k in {m, n, m + n}}
     return _bracket_defect(m, n, state, images, _mode_table(state, (2,)), prime)
 

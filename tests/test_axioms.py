@@ -4,7 +4,7 @@ import copy
 import itertools
 import pickle
 from fractions import Fraction
-from math import comb, inf
+from math import comb, factorial, inf, prod
 
 import pytest
 from hypothesis import given
@@ -201,6 +201,70 @@ class TestZeroDefect:
         assert report.parameters == parameters and report.parameters is not parameters
 
 
+def mixed_algebra_triples():
+    """(u, v, w) with one position holding a state of another algebra, so
+    that each of the pairs (u, v), (u, w) and (v, w) differs in some triple:
+    a Heisenberg state against Virasoro at c' = 1, and c' = 1 against
+    c' = 12, either way round, with the odd state, the others or all three
+    zero."""
+    algebras = [
+        (H, VirasoroState.word([2], 1)),
+        (VirasoroState.word([3], 1), VirasoroState.word([2, 2], 12)),
+    ]
+    triples = []
+    for first, second in algebras:
+        for same, other in ((first, second), (second, first)):
+            for odd, zero_odd, zero_same in itertools.product(range(3), (False, True), (False, True)):
+                triple = [same - same if zero_same else same] * 3
+                triple[odd] = other - other if zero_odd else other
+                triples.append(tuple(triple))
+    return triples
+
+
+# every caller of the residue sum, on states (u, v, w)
+RESIDUE_SUM_CALLERS = {
+    "jacobi": lambda u, v, w: jacobi_defect(u, v, w, 1, -1, 2),
+    "commutator": lambda u, v, w: commutator_defect(u, v, w, 1, -1),
+    "associator": lambda u, v, w: associator_defect(u, v, w, -1, 1),
+    "locality": lambda u, v, w: locality_profile(u, v, w, 2),
+    "residue_product": lambda u, v, w: residue_product_mode(u, v, 1, -1, w),
+}
+
+# the defect checks and the locality probe at the prime 4, on states whose
+# defects would fill the store
+BAD_PRIME_CALLS = {
+    "jacobi": lambda: jacobi_defect(*mixed_states("heisenberg"), 1, -1, 2, prime=4),
+    "commutator": lambda: commutator_defect(*mixed_states("heisenberg"), 1, -1, prime=4),
+    "associator": lambda: associator_defect(*mixed_states("heisenberg"), -1, 1, prime=4),
+    "locality": lambda: locality_profile(*mixed_states("heisenberg"), 2, prime=4),
+    "vir_bracket": lambda: vir_bracket_defect(2, -3, VirasoroState.word([3, 2], 1), prime=4),
+    "vir_bracket_sweep": lambda: next(vir_bracket_defects(VirasoroState.word([3, 2], 1), range(-3, 3), prime=4)),
+}
+
+
+class TestRefusedBeforeTheStore:
+    """A bad prime or states of different algebras are refused before the
+    engine runs, so a refused call leaves the mode store as it was."""
+
+    @staticmethod
+    def assert_refused(call, message):
+        modes.clear_mode_cache()
+        with pytest.raises(ValueError, match=message):
+            call()
+        assert not modes._MODE_CACHE and modes._MODE_CACHE_ENTRIES == [0]
+
+    @pytest.mark.parametrize("check", sorted(BAD_PRIME_CALLS))
+    def test_bad_prime(self, check):
+        self.assert_refused(BAD_PRIME_CALLS[check], "prime required, got 4")
+
+    @pytest.mark.parametrize("caller", sorted(RESIDUE_SUM_CALLERS))
+    def test_states_of_different_algebras(self, caller):
+        triples = mixed_algebra_triples()
+        assert len(triples) == 48
+        for u, v, w in triples:
+            self.assert_refused(lambda: RESIDUE_SUM_CALLERS[caller](u, v, w), "states of different algebras")
+
+
 class TestZeroStorage:
     """A zero result holds the one immutable empty map `fock._NO_TERMS`, not
     the table its accumulator grew before the terms cancelled, and no caller
@@ -368,23 +432,55 @@ class TestKeyLevelPath:
                 assert associator_defect(u, v, w, s, t).is_zero
 
     def test_mode_maps_carry_the_largest_weight(self):
-        # a state enters a residue sum as the tables of its terms, each
-        # carrying its own key's weight, so the largest pair bound is the
-        # states' largest weights: the first term of each mixed `a` has the
-        # lowest weight, so a bound read off the first table would be too small
-        a_h, a_v = mixed_states("heisenberg")[0], mixed_states(Fraction(1, 2))[0]
-        assert next(iter(a_h._terms)) == (1,) and next(iter(a_v._terms)) == (2,)
-        states = (H, HeisenbergState.monomial([2, 1], Fraction(-3, 7)), a_h, a_v)
-        for v in states:
-            pairs = modes._table_pairs(v, v)
-            assert len(pairs) == len(v._terms) ** 2, v
-            for a, b, c in pairs:
-                assert (a.weight, b.weight) == (sum(a.pv), sum(b.pv)), v
-                assert c == v._terms[a.pv] * v._terms[b.pv], v
-            assert max(a.weight + b.weight for a, b, _ in pairs) == 2 * v.max_weight(), v
-        assert [max(a.weight for a, _, _ in modes._table_pairs(v, v)) for v in states] == [1, 3, 3, 3]
-        zero = HeisenbergState.zero()
-        assert modes._table_pairs(zero, H) == [] == modes._table_pairs(H, zero)
+        for algebra in ("heisenberg", Fraction(1, 2)):
+            self.assert_each_term_at_its_own_weight(*mixed_states(algebra))
+
+    @staticmethod
+    def assert_each_term_at_its_own_weight(a, b, w):
+        # a state enters a residue sum term by term, each term truncated at
+        # its own key's weight: the first term of each mixed `a` has the
+        # lowest weight, so a bound read off the first table would be too
+        # small, and at the indices counted below only the heavier terms
+        # contribute, yet every result is still the term-by-term sum
+        first = next(iter(a._terms))
+        light = a._with({first: a._terms[first]})
+        heavy, zero = a - light, a - a
+        assert sum(first) < min(map(sum, heavy._terms))
+
+        def left_side(u, r, s, t):
+            # sum_i C(r, i) (u(t+i)b)(r+s-i) w, composed mode by mode; u(t+i)b
+            # vanishes once t + i >= wt u + wt b
+            total = zero
+            for i in range(max(0, u.max_weight() + b.max_weight() - t)):
+                binomial = prod(range(r - i + 1, r + 1)) // factorial(i)
+                total = total + mode_action(mode_action(u, t + i, b), r + s - i, w).scale(binomial)
+            return total
+
+        only_heavy = 0
+        for t, n in itertools.product(range(5), range(-2, 3)):
+            result = residue_product_mode(a, b, t, n, w)
+            term_by_term = [
+                residue_product_mode(a._with({pa: ca}), b._with({pb: cb}), t, n, w)
+                for pa, ca in a._terms.items()
+                for pb, cb in b._terms.items()
+            ]
+            assert result == sum(term_by_term, zero) == mode_action(mode_action(a, t, b), n, w), (t, n)
+            only_heavy += bool(result) and residue_product_mode(light, b, t, n, w).is_zero
+        assert only_heavy
+        only_heavy = 0
+        for r, s, t in itertools.product((-1, 1, 2), range(-2, 3), range(5)):
+            assert jacobi_defect(a, b, w, r, s, t).is_zero, (r, s, t)
+            only_heavy += bool(left_side(a, r, s, t)) and left_side(light, r, s, t).is_zero
+        assert only_heavy
+        t_max = a.max_weight() + b.max_weight() + 1
+        profile, heavy_profile = locality_profile(a, b, w, t_max), locality_profile(heavy, b, w, t_max)
+        rows = range(ope_order(light, b), t_max + 1)  # every cell of light's profile is zero on these rows
+        assert profile[rows.start :] == heavy_profile[rows.start :]
+        assert any(profile[t][1] != -inf for t in rows)
+        for u, v, x in ((zero, b, w), (a, b - b, w), (a, b, w - w)):
+            assert residue_product_mode(u, v, 1, -1, x).is_zero
+            assert jacobi_defect(u, v, x, 1, -1, 3).is_zero
+            assert all(exponent == -inf for _, exponent in locality_profile(u, v, x, 2))
 
     @pytest.mark.parametrize("algebra", ["heisenberg", Fraction(1, 2)])
     def test_defects_read_no_max_weight(self, algebra, monkeypatch):

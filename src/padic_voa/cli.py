@@ -253,9 +253,9 @@ def _exponent_json(value: int | float):
     return None if value == -inf else value
 
 
-@lru_cache(maxsize=16)
 def _encoder(indent: str):
-    """The C encoder, with sorted keys and ',' + `indent` between items."""
+    """The C encoder, with sorted keys and ',' + `indent` between items; a
+    new one per call, as building it costs microseconds."""
     return json.JSONEncoder(sort_keys=True, separators=("," + indent, ": ")).encode
 
 
@@ -558,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ax.set_defaults(func=_cmd_axioms)
 
     p_vir = sub.add_parser("virasoro", help="Virasoro bracket defect table")
-    p_vir.add_argument("--cprime", type=_rational, default="1", help="quasicentral charge (rational)")
+    p_vir.add_argument("--cprime", type=_rational, default="1", help="quasicentral charge (rational; negative: --cprime=-11/5)")
     p_vir.add_argument("--grade", type=_at_least(0), default=6)
     p_vir.add_argument("--window", type=_at_least(0), default=4)
     p_vir.add_argument("--prime", type=_prime, default=2)

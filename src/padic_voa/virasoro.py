@@ -14,11 +14,11 @@ bracket; normal-form words containing a part 1 span the quotient ideal and
 are dropped.  Each rewrite of L(n) on a word is kept, as an immutable tuple,
 in its row of the mode store's generator table; `clear_mode_cache()` drops it.
 
-The bracket defect at (m, n) is summed into one dict from images L(k)s of
-the state: L(m) on the terms of L(n)s, minus L(n) on the terms of L(m)s,
-minus (m-n) L(m+n)s and the central term.  `vir_bracket_defects` computes
-each image L(k)s of a window once, for every pair (m, n) of the window, and
-sums each unordered pair {m, n} once: the defect expression is antisymmetric,
+The bracket defect at (m, n) is summed into one dict word by word, straight
+from the generator rows: for each word w of the state, L(m) on the terms of
+L(n)w, minus L(n) on the terms of L(m)w, minus (m-n) L(m+n)w, and then the
+central term; no image state is built.  `vir_bracket_defects` sums each
+unordered pair {m, n} of a window once: the defect expression is antisymmetric,
 D(n, m) = -D(m, n), as C(1-m, 3) = -C(m+1, 3), so the other order is the
 negated defect with the same norm exponent; a zero defect is shared as it is,
 since states are immutable values and -0 is 0.  Every zero defect is one
@@ -143,18 +143,21 @@ def L_action(n: int, state: VirasoroState) -> VirasoroState:
     return h_mode(n + 1, state)
 
 
-def _bracket_defect(m: int, n: int, state: VirasoroState, images: dict, gen: _ModeTable, prime: int) -> DefectReport:
-    """The bracket defect at (m, n), summed into one dict from the images
-    L(k)s of `images` and the generator rows `gen`: L(m) on L(n)s, minus L(n)
-    on L(m)s, minus (m-n) L(m+n)s, minus the central term when m + n = 0;
-    reported at `prime`, which the caller has checked."""
+def _bracket_defect(m: int, n: int, state: VirasoroState, gen: _ModeTable, prime: int) -> DefectReport:
+    """The bracket defect at (m, n), summed into one dict word by word from
+    the generator rows `gen`: for each word w of the state, L(m) on the terms
+    of L(n)w, minus L(n) on the terms of L(m)w, minus (m-n) L(m+n)w, each
+    scaled by w's coefficient; then minus the central term when m + n = 0.
+    Reported at `prime`, which the caller has checked."""
     charge = state.charge
     acc: dict[Word, Coefficient] = {}
-    for key, c in images[n]._terms.items():
-        _accumulate_terms(acc, gen[key][m + 1], c)
-    for key, c in images[m]._terms.items():
-        _accumulate_terms(acc, gen[key][n + 1], -c)
-    _accumulate_terms(acc, images[m + n]._terms.items(), n - m)
+    for word, c in state._terms.items():
+        row = gen[word]
+        for key, d in row[n + 1]:
+            _accumulate_terms(acc, gen[key][m + 1], c * d)
+        for key, d in row[m + 1]:
+            _accumulate_terms(acc, gen[key][n + 1], -c * d)
+        _accumulate_terms(acc, row[m + n + 1], (n - m) * c)
     if m + n == 0:
         _accumulate_terms(acc, state._terms.items(), -((m + 1) * m * (m - 1) // 6) * charge)
     params = {"m": m, "n": n, "cprime": str(charge)}
@@ -166,11 +169,10 @@ def vir_bracket_defect(m: int, n: int, state: VirasoroState, prime: int = 2) -> 
 
         [L(m), L(n)] s - (m-n) L(m+n) s - delta_{m+n,0} C(m+1, 3) c' s.
 
-    The prime is checked first, before any image is computed.
+    The prime is checked first, before any generator row is read.
     """
     _require_prime(prime)
-    images = {k: L_action(k, state) for k in {m, n, m + n}}
-    return _bracket_defect(m, n, state, images, _mode_table(state, (2,)), prime)
+    return _bracket_defect(m, n, state, _mode_table(state, (2,)), prime)
 
 
 def vir_bracket_defects(
@@ -178,16 +180,14 @@ def vir_bracket_defects(
 ) -> Iterator[tuple[int, int, DefectReport]]:
     """(m, n, `vir_bracket_defect(m, n, state, prime)`) for every (m, n) in
     span x span, in `itertools.product` order, the prime checked first.
-    Each image L(k)s that a pair reads (k = m, n or m + n) is computed once,
-    for all pairs, and each unordered pair {m, n} is summed once, in the
-    order met first: the other order reads D(n, m) = -D(m, n), which holds
-    term by term, since C(1-m, 3) = -C(m+1, 3), whatever the rewrite
-    returns.  Every row has its own parameters dict; every zero defect is the
-    one zero state of the generator table, `gen.proto`, in every row."""
+    Every pair is summed word by word from the generator rows, and each
+    unordered pair {m, n} is summed once, in the order met first: the other
+    order reads D(n, m) = -D(m, n), which holds term by term, since
+    C(1-m, 3) = -C(m+1, 3), whatever the rewrite returns.  Every row has its
+    own parameters dict; every zero defect is the one zero state of the
+    generator table, `gen.proto`, in every row."""
     _require_prime(prime)
     span = tuple(span)
-    low, high = min(span, default=0), max(span, default=-1)
-    images = {k: L_action(k, state) for k in range(min(low, 2 * low), max(high, 2 * high) + 1)}
     gen = _mode_table(state, (2,))
     cprime = str(state.charge)
     reports: dict[tuple[int, int], tuple[int, DefectReport]] = {}  # {m, n} -> (the m it was summed at, its report)
@@ -195,7 +195,7 @@ def vir_bracket_defects(
         pair = (m, n) if m <= n else (n, m)
         entry = reports.get(pair)
         if entry is None:
-            reports[pair] = (m, report := _bracket_defect(m, n, state, images, gen, prime))
+            reports[pair] = (m, report := _bracket_defect(m, n, state, gen, prime))
         else:
             first_m, report = entry
             defect = -report.defect if first_m != m and report.defect._terms else report.defect  # -0 is 0

@@ -522,6 +522,16 @@ class TestInputValidation:
         assert run_cli(["virasoro", "--cprime", "1e2x"]) == (2, "")
         assert "argument --cprime: 1e2x is not a rational number" in capsys.readouterr().err
 
+    def test_negative_cprime_takes_an_equals_sign(self, capsys):
+        # c' = -11/5 is c = -22/5, the Lee-Yang charge; argparse reads a
+        # separate "-11/5" as an option, so it is written --cprime=-11/5
+        code, out = run_cli(["virasoro", "--cprime=-11/5", "--grade", "4", "--window", "2"])
+        payload = json.loads(out)
+        assert code == 0 and payload["all_ok"]
+        assert (payload["cprime"], payload["integral_charge"], payload["checks"]) == ("-11/5", False, 125)
+        assert run_cli(["virasoro", "--cprime", "-11/5", "--grade", "4", "--window", "2"]) == (2, "")
+        assert "argument --cprime: expected one argument" in capsys.readouterr().err
+
     def test_character_empty_range(self):
         assert run_cli(["character", "--state", "h(-1) vac", "--qmax", "-1"]) == (2, "")
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -68,3 +69,19 @@ def test_the_virasoro_rewrite_has_no_memo_of_its_own():
     own = [attr for attr, value in vars(module).items() if hasattr(value, "cache_info") and value.__module__ == module.__name__]
     assert own == []
     assert not {"functools", "lru_cache", "cache"} & set(vars(module))
+
+
+@pytest.mark.parametrize("name", MODULES[1:])
+def test_no_unused_imports(name):
+    # a name imported and never read, left behind when the code that read it
+    # is deleted; names that the module re-exports through __all__ are read
+    module = importlib.import_module(name)
+    tree = ast.parse(Path(module.__file__).read_text())
+    imported = {
+        (alias.asname or alias.name).partition(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | set(getattr(module, "__all__", ()))
+    assert sorted(imported - read) == []

@@ -270,8 +270,9 @@ class TestBracketDefect:
 
 
 class TestBracketDefects:
-    """`vir_bracket_defects` (one image table per word) against the one-pair
-    `vir_bracket_defect` and against the bracket composed on states."""
+    """`vir_bracket_defects` (each pair summed word by word from the generator
+    rows) against the one-pair `vir_bracket_defect` and against the bracket
+    composed on states."""
 
     SPAN = range(-4, 5)
     WORDS = [word for grade in range(7) for word in vir_grade_basis(grade)]
@@ -397,8 +398,8 @@ class TestBracketDefects:
 
     @pytest.mark.parametrize("span", [(1, 2), (3, 1), (-1, -2), (-3,), (4,)], ids=str)
     def test_one_signed_spans(self, span, broken_rewrite):
-        # a pair reads L(m)s and L(n)s as well as L(m+n)s, so the image table
-        # reaches min(span) and max(span), not only their doubles
+        # a pair reads the rows L(m)w and L(n)w as well as L(m+n)w, on the
+        # positive and on the negative side alike
         for word in ((), (2,), (3, 2)):
             state = VirasoroState.word(word, 1)
             rows = list(vir_bracket_defects(state, span))
@@ -419,6 +420,54 @@ class TestBracketDefects:
                     assert report.defect._terms is not partner.defect._terms
                     assert report.defect != partner.defect
         assert nonzero >= 10
+
+    # sums of several words, with negative and fractional coefficients; the
+    # images of (4,) and (2, 2) share keys
+    SUMS = (
+        {(4,): Fraction(-3, 2), (2, 2): 5},
+        {(4,): Fraction(2, 3), (2, 2): Fraction(-1, 4), (3,): 7, (): -2},
+        {(3, 2): -1, (5,): Fraction(1, 2), (2,): Fraction(-5, 3)},
+    )
+
+    @pytest.mark.parametrize("charge", [1, Fraction(1, 3)], ids=str)
+    def test_sums_of_words(self, charge, broken_rewrite):
+        # each word enters the defect scaled by its own coefficient
+        span, nonzero = range(-3, 4), 0
+        for terms in self.SUMS:
+            state = VirasoroState(terms, charge)
+            for m, n, report in vir_bracket_defects(state, span):
+                assert report == vir_bracket_defect(m, n, state), (charge, terms, m, n)
+                assert report.defect == self.composed(m, n, state), (charge, terms, m, n)
+                nonzero += not report.is_zero
+        assert nonzero >= 30  # the broken rewrite leaves defects to compare
+
+    def test_no_image_state(self, monkeypatch, broken_rewrite):
+        # both kernels read the generator rows word by word: neither builds
+        # an image L(k)s as a state
+        span = range(-3, 4)
+        sums = ({(): 1}, {(3, 2): 1}, *self.SUMS)
+        states = [VirasoroState(terms, charge) for charge in (1, Fraction(1, 3)) for terms in sums]
+
+        def reports(state):
+            singles = [(m, n, vir_bracket_defect(m, n, state)) for m, n in itertools.product(span, span)]
+            return singles, list(vir_bracket_defects(state, span))
+
+        expected = [reports(state) for state in states]
+        assert sum(not report.is_zero for _, rows in expected for _, _, report in rows) >= 60
+
+        def forbidden(*args):
+            raise AssertionError("a bracket defect must not build an image state")
+
+        clear_mode_cache()
+        monkeypatch.setattr(virasoro, "L_action", forbidden)
+        monkeypatch.setattr(virasoro, "h_mode", forbidden)
+        assert [reports(state) for state in states] == expected
+
+    def test_one_shot_iterator(self):
+        state = VirasoroState({(4,): Fraction(-3, 2), (2, 2): 5}, 1)
+        rows = list(vir_bracket_defects(state, iter(range(-2, 3))))
+        assert len(rows) == 25
+        assert rows == list(vir_bracket_defects(state, range(-2, 3)))
 
     @pytest.mark.parametrize("span", [range(-3, 4), range(3, -4, -1), (2, -3, 0), (1, 1, -1, 1)], ids=str)
     def test_each_unordered_pair_is_summed_once(self, span, monkeypatch):

@@ -5,8 +5,13 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import shlex
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +19,7 @@ from hypothesis import strategies as st
 
 from padic_voa import cli, modes
 from padic_voa.cli import (
+    _ROWS_PER_CALL,
     _SUITE_DEFAULTS,
     _SWEEP_LIMITS,
     ParseError,
@@ -332,9 +338,11 @@ class TestSubcommands:
 
     def test_out_file_holds_the_stdout_bytes(self, tmp_path):
         target = tmp_path / "report.json"
-        code, out = run_cli(["virasoro", "--grade", "4", "--window", "2", "--full", "--out", str(target)])
-        assert code == 0
-        assert target.read_bytes().decode("utf-8") == out
+        # the second sweep has 375 rows, more than one slice of the writer
+        for grade in ("4", "7"):
+            code, out = run_cli(["virasoro", "--grade", grade, "--window", "2", "--full", "--out", str(target)])
+            assert code == 0
+            assert target.read_bytes().decode("utf-8") == out
 
     def test_usage_errors_exit_two(self):
         assert run_cli(["character", "--state", "h(-1 vac"])[0] == 2
@@ -429,8 +437,17 @@ json_values = st.recursive(
 )
 
 
+def _sliced_rows(count: int) -> list[dict]:
+    """`count` flat rows whose strings look like the writer's row seams, so
+    that every boundary between slices has a look-alike on both sides."""
+    return [{"i": i, _TRICKY[(i + 1) % 2]: _TRICKY[i % 2]} for i in range(count)]
+
+
 @settings(max_examples=200)
 @given(json_values)
+@example(_sliced_rows(_ROWS_PER_CALL))
+@example(_sliced_rows(_ROWS_PER_CALL + 1))
+@example({"rows": _sliced_rows(3 * _ROWS_PER_CALL + 1), "violations": _sliced_rows(_ROWS_PER_CALL + 1)})
 @example([{"a": '"},\n    {"', "b": 1}, {"c": "},\n    {"}])
 @example({"rows": [{"a": 1}, {}, {"b": {"c": [1, {}]}}], "x": [[], {}, [[]]]})
 @example([{"a": {}, "b": []}, {"c": []}])
@@ -438,6 +455,22 @@ json_values = st.recursive(
 @example(({"a": (1,)},))
 def test_writer_matches_json_dumps(value):
     assert "".join(_json_chunks(value)) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_writer_holds_less_than_its_output():
+    # one encoder call over all the rows kept about 6.4 times its text alive
+    rows = [
+        {"word": f"1 L(-{i % 9 + 1}) v0", "m": i % 13 - 6, "n": -(i % 7), "norm_exponent": None}
+        for i in range(16 * _ROWS_PER_CALL)
+    ]
+    payload = {"checks": len(rows), "rows": rows}
+    tracemalloc.start()
+    try:
+        length = sum(map(len, _json_chunks(payload)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < length
 
 
 class TestInputValidation:
@@ -663,6 +696,18 @@ class TestInputValidation:
         target = tmp_path / "missing" / "x.json"
         assert run_cli(["eisenstein", "--k", "4", "--out", str(target)]) == (2, "")
         assert capsys.readouterr().err.startswith(f"error: cannot write {target}")
+
+    def test_closed_stdout_ends_quietly(self):
+        # print() ended in a BrokenPipeError traceback once the reader left
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = [sys.executable, "-m", "padic_voa.cli", "virasoro", "--grade", "7", "--window", "7", "--full"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            assert len(proc.stdout.read(10)) == 10  # of about 400 KB, more than a pipe holds
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 141
+        assert err == b""  # no traceback and no message
 
 
 def test_option_surface():
